@@ -3,9 +3,12 @@
 Run with ``pytest -v tests/test_acceptance.py``; each check is one test.
 Shared fixtures build a 500-program corpus, generate edit sequences with
 worker counts 1 and 8, and generate lintseq/randseq datasets on a smaller
-calibration corpus whose programs average about 14 lines.
+calibration corpus whose programs average about 14 lines.  Two golden
+tests pin the sha256 of the fixture records in both sampling modes, so a
+refactor that changes output bytes fails loudly.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -92,6 +95,21 @@ def calibration(workdir):
         dataset_stats(read_records(lint_out)),
         dataset_stats(read_records(rand_out)),
     )
+
+
+# sha256 of the 500-program fixture records at --seed 17 --samples 5; a
+# change that alters output bytes on purpose must re-pin these
+GOLDEN_LINTSEQ_SHA256 = "6bed39ab84383dacf97dd2c0412537d73280c2caec837c6f5b1d1a7646104262"
+GOLDEN_RANDSEQ_SHA256 = "16f0b3a44bbf7e6e70533d49308056da2c11b792f896aba6ce0be4bdde1dd384"
+
+
+def test_golden_lintseq_records_sha256(run_w1):
+    assert hashlib.sha256(run_w1[0].read_bytes()).hexdigest() == GOLDEN_LINTSEQ_SHA256
+
+
+def test_golden_randseq_records_sha256(fixture_corpus, workdir):
+    out = generate(fixture_corpus, workdir / "records_randseq.jsonl", "--mode", "randseq")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RANDSEQ_SHA256
 
 
 def test_criterion_01_round_trip_fidelity(records, run_w1):
