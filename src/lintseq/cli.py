@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .corpus import (
@@ -29,7 +28,13 @@ from .corpus import (
     write_records,
 )
 from .diffkit import DiffError, diff_states
-from .editcodec import DEFAULT_SEPARATOR, resolve_stream, serialize
+from .editcodec import (
+    DEFAULT_SEPARATOR,
+    check_separator,
+    resolve_stream,
+    restore_final_newline,
+    serialize,
+)
 from .lint import DEFAULT_FINDING_PATTERN, LintError, LinterSpec
 from .metrics import (
     FlopsModel,
@@ -87,63 +92,36 @@ def _linter_spec(ns: argparse.Namespace, config: dict) -> LinterSpec:
     )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a generate run needs; see the generate subcommand."""
-
-    input: str
-    output: str | None
-    mode: str = "lintseq"
-    samples: int = 5
-    seed: int = 0
-    linter: LinterSpec = field(default_factory=LinterSpec)
-    workers: int = 1
-    separator: str = DEFAULT_SEPARATOR
-    dedup: bool = False
-    unique_sequences: bool = False
-    skip_dirty: bool = False
-    max_lines: int = DEFAULT_MAX_LINES
-
-    def validate(self) -> None:
-        if self.mode not in ("lintseq", "randseq"):
-            raise ValueError(f"mode must be lintseq or randseq, not {self.mode!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.max_lines < 1:
-            raise ValueError("max-lines must be at least 1")
-        if not self.separator or "\n" in self.separator:
-            raise ValueError("separator must be a non-empty single-line token")
-
-
 def cmd_generate(ns: argparse.Namespace) -> int:
     config = _load_config(ns.config)
-    run = RunConfig(
-        input=_require(_opt(ns, config, "input", None), "--input"),
-        output=_opt(ns, config, "output", None),
+    input_path = _require(_opt(ns, config, "input", None), "--input")
+    output = _opt(ns, config, "output", None)
+    seed = int(_opt(ns, config, "seed", 0))
+    separator = _opt(ns, config, "separator", DEFAULT_SEPARATOR)
+    check_separator(separator)
+    started = time.monotonic()
+
+    loaded = load_corpus(input_path)
+    for lineno, reason in loaded.skipped:
+        _progress(f"input line {lineno} skipped: {reason}")
+    examples = loaded.examples
+    if _opt(ns, config, "dedup", False):
+        examples, dropped = deduplicate(examples)
+        if dropped:
+            _progress(f"dropped {dropped} duplicate examples")
+    # lazy: the sampler checks its options on the first step, which emit()
+    # takes even for an empty corpus
+    results = sample_corpus(
+        examples,
+        _linter_spec(ns, config),
         mode=_opt(ns, config, "mode", "lintseq"),
-        samples=int(_opt(ns, config, "samples", 5)),
-        seed=int(_opt(ns, config, "seed", 0)),
-        linter=_linter_spec(ns, config),
+        samples_per_example=int(_opt(ns, config, "samples", 5)),
+        seed=seed,
         workers=int(_opt(ns, config, "workers", 1)),
-        separator=_opt(ns, config, "separator", DEFAULT_SEPARATOR),
-        dedup=bool(_opt(ns, config, "dedup", False)),
         unique_sequences=bool(_opt(ns, config, "unique_sequences", False)),
         skip_dirty=bool(_opt(ns, config, "skip_dirty", False)),
         max_lines=int(_opt(ns, config, "max_lines", DEFAULT_MAX_LINES)),
     )
-    run.validate()
-    started = time.monotonic()
-
-    loaded = load_corpus(run.input)
-    for lineno, reason in loaded.skipped:
-        _progress(f"input line {lineno} skipped: {reason}")
-    examples = loaded.examples
-    if run.dedup:
-        examples, dropped = deduplicate(examples)
-        if dropped:
-            _progress(f"dropped {dropped} duplicate examples")
 
     skips: list[tuple[str, str]] = []
     seq_count = 0
@@ -151,17 +129,6 @@ def cmd_generate(ns: argparse.Namespace) -> int:
 
     def emit() -> Iterator[EditSequenceRecord]:
         nonlocal seq_count, edit_total
-        results = sample_corpus(
-            examples,
-            run.linter,
-            mode=run.mode,
-            samples_per_example=run.samples,
-            seed=run.seed,
-            workers=run.workers,
-            unique_sequences=run.unique_sequences,
-            skip_dirty=run.skip_dirty,
-            max_lines=run.max_lines,
-        )
         for result in results:
             example = result.example
             if result.skip_reason is not None:
@@ -176,9 +143,9 @@ def cmd_generate(ns: argparse.Namespace) -> int:
                     instruction=example.instruction,
                     program=example.program,
                     edits=rendered,
-                    training_text=serialize(rendered, run.separator),
+                    training_text=serialize(rendered, separator),
                     num_edits=len(rendered),
-                    seed_path=(run.seed, result.example_index, sample_index),
+                    seed_path=(seed, result.example_index, sample_index),
                 )
                 seq_count += 1
                 edit_total += record.num_edits
@@ -187,8 +154,8 @@ def cmd_generate(ns: argparse.Namespace) -> int:
             if done % 200 == 0:
                 _progress(f"processed {done}/{len(examples)} examples")
 
-    if run.output:
-        write_records(emit(), run.output)
+    if output:
+        write_records(emit(), output)
     else:
         dump_records(emit(), sys.stdout)
 
@@ -229,9 +196,7 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
                     }
                     continue
                 outcome = resolve_stream(record.training_text, separator)
-                restored = outcome.program
-                if restored and not record.program.endswith("\n"):
-                    restored = restored[:-1]
+                restored = restore_final_newline(outcome.program, record.program)
                 row: dict = {
                     "line": lineno,
                     "source_id": record.source_id,

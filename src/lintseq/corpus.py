@@ -2,8 +2,8 @@
 
 Input records need a ``program`` string; ``instruction`` and ``id`` are
 optional (a missing id becomes the zero-padded ordinal of the example
-among accepted records).  Line endings are normalized to LF at load and
-the presence of a trailing newline is remembered so resolved programs
+among accepted records).  Line endings are normalized to LF at load; a
+program keeps its final newline, or its lack of one, so resolved programs
 can be compared byte-for-byte against their source.
 
 Output records are one JSON object per line with a fixed key order, so
@@ -48,7 +48,6 @@ class SourceExample:
     instruction: str
     program: str
     line_count: int
-    trailing_newline: bool
 
     @staticmethod
     def build(id: str, instruction: str, program: str) -> "SourceExample":
@@ -58,12 +57,7 @@ class SourceExample:
             instruction=normalize_newlines(instruction),
             program=program,
             line_count=len(split_lines(program)),
-            trailing_newline=program.endswith("\n"),
         )
-
-    @property
-    def lines(self) -> list[str]:
-        return split_lines(self.program)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from difflib import SequenceMatcher
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
     from .sampler import StateSequence
@@ -149,7 +149,7 @@ def diff(before: str, after: str) -> EditDiff:
     return EditDiff(tuple(hunks))
 
 
-def diff_states(states: "StateSequence | Sequence") -> list[EditDiff]:
+def diff_states(seq: "StateSequence") -> list[EditDiff]:
     """Diff consecutive states of a backward-sampled sequence.
 
     Uses the states' kept-index provenance instead of a matcher: a line of
@@ -157,11 +157,11 @@ def diff_states(states: "StateSequence | Sequence") -> list[EditDiff]:
     from the earlier state, so duplicate line texts can never confuse the
     alignment.  Every hunk is a pure insertion by construction.
     """
-    seq = getattr(states, "states", states)
+    lines = seq.lines
+    states = seq.states
     diffs = []
-    for prev, cur in zip(seq, seq[1:]):
+    for prev, cur in zip(states, states[1:]):
         prev_kept = set(prev.kept_indices)
-        cur_lines = split_lines(cur.text)
         hunks = []
         run_start = None  # position in cur of the active insertion run
         old_before = 0  # lines of prev seen so far
@@ -190,7 +190,7 @@ def diff_states(states: "StateSequence | Sequence") -> list[EditDiff]:
             else:
                 if run_start is None:
                     run_start = pos
-                run_lines.append(cur_lines[pos])
+                run_lines.append(lines[idx])
         close_run(len(cur.kept_indices))
         diffs.append(EditDiff(tuple(hunks)))
     return diffs
@@ -256,16 +256,3 @@ def parse_diff(text: str) -> EditDiff:
             )
         )
     return EditDiff(tuple(hunks))
-
-
-def reference_render(before: str, after: str) -> str:
-    """Render via difflib's unified diff, headers stripped (test oracle)."""
-    from difflib import unified_diff
-
-    out = list(unified_diff(split_lines(before), split_lines(after), n=0, lineterm=""))
-    return "\n".join(out[2:]) if out else ""
-
-
-def iter_hunks(diffs: Iterable[EditDiff]) -> Iterable[Hunk]:
-    for d in diffs:
-        yield from d.hunks

@@ -54,7 +54,7 @@ class ResolveError(DiffError):
         self.cause = cause
 
 
-def _check_separator(separator: str) -> None:
+def check_separator(separator: str) -> None:
     if not separator:
         raise ValueError("separator must not be empty")
     if "\n" in separator:
@@ -63,7 +63,7 @@ def _check_separator(separator: str) -> None:
 
 def serialize(edits: Sequence[EditDiff | str], separator: str = DEFAULT_SEPARATOR) -> str:
     """Join rendered edits into one training string."""
-    _check_separator(separator)
+    check_separator(separator)
     if not edits:
         raise ValueError("serialize requires at least one edit")
     rendered = [e if isinstance(e, str) else e.rendered for e in edits]
@@ -80,7 +80,7 @@ def split_serialized(text: str, separator: str = DEFAULT_SEPARATOR) -> list[str]
     all) is kept as a leading raw diff, so bare diff streams resolve too.
     Blank segments are dropped.
     """
-    _check_separator(separator)
+    check_separator(separator)
     # lookbehind keeps the left newline unconsumed so that back-to-back
     # separator lines each still begin at a line start
     pattern = re.compile(rf"(?:^|(?<=\n)){re.escape(separator)}(?:\n|$)")
@@ -184,13 +184,17 @@ def resolve_stream(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> Resolv
     return ResolveOutcome(program=program, applied=applied, failure=failure)
 
 
-def resolve_record(record: "EditSequenceRecord", separator: str = DEFAULT_SEPARATOR) -> str:
-    """Resolve a record's training text to the exact source bytes.
+def restore_final_newline(text: str, program: str) -> str:
+    """Match resolved text to its source program's final newline.
 
-    ``resolve`` yields newline-terminated text; a source that lacked a
+    Resolution yields newline-terminated text; a source that lacked a
     final newline gets that one terminator stripped back off.
     """
-    text = resolve(record.training_text, separator)
-    if text and not record.program.endswith("\n"):
+    if text and not program.endswith("\n"):
         return text[:-1]
     return text
+
+
+def resolve_record(record: "EditSequenceRecord", separator: str = DEFAULT_SEPARATOR) -> str:
+    """Resolve a record's training text to the exact source bytes."""
+    return restore_final_newline(resolve(record.training_text, separator), record.program)

@@ -2,16 +2,17 @@
 
 A program state is judged against the original program it was carved
 from, not against an absolute notion of cleanliness: the candidate counts
-as error-free *relative* to the baseline when both produce the same
-multiset of (code, message) findings once line numbers are erased.  That
-fingerprint definition is what lets sources that never linted clean in
-the first place still be decomposed.
+as error-free *relative* to the baseline when none of its findings, line
+numbers erased, exceeds the baseline's multiset of (code, message) pairs.
+That definition is what lets sources that never linted clean in the first
+place still be decomposed, down to the empty program.
 
 Two checker kinds exist behind one interface: the built-in line-oriented
 surface checker (fast, no subprocess, understands partially deleted
 programs) and an adapter that shells out to an external tool and parses
-its stdout with a configurable pattern.  Reports are cacheable by content
-hash; the cache is a per-process map with last-writer-wins semantics.
+its stdout with a configurable pattern.  The built-in engine keeps the
+setup of the last program it checked; the external one caches reports by
+content hash in a per-process map with last-writer-wins semantics.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ class LintError(Exception):
 
 class LinterTimeout(LintError):
     """The external linter exceeded its configured timeout."""
-
-
-class LintInconsistency(LintError):
-    """Fingerprints differ but the finding difference is empty.
-
-    Happens only when the candidate *lost* baseline findings, which no
-    further line removal can bring back.
-    """
 
 
 @dataclass(frozen=True)
@@ -114,18 +107,25 @@ def _content_key(text: str) -> bytes:
 class BuiltinLinter:
     def __init__(self, spec: LinterSpec) -> None:
         self.spec = spec
-        self._cache: dict[bytes, LintReport] = {}
+        # (program, lines, analysis, report) of the last program set up
+        self._last: tuple[str, tuple[str, ...], pycheck.Analysis, LintReport] | None = None
+
+    def setup(self, program: str) -> tuple[tuple[str, ...], pycheck.Analysis, LintReport]:
+        """The program's lines, scan cache and report.
+
+        The last program's setup is kept, so every sample of one example
+        shares one scan cache and one baseline report.
+        """
+        last = self._last
+        if last is None or last[0] != program:
+            lines = tuple(split_lines(program))
+            analysis = pycheck.Analysis(lines)
+            report = self.check_subset(analysis, range(len(lines)))
+            last = self._last = (program, lines, analysis, report)
+        return last[1:]
 
     def check_text(self, text: str) -> LintReport:
-        key = _content_key(text)
-        report = self._cache.get(key)
-        if report is None:
-            report = self._report(pycheck.check_lines(split_lines(text)))
-            self._cache[key] = report
-        return report
-
-    def prepare(self, lines: Sequence[str]) -> pycheck.Analysis:
-        return pycheck.Analysis(lines)
+        return self.setup(text)[2]
 
     def check_subset(self, analysis: pycheck.Analysis, kept: Sequence[int]) -> LintReport:
         return self._report(pycheck.flow(analysis, kept))
@@ -154,10 +154,12 @@ class ExternalLinter:
             self._cache[key] = report
         return report
 
-    def prepare(self, lines: Sequence[str]) -> list[str]:
-        return list(lines)
+    def setup(self, program: str) -> tuple[tuple[str, ...], tuple[str, ...], LintReport]:
+        """As BuiltinLinter.setup; the lines double as check_subset's input."""
+        lines = tuple(split_lines(program))
+        return lines, lines, self.check_text(program)
 
-    def check_subset(self, lines: list[str], kept: Sequence[int]) -> LintReport:
+    def check_subset(self, lines: Sequence[str], kept: Sequence[int]) -> LintReport:
         return self.check_text(join_lines(lines[i] for i in kept))
 
     def _run(self, text: str) -> LintReport:
@@ -251,32 +253,9 @@ def extra_findings(
 def is_error_free_relative(
     candidate: str, baseline_report: LintReport, linter: LinterSpec | None = None
 ) -> bool:
-    """True when the candidate's fingerprint equals the baseline's."""
-    return check(candidate, linter).fingerprint == baseline_report.fingerprint
+    """True when the candidate has no finding beyond the baseline multiset.
 
-
-def affected_lines(
-    candidate: str, baseline_report: LintReport, linter: LinterSpec | None = None
-) -> list[int]:
-    """Lines of candidate findings absent from the baseline multiset.
-
-    Returns [] when the candidate is error-free relative to the baseline.
-    Raises LintInconsistency when the fingerprints differ but nothing is
-    in excess (the candidate lost baseline findings).
+    This is the law the sampler applies: a candidate may lose baseline
+    findings (the empty program of a dirty source passes) but never gain one.
     """
-    report = check(candidate, linter)
-    extras = extra_findings(report, baseline_report)
-    if extras:
-        return sorted({f.line for f in extras})
-    if report.fingerprint != baseline_report.fingerprint:
-        raise LintInconsistency(
-            "candidate lacks baseline findings; no removable line can restore them"
-        )
-    return []
-
-
-def lint_clear_caches() -> None:
-    """Drop engine report caches (mainly for tests)."""
-    with _ENGINES_LOCK:
-        for engine in _ENGINES.values():
-            engine._cache.clear()
+    return not extra_findings(check(candidate, linter), baseline_report)

@@ -26,10 +26,10 @@ import hashlib
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .corpus import SourceExample
-from .diffkit import join_lines, split_lines
+from .diffkit import split_lines
 from .lint import LinterSpec, LinterTimeout, extra_findings, get_linter
 
 DEFAULT_MAX_LINES = 2048
@@ -41,10 +41,9 @@ class SamplerError(Exception):
 
 @dataclass(frozen=True)
 class ProgramState:
-    """One recorded program: the source-line indices kept, and their text."""
+    """One recorded program, as the indices of the source lines it keeps."""
 
     kept_indices: tuple[int, ...]
-    text: str
 
     def __post_init__(self) -> None:
         if any(b <= a for a, b in zip(self.kept_indices, self.kept_indices[1:])):
@@ -53,8 +52,12 @@ class ProgramState:
 
 @dataclass(frozen=True)
 class StateSequence:
-    """States ordered from empty to full; each later state is a strict superset."""
+    """States over the source ``lines``, ordered from empty to full.
 
+    Each later state keeps a strict superset of the earlier one's lines.
+    """
+
+    lines: tuple[str, ...]
     states: tuple[ProgramState, ...]
 
     @property
@@ -83,14 +86,10 @@ def derive_seed(
 
 
 def _states_from_trajectory(
-    lines: Sequence[str], trajectory: list[tuple[int, ...]]
+    lines: tuple[str, ...], trajectory: list[tuple[int, ...]]
 ) -> StateSequence:
     # trajectory holds kept-index tuples from full to empty; emit forward order
-    states = [
-        ProgramState(kept, join_lines([lines[i] for i in kept]))
-        for kept in reversed(trajectory)
-    ]
-    return StateSequence(tuple(states))
+    return StateSequence(lines, tuple(ProgramState(kept) for kept in reversed(trajectory)))
 
 
 def backward_sample(
@@ -98,13 +97,14 @@ def backward_sample(
     linter: LinterSpec | None = None,
     rng: random.Random | None = None,
 ) -> StateSequence:
-    """Sample one linter-guided deletion trajectory, returned forward."""
-    spec = linter or LinterSpec()
+    """Sample one linter-guided deletion trajectory, returned forward.
+
+    The engine keeps the setup of the last program it saw, so repeated
+    samples of one program share its scan cache and baseline report.
+    """
     rng = rng or random.Random()
-    engine = get_linter(spec)
-    lines = split_lines(program)
-    baseline = engine.check_text(program)
-    analysis = engine.prepare(lines)
+    engine = get_linter(linter or LinterSpec())
+    lines, analysis, baseline = engine.setup(program)
     kept = list(range(len(lines)))
     trajectory = [tuple(kept)]
     while kept:
@@ -133,7 +133,7 @@ def backward_sample(
 def random_sample(program: str, rng: random.Random | None = None) -> StateSequence:
     """Ablation trajectory: delete a uniform-size uniform subset per step."""
     rng = rng or random.Random()
-    lines = split_lines(program)
+    lines = tuple(split_lines(program))
     kept = list(range(len(lines)))
     trajectory = [tuple(kept)]
     while kept:
@@ -230,6 +230,10 @@ def sample_corpus(
         raise ValueError(f"unknown sampling mode: {mode!r}")
     if samples_per_example < 1:
         raise ValueError("samples_per_example must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if max_lines < 1:
+        raise ValueError("max_lines must be at least 1")
     spec = linter or LinterSpec()
     tasks = (
         (

@@ -72,6 +72,20 @@ def test_generate_bad_samples_exit_1(tmp_path, capsys):
     assert "samples" in err["error"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--workers", "0"], ["--max-lines", "0"], ["--separator", ""], ["--samples", "0"]],
+)
+def test_generate_bad_option_on_empty_corpus_exit_1(tmp_path, capsys, flags):
+    corpus = write_corpus(tmp_path, [])
+    out = tmp_path / "out.jsonl"
+    code = main(["generate", "--input", str(corpus), "--output", str(out)] + flags)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "ValueError"
+    assert not out.exists()
+
+
 def test_generate_missing_input_exit_1(capsys):
     code = main(["generate"])
     assert code == 1

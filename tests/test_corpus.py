@@ -24,17 +24,14 @@ def test_build_normalizes_and_counts():
     ex = SourceExample.build("x", "do it", "a = 1\r\nb = 2")
     assert ex.program == "a = 1\nb = 2"
     assert ex.line_count == 2
-    assert ex.trailing_newline is False
-    assert ex.lines == ["a = 1", "b = 2"]
     term = SourceExample.build("y", "", "a = 1\n")
+    assert term.program == "a = 1\n"
     assert term.line_count == 1
-    assert term.trailing_newline is True
 
 
 def test_build_empty_program():
     ex = SourceExample.build("z", "", "")
     assert ex.line_count == 0
-    assert ex.lines == []
 
 
 def corpus_file(tmp_path, lines):

@@ -12,10 +12,10 @@ from lintseq.diffkit import (
     diff_states,
     join_lines,
     parse_diff,
-    reference_render,
     split_lines,
 )
 from lintseq.sampler import ProgramState, StateSequence
+from tests.oracles import reference_render
 
 
 def test_split_lines_cases():
@@ -133,10 +133,7 @@ def test_parse_body_mismatch():
 
 
 def test_diff_states_single_line():
-    seq = StateSequence((
-        ProgramState((), ""),
-        ProgramState((0,), "x = 1\n"),
-    ))
+    seq = StateSequence(("x = 1",), (ProgramState(()), ProgramState((0,))))
     diffs = diff_states(seq)
     assert len(diffs) == 1
     assert diffs[0].rendered == "@@ -0,0 +1 @@\n+x = 1"
@@ -144,22 +141,18 @@ def test_diff_states_single_line():
 
 def test_diff_states_prepend():
     # states over ["a=1", "b=2"]: keep (1,), then (0, 1)
-    seq = StateSequence((
-        ProgramState((), ""),
-        ProgramState((1,), "b=2\n"),
-        ProgramState((0, 1), "a=1\nb=2\n"),
-    ))
+    seq = StateSequence(
+        ("a=1", "b=2"),
+        (ProgramState(()), ProgramState((1,)), ProgramState((0, 1))),
+    )
     first, second = diff_states(seq)
     assert first.rendered == "@@ -0,0 +1 @@\n+b=2"
     assert second.rendered == "@@ -0,0 +1 @@\n+a=1"
 
 
 def test_diff_states_interleaved_runs():
-    lines = ["a", "b", "c", "d", "e"]
-    seq = StateSequence((
-        ProgramState((1, 3), join_lines(["b", "d"])),
-        ProgramState((0, 1, 2, 3, 4), join_lines(lines)),
-    ))
+    lines = ("a", "b", "c", "d", "e")
+    seq = StateSequence(lines, (ProgramState((1, 3)), ProgramState((0, 1, 2, 3, 4))))
     (d,) = diff_states(seq)
     assert [h.render() for h in d.hunks] == [
         "@@ -0,0 +1 @@\n+a",
@@ -170,11 +163,8 @@ def test_diff_states_interleaved_runs():
 
 def test_diff_states_duplicate_texts_use_provenance():
     # both lines are "x = x + 1"; provenance decides which one is new
-    lines = ["x = x + 1", "x = x + 1"]
-    seq = StateSequence((
-        ProgramState((1,), "x = x + 1\n"),
-        ProgramState((0, 1), join_lines(lines)),
-    ))
+    lines = ("x = x + 1", "x = x + 1")
+    seq = StateSequence(lines, (ProgramState((1,)), ProgramState((0, 1))))
     (d,) = diff_states(seq)
     assert d.rendered == "@@ -0,0 +1 @@\n+x = x + 1"
     # the general matcher cannot know which copy is new, but the resolved
@@ -184,11 +174,10 @@ def test_diff_states_duplicate_texts_use_provenance():
 
 def test_diff_states_trailing_blank_line():
     # a state ending in a blank line must survive the text round trip
-    seq = StateSequence((
-        ProgramState((), ""),
-        ProgramState((1,), "\n"),
-        ProgramState((0, 1), "x = 1\n\n"),
-    ))
+    seq = StateSequence(
+        ("x = 1", ""),
+        (ProgramState(()), ProgramState((1,)), ProgramState((0, 1))),
+    )
     first, second = diff_states(seq)
     assert first.rendered == "@@ -0,0 +1 @@\n+"
     assert second.rendered == "@@ -0,0 +1 @@\n+x = 1"
@@ -199,14 +188,11 @@ def test_diff_states_agrees_with_general_diff():
     rng = random.Random(9)
     for _ in range(100):
         n = rng.randrange(1, 10)
-        lines = [f"line{i} = {i}" for i in range(n)]
+        lines = tuple(f"line{i} = {i}" for i in range(n))
         kept: list[int] = sorted(rng.sample(range(n), rng.randrange(0, n)))
-        seq = StateSequence((
-            ProgramState(tuple(kept), join_lines([lines[i] for i in kept])),
-            ProgramState(tuple(range(n)), join_lines(lines)),
-        ))
+        seq = StateSequence(lines, (ProgramState(tuple(kept)), ProgramState(tuple(range(n)))))
         (from_states,) = diff_states(seq)
-        from_texts = diff(seq.states[0].text, seq.states[1].text)
+        from_texts = diff(join_lines(lines[i] for i in kept), join_lines(lines))
         assert from_states == from_texts
 
 

@@ -17,6 +17,7 @@ from lintseq.editcodec import (
     split_serialized,
 )
 from lintseq.sampler import backward_sample
+from tests.oracles import state_texts
 
 SEP = DEFAULT_SEPARATOR
 
@@ -136,7 +137,7 @@ def test_resolve_prefixes_match_states():
     seq = backward_sample(program, rng=random.Random(7))
     text = serialize(diff_states(seq))
     prefixes = resolve_prefixes(text)
-    assert prefixes == [s.text for s in seq.states[1:]]
+    assert prefixes == state_texts(seq)[1:]
     assert resolve(text) == program
 
 

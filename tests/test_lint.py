@@ -7,11 +7,9 @@ import pytest
 from lintseq.lint import (
     DEFAULT_FINDING_PATTERN,
     LintFinding,
-    LintInconsistency,
     LintReport,
     LinterSpec,
     LinterTimeout,
-    affected_lines,
     check,
     extra_findings,
     get_linter,
@@ -68,30 +66,20 @@ def test_relative_cleanliness_with_dirty_source():
     assert not baseline.is_clean
     assert is_error_free_relative("print(ghost)\nx = 1\n", baseline)
     assert is_error_free_relative("print(ghost)\n", baseline)
+    # losing the source's own finding is allowed, down to the empty program
+    assert is_error_free_relative("x = 1\n", baseline)
+    assert is_error_free_relative("", baseline)
     # dropping x's definition but keeping its use adds a finding
     assert not is_error_free_relative("print(ghost)\nprint(x)\n", baseline)
 
 
-def test_affected_lines_orphan_body():
+def test_extra_findings_orphan_body():
     src = "def f():\n    return 1\nprint(f())\n"
     baseline = check(src)
+    assert extra_findings(check(src), baseline) == []
     # drop the def header: keep lines 2..3
-    assert affected_lines("    return 1\nprint(f())\n", baseline) == [1, 2]
-
-
-def test_affected_lines_empty_when_equal():
-    src = "a = 1\nb = a + 1\nprint(b)\n"
-    baseline = check(src)
-    assert affected_lines(src, baseline) == []
-    assert affected_lines("a = 1\nb = a + 1\n", baseline) == []
-
-
-def test_affected_lines_inconsistency():
-    # candidate is missing the baseline finding entirely: distinct
-    # fingerprints but no extras, which the caller cannot act on
-    baseline = check("print(ghost)\n")
-    with pytest.raises(LintInconsistency):
-        affected_lines("x = 1\n", baseline)
+    extras = extra_findings(check("    return 1\nprint(f())\n"), baseline)
+    assert sorted({f.line for f in extras}) == [1, 2]
 
 
 def test_linter_spec_validation():

@@ -13,6 +13,7 @@ from lintseq.sampler import (
     random_sample,
     sample_corpus,
 )
+from tests.oracles import state_texts
 
 CHAIN = "a = 1\nb = a + 1\nprint(b)\n"
 FLAT = "a = 1\nb = 2\nc = 3\n"
@@ -25,15 +26,15 @@ def examples(*programs):
 
 
 def test_program_state_requires_increasing_indices():
-    ProgramState((0, 2, 5), "x\n")
+    ProgramState((0, 2, 5))
     with pytest.raises(ValueError):
-        ProgramState((0, 2, 2), "x\n")
+        ProgramState((0, 2, 2))
     with pytest.raises(ValueError):
-        ProgramState((3, 1), "x\n")
+        ProgramState((3, 1))
 
 
 def test_sequence_counts_edits():
-    seq = StateSequence((ProgramState((), ""), ProgramState((0,), "a\n")))
+    seq = StateSequence(("a",), (ProgramState(()), ProgramState((0,))))
     assert seq.num_edits == 1
     assert seq.signature() == ((), (0,))
 
@@ -53,9 +54,10 @@ def test_derive_seed_frozen_values():
 
 
 def check_shape(seq, program):
+    texts = state_texts(seq)
     assert seq.states[0].kept_indices == ()
-    assert seq.states[0].text == ""
-    assert seq.states[-1].text == program
+    assert texts[0] == ""
+    assert texts[-1] == program
     for a, b in zip(seq.states, seq.states[1:]):
         assert set(a.kept_indices) < set(b.kept_indices)
 
@@ -91,8 +93,21 @@ def test_backward_sample_states_stay_clean():
     baseline = check(CHAIN)
     for trial in range(30):
         seq = backward_sample(CHAIN, rng=random.Random(trial))
-        for state in seq.states:
-            assert is_error_free_relative(state.text, baseline)
+        for text in state_texts(seq):
+            assert is_error_free_relative(text, baseline)
+
+
+def test_backward_sample_states_stay_clean_on_dirty_source():
+    # the source's own finding may vanish on the way down to the empty
+    # program, but no state may gain a finding the source lacks
+    program = "a = 1\nprint(y)\nb = a + 1\nprint(b)\nprint(y)\n"
+    baseline = check(program)
+    assert not baseline.is_clean
+    for trial in range(30):
+        texts = state_texts(backward_sample(program, rng=random.Random(trial)))
+        assert texts[0] == ""
+        for text in texts:
+            assert is_error_free_relative(text, baseline)
 
 
 def test_random_sample_shape():
@@ -134,7 +149,7 @@ def test_sample_corpus_dirty_sources_allowed_by_default():
         examples("print(ghost)\nprint(1)\n"), samples_per_example=1, seed=0
     )
     assert r.skip_reason is None
-    assert r.sequences[0].states[-1].text == "print(ghost)\nprint(1)\n"
+    assert state_texts(r.sequences[0])[-1] == "print(ghost)\nprint(1)\n"
 
 
 def test_sample_corpus_deterministic_across_workers():
