@@ -73,13 +73,22 @@ def test_relative_cleanliness_with_dirty_source():
     assert not is_error_free_relative("print(ghost)\nprint(x)\n", baseline)
 
 
-def test_extra_findings_orphan_body():
+def affected_lines(candidate, baseline):
+    return sorted({f.line for f in extra_findings(check(candidate), baseline)})
+
+
+def test_affected_lines_orphan_body():
     src = "def f():\n    return 1\nprint(f())\n"
     baseline = check(src)
-    assert extra_findings(check(src), baseline) == []
     # drop the def header: keep lines 2..3
-    extras = extra_findings(check("    return 1\nprint(f())\n"), baseline)
-    assert sorted({f.line for f in extras}) == [1, 2]
+    assert affected_lines("    return 1\nprint(f())\n", baseline) == [1, 2]
+
+
+def test_affected_lines_empty_when_equal():
+    src = "a = 1\nb = a + 1\nprint(b)\n"
+    baseline = check(src)
+    assert affected_lines(src, baseline) == []
+    assert affected_lines("a = 1\nb = a + 1\n", baseline) == []
 
 
 def test_linter_spec_validation():
