@@ -1,3 +1,7 @@
+import random
+from pathlib import Path
+
+import lintseq
 from lintseq.pycheck import Analysis, check_lines, flow
 from lintseq.diffkit import split_lines
 
@@ -162,3 +166,70 @@ def test_del_header_cascade_shape():
     out = flow(analysis, [1, 2, 3])
     assert (1, "unexpected-indent") in [(ln, c) for ln, c, _ in out]
     assert (3, "undefined-name") in [(ln, c) for ln, c, _ in out]
+
+
+def test_multiline_def_header_defaults_and_annotations():
+    prog = "def f(a,\n      b=c,\n      *args: T) -> R:\n    return a + b\nprint(f(1))\n"
+    assert findings(prog) == [
+        (2, "undefined-name", "undefined name 'c'"),
+        (3, "undefined-name", "undefined name 'R'"),
+        (3, "undefined-name", "undefined name 'T'"),
+    ]
+
+
+def test_parenthesized_from_import():
+    prog = "from os import (\n    path,\n    sep as s,\n)\nprint(path, s, sep)\n"
+    assert findings(prog) == [(5, "undefined-name", "undefined name 'sep'")]
+
+
+def test_class_bases_keywords_and_inline_body():
+    assert findings("class C(Base, metaclass=M): x = y\n") == [
+        (1, "undefined-name", "undefined name 'Base'"),
+        (1, "undefined-name", "undefined name 'M'"),
+        (1, "undefined-name", "undefined name 'y'"),
+    ]
+
+
+def test_one_line_def_with_return_annotation():
+    assert findings("def g(p) -> int: return p + q\n") == [
+        (1, "undefined-name", "undefined name 'q'")
+    ]
+
+
+def test_annotated_assignment():
+    assert findings("x: List[int] = y\n") == [
+        (1, "undefined-name", "undefined name 'List'"),
+        (1, "undefined-name", "undefined name 'y'"),
+    ]
+
+
+def test_escaped_quotes_close_strings():
+    assert findings("s = 'it\\'s'\n") == []
+    assert findings('t = """a\\"""b"""\n') == []
+    assert findings("u = 'open\n") == [
+        (1, "unterminated-string", "unterminated string literal")
+    ]
+
+
+def test_walrus_in_if_header_binds():
+    assert findings('if (n := len("ab")) > 1:\n    print(n)\n') == []
+
+
+def test_shared_analysis_keeps_continuation_modes_apart():
+    # line 2 continues a def header in one subset and an expression in the other
+    analysis = Analysis(["def f(a,\n", "y = (\n", "      b)\n"])
+    assert flow(analysis, [0, 2]) == []
+    out = flow(analysis, [1, 2])
+    assert out == [(2, "undefined-name", "undefined name 'b'")]
+    assert out == check_lines(["y = (\n", "      b)\n"])
+
+
+def test_shared_analysis_matches_fresh_check_on_own_sources():
+    rng = random.Random(3)
+    for path in sorted(Path(lintseq.__file__).parent.glob("*.py")):
+        lines = split_lines(path.read_text(encoding="utf-8"))
+        analysis = Analysis(lines)
+        for _ in range(12):
+            keep = rng.random()
+            kept = [i for i in range(len(lines)) if rng.random() < keep]
+            assert flow(analysis, kept) == check_lines([lines[i] for i in kept]), (path, kept)
