@@ -18,8 +18,9 @@ headers are opaque, one-line ``def`` bodies resolve at the def line,
 semicolon chains use intra-line token order) keep the pass linear.
 
 ``Analysis`` caches per-line scans keyed by the string state a line is
-entered in, so re-checking many states of one source program costs only
-the flow pass.
+entered in, and each ``LineScan`` caches its name facts, both as a fresh
+statement and per continuation mode, so re-checking many states of one
+source program costs only the flow pass.
 """
 
 from __future__ import annotations
@@ -74,21 +75,8 @@ def _indent_width(raw: str) -> int:
     return width
 
 
-def _find_single_close(raw: str, start: int, quote: str) -> int | None:
-    i = start
-    n = len(raw)
-    while i < n:
-        c = raw[i]
-        if c == "\\":
-            i += 2
-            continue
-        if c == quote:
-            return i + 1
-        i += 1
-    return None
-
-
-def _find_triple_close(raw: str, start: int, quotes: str) -> int | None:
+def _find_close(raw: str, start: int, quotes: str) -> int | None:
+    """Index just past the first unescaped ``quotes`` at or after ``start``."""
     i = start
     n = len(raw)
     while i < n:
@@ -96,7 +84,7 @@ def _find_triple_close(raw: str, start: int, quotes: str) -> int | None:
             i += 2
             continue
         if raw.startswith(quotes, i):
-            return i + 3
+            return i + len(quotes)
         i += 1
     return None
 
@@ -136,7 +124,6 @@ class NameFacts:
         "defs",
         "pending",
         "scope_kind",
-        "scope_name",
         "scope_params",
         "star_import",
         "first_word",
@@ -147,7 +134,6 @@ class NameFacts:
         self.defs: list[tuple[str, int]] = []
         self.pending: str | None = None
         self.scope_kind: str | None = None
-        self.scope_name: str | None = None
         self.scope_params: tuple[str, ...] = ()
         self.star_import = False
         self.first_word = ""
@@ -183,22 +169,35 @@ class LineScan:
         self.inline_findings: tuple[tuple[str, str], ...] = ()
         self.fstrings: tuple[tuple[int, str], ...] = ()
         self._fresh: NameFacts | None = None
-        self._cont: tuple[tuple, tuple] | None = None
+        self._cont: dict[str | None, tuple[tuple, tuple]] = {}
 
     def fresh_facts(self) -> NameFacts:
         if self._fresh is None:
             self._fresh = _classify_fresh(self.code, self.fstrings)
         return self._fresh
 
-    def cont_facts(self) -> tuple[tuple, tuple]:
-        if self._cont is None:
-            uses: list = []
-            defs: list = []
+    def cont_facts(self, mode: str | None) -> tuple[tuple, tuple]:
+        """(uses, defs) of this line continuing a statement opened in ``mode``.
+
+        ``mode`` is the ``pending`` mode of the statement's first line:
+        ``import`` and ``def`` lists have their own rules, anything else
+        scans as an expression.  For ``def`` the defs are parameters.
+        """
+        facts = self._cont.get(mode)
+        if facts is None:
             toks = _tokens(self.code)
-            _scan_expr(toks, 0, len(toks), uses, defs, kwarg_any_depth=True)
-            _add_fstring_uses(self.fstrings, toks, uses)
-            self._cont = (tuple(uses), tuple(defs))
-        return self._cont
+            if mode == "import":
+                facts = _import_cont(toks)
+            elif mode == "def":
+                facts = _def_cont(toks, self.fstrings)
+            else:
+                uses: list = []
+                defs: list = []
+                _scan_expr(toks, 0, len(toks), uses, defs, kwarg_any_depth=True)
+                _add_fstring_uses(self.fstrings, toks, uses)
+                facts = (tuple(uses), tuple(defs))
+            self._cont[mode] = facts
+        return facts
 
 
 def scan_line(raw: str, entry: str) -> LineScan:
@@ -215,7 +214,7 @@ def scan_line(raw: str, entry: str) -> LineScan:
     i = 0
 
     if state:
-        end = _find_triple_close(raw, 0, state)
+        end = _find_close(raw, 0, state)
         if end is None:
             scan.exit_state = state
             return scan
@@ -243,25 +242,18 @@ def scan_line(raw: str, entry: str) -> LineScan:
             if is_prefix:
                 for k in range(j, i):
                     buf[k] = " "
-            is_f = is_prefix and "f" in prefix.lower()
-            if raw.startswith(c * 3, i):
-                end = _find_triple_close(raw, i + 3, c * 3)
-                if end is None:
-                    state = c * 3
-                    i = n
-                    break
-                if is_f:
-                    fstrings.extend(_fstring_exprs(raw[i + 3 : end - 3], qpos))
-                i = end
-            else:
-                end = _find_single_close(raw, i + 1, c)
-                if end is None:
+            quotes = c * 3 if raw.startswith(c * 3, i) else c
+            width = len(quotes)
+            end = _find_close(raw, i + width, quotes)
+            if end is None:
+                if width == 3:
+                    state = quotes
+                else:
                     inline.append(("unterminated-string", "unterminated string literal"))
-                    i = n
-                    break
-                if is_f:
-                    fstrings.extend(_fstring_exprs(raw[i + 1 : end - 1], qpos))
-                i = end
+                break
+            if is_prefix and "f" in prefix.lower():
+                fstrings.extend(_fstring_exprs(raw[i + width : end - width], qpos))
+            i = end
             continue
         if c in _OPENERS:
             buf[i] = c
@@ -486,8 +478,7 @@ def _parse_from_import(toks: list[tuple[str, int]], facts: NameFacts) -> None:
         i += 1
 
 
-def _import_cont(code: str) -> tuple[tuple, tuple]:
-    toks = _tokens(code)
+def _import_cont(toks: list[tuple[str, int]]) -> tuple[tuple, tuple]:
     defs: list[tuple[str, int]] = []
     for i, (t, _) in enumerate(toks):
         if not _is_name(t):
@@ -499,26 +490,31 @@ def _import_cont(code: str) -> tuple[tuple, tuple]:
     return ((), tuple(defs))
 
 
-def _def_cont(code: str, fstrings: Sequence[tuple[int, str]]) -> tuple[tuple, tuple]:
-    """Continuation of a multi-line def header: params vs default/annotation uses."""
-    toks = _tokens(code)
-    uses: list[tuple[str, int]] = []
-    params: list[tuple[str, int]] = []
+def _walk_params(
+    toks: list[tuple[str, int]],
+    i: int,
+    mode: str,
+    uses: list[tuple[str, int]],
+    params: list[tuple[str, int]],
+) -> tuple[int, str]:
+    """Walk def parameter-list tokens from ``toks[i]``, at the list's own level.
+
+    At that level a name is a parameter until ``=`` or ``:`` switches to a
+    default or annotation, whose names are uses, and ``,`` switches back.
+    Nested names are uses unless they name a keyword argument.  Stops at
+    the bracket that closes the list; returns its index (``len(toks)``
+    when the list stays open) and the mode reached.
+    """
     depth = 0
-    mode = "param"
-    for i, (t, _) in enumerate(toks):
+    while i < len(toks):
+        t = toks[i][0]
         if t in _OPENERS:
             depth += 1
-            continue
-        if t in _CLOSERS:
+        elif t in _CLOSERS:
             depth -= 1
-            continue
-        if depth < 0:
-            # past the header's closing paren: return annotation etc.
-            if _is_name(t) and (i == 0 or toks[i - 1][0] != "."):
-                uses.append((t, i))
-            continue
-        if depth == 0:
+            if depth < 0:
+                break
+        elif depth == 0:
             if t == ",":
                 mode = "param"
             elif t == "=":
@@ -530,14 +526,54 @@ def _def_cont(code: str, fstrings: Sequence[tuple[int, str]]) -> tuple[tuple, tu
                     params.append((t, i))
                 elif i == 0 or toks[i - 1][0] != ".":
                     uses.append((t, i))
-            continue
-        if _is_name(t):
-            prev = toks[i - 1][0] if i else ""
+        elif _is_name(t):
             nxt = toks[i + 1][0] if i + 1 < len(toks) else ""
-            if prev != "." and nxt != "=":
+            if toks[i - 1][0] != "." and nxt != "=":
                 uses.append((t, i))
+        i += 1
+    return i, mode
+
+
+def _def_cont(
+    toks: list[tuple[str, int]], fstrings: Sequence[tuple[int, str]]
+) -> tuple[tuple, tuple]:
+    """Continuation of a multi-line def header: params vs default/annotation uses."""
+    uses: list[tuple[str, int]] = []
+    params: list[tuple[str, int]] = []
+    mode = "param"
+    depth = 0
+    i = 0
+    while i < len(toks):
+        if depth == 0:
+            i, mode = _walk_params(toks, i, mode, uses, params)
+            depth = -1
+        else:
+            # past the header's closing paren: return annotation etc.; a
+            # bracket that reopens to the list's level resumes the walk
+            t = toks[i][0]
+            if t in _OPENERS:
+                depth += 1
+            elif t in _CLOSERS:
+                depth -= 1
+            elif _is_name(t) and toks[i - 1][0] != ".":
+                uses.append((t, i))
+        i += 1
     _add_fstring_uses(fstrings, toks, uses)
     return (tuple(uses), tuple(params))
+
+
+def _top_colon(toks: list[tuple[str, int]], start: int, end: int) -> int | None:
+    """Index of the first ``:`` outside brackets in ``toks[start:end]``."""
+    depth = 0
+    for k in range(start, end):
+        t = toks[k][0]
+        if t in _OPENERS:
+            depth += 1
+        elif t in _CLOSERS:
+            depth -= 1
+        elif t == ":" and depth == 0:
+            return k
+    return None
 
 
 def _parse_def(
@@ -546,65 +582,21 @@ def _parse_def(
     i = start + 1
     if i >= len(toks) or not _is_name(toks[i][0]):
         return
-    fname = toks[i][0]
-    facts.defs.append((fname, i))
+    facts.defs.append((toks[i][0], i))
     facts.scope_kind = "function"
-    facts.scope_name = fname
-    params: list[str] = []
+    params: list[tuple[str, int]] = []
     i += 1
     closed = True
     if i < len(toks) and toks[i][0] == "(":
-        depth = 1
-        mode = "param"
-        i += 1
-        closed = False
-        while i < len(toks):
-            t = toks[i][0]
-            if t in _OPENERS:
-                depth += 1
-            elif t in _CLOSERS:
-                depth -= 1
-                if depth == 0:
-                    closed = True
-                    i += 1
-                    break
-            elif depth == 1:
-                if t == ",":
-                    mode = "param"
-                elif t == "=":
-                    mode = "default"
-                elif t == ":":
-                    mode = "annotation"
-                elif _is_name(t):
-                    if mode == "param":
-                        params.append(t)
-                    elif toks[i - 1][0] != ".":
-                        facts.uses.append((t, i))
-            elif _is_name(t):
-                prev = toks[i - 1][0]
-                nxt = toks[i + 1][0] if i + 1 < len(toks) else ""
-                if prev != "." and nxt != "=":
-                    facts.uses.append((t, i))
-            i += 1
-        if not closed:
-            facts.pending = "def"
-    facts.scope_params = tuple(params)
+        close, _ = _walk_params(toks, i + 1, "param", facts.uses, params)
+        closed = close < len(toks)
+        i = close + 1
+    facts.scope_params = tuple(name for name, _ in params)
     if not closed:
+        facts.pending = "def"
         return
     # return annotation up to the block colon, then a possible inline body
-    colon = None
-    depth = 0
-    j = i
-    while j < len(toks):
-        t = toks[j][0]
-        if t in _OPENERS:
-            depth += 1
-        elif t in _CLOSERS:
-            depth -= 1
-        elif t == ":" and depth == 0:
-            colon = j
-            break
-        j += 1
+    colon = _top_colon(toks, i, len(toks))
     ann_end = colon if colon is not None else len(toks)
     for k in range(i, ann_end):
         t = toks[k][0]
@@ -614,10 +606,9 @@ def _parse_def(
         body_uses: list[tuple[str, int]] = []
         body_defs: list[tuple[str, int]] = []
         _scan_expr(toks, colon + 1, len(toks), body_uses, body_defs)
-        pset = set(params)
+        pset = set(facts.scope_params)
         facts.uses.extend((n, s) for n, s in body_uses if n not in pset)
         facts.scope_kind = None
-        facts.scope_name = None
         facts.scope_params = ()
 
 
@@ -627,7 +618,6 @@ def _parse_class(toks: list[tuple[str, int]], start: int, facts: NameFacts) -> N
         return
     facts.defs.append((toks[i][0], i))
     facts.scope_kind = "class"
-    facts.scope_name = toks[i][0]
     i += 1
     end = len(toks)
     if i < end and toks[i][0] == "(":
@@ -645,20 +635,10 @@ def _parse_class(toks: list[tuple[str, int]], start: int, facts: NameFacts) -> N
         _scan_expr(toks, i + 1, min(j, end), facts.uses, facts.defs, kwarg_any_depth=True)
         i = j + 1
     # inline body after the colon: treat like any expression, no new scope
-    depth = 0
-    while i < end:
-        t = toks[i][0]
-        if t in _OPENERS:
-            depth += 1
-        elif t in _CLOSERS:
-            depth -= 1
-        elif t == ":" and depth == 0:
-            if i + 1 < end:
-                _scan_expr(toks, i + 1, end, facts.uses, facts.defs)
-                facts.scope_kind = None
-                facts.scope_name = None
-            break
-        i += 1
+    colon = _top_colon(toks, i, end)
+    if colon is not None and colon + 1 < end:
+        _scan_expr(toks, colon + 1, end, facts.uses, facts.defs)
+        facts.scope_kind = None
 
 
 def _parse_assignment(
@@ -694,17 +674,7 @@ def _parse_assignment(
     seg_start = 0
     for eq in eq_positions:
         # optional annotation: target [: annotation] = value
-        colon = None
-        d = 0
-        for k in range(seg_start, eq):
-            t = toks[k][0]
-            if t in _OPENERS:
-                d += 1
-            elif t in _CLOSERS:
-                d -= 1
-            elif t == ":" and d == 0:
-                colon = k
-                break
+        colon = _top_colon(toks, seg_start, eq)
         tgt_end = colon if colon is not None else eq
         _target_names(toks, seg_start, tgt_end, facts.uses, facts.defs)
         if colon is not None:
@@ -786,15 +756,18 @@ def _resolvable(scope: _Scope, name: str, use_pos: tuple[int, int]) -> bool:
     return False
 
 
+def _missing_body(line: int, word: str) -> tuple[int, str, str]:
+    return (line, "missing-block-body", f"expected an indented block after '{word}'")
+
+
 class Analysis:
     """Scan cache for one source program's lines."""
 
-    __slots__ = ("lines", "_scans", "_specials")
+    __slots__ = ("lines", "_scans")
 
     def __init__(self, lines: Sequence[str]) -> None:
         self.lines = list(lines)
         self._scans: dict[tuple[int, str], LineScan] = {}
-        self._specials: dict[tuple[int, str, str], tuple[tuple, tuple]] = {}
 
     def scan(self, idx: int, entry: str) -> LineScan:
         key = (idx, entry)
@@ -803,18 +776,6 @@ class Analysis:
             f = scan_line(self.lines[idx], entry)
             self._scans[key] = f
         return f
-
-    def special(self, idx: int, entry: str, mode: str) -> tuple[tuple, tuple]:
-        key = (idx, entry, mode)
-        r = self._specials.get(key)
-        if r is None:
-            f = self.scan(idx, entry)
-            if mode == "import":
-                r = _import_cont(f.code)
-            else:
-                r = _def_cont(f.code, f.fstrings)
-            self._specials[key] = r
-        return r
 
 
 def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
@@ -866,13 +827,7 @@ def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
                         scope = pending_scope
                     pushed = True
                 else:
-                    add(
-                        (
-                            opener_line,
-                            "missing-block-body",
-                            f"expected an indented block after '{opener_word}'",
-                        )
-                    )
+                    add(_missing_body(opener_line, opener_word))
                 expect_block = False
                 pending_scope = None
             if ind > levels[-1][0]:
@@ -893,10 +848,7 @@ def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
                         )
                     )
                     levels.append((ind, False))
-            for name, sub in nf.defs:
-                _define(scope, name, (cand_no, sub))
-            for name, sub in nf.uses:
-                uses.append((scope, name, (cand_no, sub), cand_no))
+            cu, cd, target = nf.uses, nf.defs, scope
             if nf.star_import:
                 scope.star = True
             if nf.scope_kind is not None:
@@ -905,24 +857,13 @@ def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
                     _define(pending_scope, p, (cand_no, 0))
             pending_mode = nf.pending
         else:
-            if pending_mode == "import":
-                cu, cd = analysis.special(idx, entry, "import")
-                for name, sub in cd:
-                    _define(scope, name, (cand_no, sub))
-                for name, sub in cu:
-                    uses.append((scope, name, (cand_no, sub), cand_no))
-            elif pending_mode == "def" and pending_scope is not None:
-                cu, cp = analysis.special(idx, entry, "def")
-                for name, sub in cp:
-                    _define(pending_scope, name, (cand_no, sub))
-                for name, sub in cu:
-                    uses.append((scope, name, (cand_no, sub), cand_no))
-            else:
-                cu, cd = f.cont_facts()
-                for name, sub in cd:
-                    _define(scope, name, (cand_no, sub))
-                for name, sub in cu:
-                    uses.append((scope, name, (cand_no, sub), cand_no))
+            cu, cd = f.cont_facts(pending_mode)
+            # a def header's parameters bind in the function's own scope
+            target = pending_scope if pending_mode == "def" else scope
+        for name, sub in cd:
+            _define(target, name, (cand_no, sub))
+        for name, sub in cu:
+            uses.append((scope, name, (cand_no, sub), cand_no))
 
         for ch in f.closes:
             if brackets:
@@ -955,13 +896,7 @@ def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
         logical_open = not ended
 
     if expect_block:
-        add(
-            (
-                opener_line,
-                "missing-block-body",
-                f"expected an indented block after '{opener_word}'",
-            )
-        )
+        add(_missing_body(opener_line, opener_word))
     if sstate != "":
         add((string_open, "unterminated-string", "unterminated triple-quoted string"))
     for ch, ln in brackets:
