@@ -55,16 +55,19 @@ class LintFinding:
 
 @dataclass(frozen=True)
 class LintReport:
-    """Findings for one program plus their line-erased fingerprint."""
+    """Findings for one program, in line order, plus their line-erased fingerprint."""
 
     findings: tuple[LintFinding, ...]
-    fingerprint: tuple[tuple[str, str], ...] = field(default=())
+    fingerprint: tuple[tuple[str, str], ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        ordered = tuple(sorted(self.findings, key=lambda f: (f.line, f.code, f.message)))
+        object.__setattr__(self, "findings", ordered)
+        object.__setattr__(self, "fingerprint", tuple(sorted((f.code, f.message) for f in ordered)))
 
     @staticmethod
     def from_findings(findings: Sequence[LintFinding]) -> "LintReport":
-        ordered = tuple(sorted(findings, key=lambda f: (f.line, f.code, f.message)))
-        fp = tuple(sorted((f.code, f.message) for f in ordered))
-        return LintReport(ordered, fp)
+        return LintReport(tuple(findings))
 
     @property
     def is_clean(self) -> bool:
@@ -248,14 +251,3 @@ def extra_findings(
         else:
             out.append(f)
     return out
-
-
-def is_error_free_relative(
-    candidate: str, baseline_report: LintReport, linter: LinterSpec | None = None
-) -> bool:
-    """True when the candidate has no finding beyond the baseline multiset.
-
-    This is the law the sampler applies: a candidate may lose baseline
-    findings (the empty program of a dirty source passes) but never gain one.
-    """
-    return not extra_findings(check(candidate, linter), baseline_report)

@@ -20,7 +20,7 @@ from lintseq.cli import main
 from lintseq.corpus import read_records
 from lintseq.diffkit import diff, join_lines, parse_diff
 from lintseq.editcodec import apply, resolve_prefixes, resolve_record, resolve_stream
-from lintseq.lint import check, is_error_free_relative
+from lintseq.lint import check
 from lintseq.metrics import (
     FlopsModel,
     dataset_stats,
@@ -28,7 +28,7 @@ from lintseq.metrics import (
     pass_at_k,
     total_flops,
 )
-from tests.oracles import reference_render
+from tests.oracles import is_error_free_relative, reference_render
 from tests.progen import write_corpus
 
 

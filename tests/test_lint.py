@@ -13,8 +13,8 @@ from lintseq.lint import (
     check,
     extra_findings,
     get_linter,
-    is_error_free_relative,
 )
+from tests.oracles import is_error_free_relative
 
 
 def report(*triples):
@@ -34,6 +34,15 @@ def test_fingerprint_ignores_line_positions():
     a = report((1, "x", "m"), (9, "y", "n"))
     b = report((7, "y", "n"), (2, "x", "m"))
     assert a.fingerprint == b.fingerprint
+
+
+def test_report_built_directly_derives_order_and_fingerprint():
+    found = [LintFinding("b", "later", 5), LintFinding("a", "first", 1)]
+    direct = LintReport(tuple(found))
+    assert direct == LintReport.from_findings(found)
+    assert direct.fingerprint == (("a", "first"), ("b", "later"))
+    # a baseline's own findings are never new against it
+    assert extra_findings(direct, direct) == []
 
 
 def test_is_clean():

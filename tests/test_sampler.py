@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from lintseq.corpus import SourceExample
-from lintseq.lint import check, is_error_free_relative
+from lintseq.lint import check
 from lintseq.sampler import (
     ProgramState,
     StateSequence,
@@ -13,7 +13,7 @@ from lintseq.sampler import (
     random_sample,
     sample_corpus,
 )
-from tests.oracles import state_texts
+from tests.oracles import is_error_free_relative, state_texts
 
 CHAIN = "a = 1\nb = a + 1\nprint(b)\n"
 FLAT = "a = 1\nb = 2\nc = 3\n"
