@@ -11,8 +11,10 @@ Two checker kinds exist behind one interface: the built-in line-oriented
 surface checker (fast, no subprocess, understands partially deleted
 programs) and an adapter that shells out to an external tool and parses
 its stdout with a configurable pattern.  The built-in engine keeps the
-setup of the last program it checked; the external one caches reports by
-content hash in a per-process map with last-writer-wins semantics.
+setup of the last program it checked, whose ``pycheck.Analysis`` also keeps
+the last walk, so consecutive checks of one program's subsets re-walk only
+the lines a deletion changed; the external one caches reports by content
+hash in a per-process map with last-writer-wins semantics.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ class BuiltinLinter:
         """The program's lines, scan cache and report.
 
         The last program's setup is kept, so every sample of one example
-        shares one scan cache and one baseline report.
+        shares one scan cache and one baseline report, and each
+        ``check_subset`` on the Analysis resumes from the previous walk.
         """
         last = self._last
         if last is None or last[0] != program:

@@ -19,8 +19,13 @@ semicolon chains use intra-line token order) keep the pass linear.
 
 ``Analysis`` caches per-line scans keyed by the string state a line is
 entered in, and each ``LineScan`` caches its name facts, both as a fresh
-statement and per continuation mode, so re-checking many states of one
-source program costs only the flow pass.
+statement and per continuation mode.  The ``Analysis`` also keeps the last
+flow run: the walk state before each kept line and the events the line
+produced, positioned by source index.  The next call reuses every line
+entered in the same state as before, walks only the lines whose walk state
+changed, and resolves again only the uses that a changed definition or
+star import can affect, so each check of a deletion cascade costs about
+the span the deletion changed.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import builtins
 import keyword
 import re
+from bisect import bisect_left, insort
 from typing import Iterable, Sequence
 
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -721,53 +727,61 @@ def _classify_fresh(code: str, fstrings: Sequence[tuple[int, str]]) -> NameFacts
 
 
 class _Scope:
-    __slots__ = ("kind", "parent", "defs", "star")
+    """A def or class body (or the module); one object per header per Analysis."""
+
+    __slots__ = ("kind", "parent")
 
     def __init__(self, kind: str, parent: "_Scope | None") -> None:
         self.kind = kind
         self.parent = parent
-        self.defs: dict[str, tuple[int, int]] = {}
-        self.star = False
-
-
-def _define(scope: _Scope, name: str, pos: tuple[int, int]) -> None:
-    cur = scope.defs.get(name)
-    if cur is None or pos < cur:
-        scope.defs[name] = pos
-
-
-def _resolvable(scope: _Scope, name: str, use_pos: tuple[int, int]) -> bool:
-    if name in _BUILTINS:
-        return True
-    s: _Scope | None = scope
-    passed_function = False
-    while s is not None:
-        if s.kind == "class" and s is not scope:
-            s = s.parent
-            continue
-        if s.star:
-            return True
-        dp = s.defs.get(name)
-        if dp is not None and (passed_function or dp < use_pos):
-            return True
-        if s.kind == "function":
-            passed_function = True
-        s = s.parent
-    return False
 
 
 def _missing_body(line: int, word: str) -> tuple[int, str, str]:
     return (line, "missing-block-body", f"expected an indented block after '{word}'")
 
 
-class Analysis:
-    """Scan cache for one source program's lines."""
+# A walk position's events: (structural findings, defs, uses, star-import
+# scope or None).  Defs and uses are (scope, name, source index, sub-position)
+# records; (index, sub) orders them as in the source.
+_NO_EVENTS: tuple = ((), (), (), None)
 
-    __slots__ = ("lines", "_scans")
+
+class Analysis:
+    """Scan cache and last ``flow`` run for one source program's lines.
+
+    The last run keeps the kept indices, the walk state before each
+    position (immutable and comparable: brackets and indentation levels
+    are linked tuples, scopes are interned by kind, header index and
+    parent), each position's events, and the aggregates built from them:
+    structural finding counts, sorted def positions per (scope, name),
+    star-import scopes, uses by name and the unresolved uses.  Positions
+    are source indices, so a line's events do not depend on deletions
+    elsewhere.  A call walks only the lines whose walk state changed and
+    updates the aggregates by their events alone.
+    """
+
+    __slots__ = (
+        "lines", "_scans", "_scopes", "_kept", "_kept_set", "_states", "_events",
+        "_findings", "_defs", "_stars", "_uses", "_unresolved",
+    )
 
     def __init__(self, lines: Sequence[str]) -> None:
         self.lines = list(lines)
         self._scans: dict[tuple[int, str], LineScan] = {}
+        self._scopes: dict[tuple, _Scope] = {}
+        self._kept: list[int] = []
+        self._kept_set: set[int] = set()
+        # (sstate, string_open, brackets, levels, scope, opener,
+        #  pending_scope, pending_mode, logical) before each position
+        self._states: list[tuple] = [
+            ("", 0, None, (0, False, None), _Scope("module", None), None, None, None, None)
+        ]
+        self._events: list[tuple] = []
+        self._findings: dict[tuple[int, str, str], int] = {}
+        self._defs: dict[tuple[_Scope, str], list[tuple[int, int]]] = {}
+        self._stars: dict[_Scope, int] = {}
+        self._uses: dict[str, set[tuple]] = {}
+        self._unresolved: set[tuple] = set()
 
     def scan(self, idx: int, entry: str) -> LineScan:
         key = (idx, entry)
@@ -777,134 +791,275 @@ class Analysis:
             self._scans[key] = f
         return f
 
+    def scope(self, kind: str, header: int, parent: _Scope) -> _Scope:
+        key = (kind, header, parent)
+        s = self._scopes.get(key)
+        if s is None:
+            s = self._scopes[key] = _Scope(kind, parent)
+        return s
+
+    def _resolvable(self, scope: _Scope, name: str, idx: int, sub: int) -> bool:
+        s: _Scope | None = scope
+        passed_function = False
+        while s is not None:
+            if s.kind == "class" and s is not scope:
+                s = s.parent
+                continue
+            if s in self._stars:
+                return True
+            dps = self._defs.get((s, name))
+            if dps and (passed_function or dps[0] < (idx, sub)):
+                return True
+            if s.kind == "function":
+                passed_function = True
+            s = s.parent
+        return False
+
+    def _absorb(self, removed: list[tuple], added: list[tuple]) -> None:
+        """Swap the events of ``removed`` positions for ``added`` ones.
+
+        Only the new uses, and the uses of each name whose earliest def in
+        some scope moved, are resolved again; every use is when the set of
+        star-import scopes changed.
+        """
+        counts = self._findings
+        old_d: set = set()
+        old_u: set = set()
+        old_s: list = []
+        for found, defs, uses, star in removed:
+            for fd in found:
+                c = counts[fd] - 1
+                if c:
+                    counts[fd] = c
+                else:
+                    del counts[fd]
+            old_d.update(defs)
+            old_u.update(uses)
+            if star is not None:
+                old_s.append(star)
+        new_d: set = set()
+        new_u: set = set()
+        new_s: list = []
+        for found, defs, uses, star in added:
+            for fd in found:
+                counts[fd] = counts.get(fd, 0) + 1
+            new_d.update(defs)
+            new_u.update(uses)
+            if star is not None:
+                new_s.append(star)
+
+        all_defs = self._defs
+        firsts: dict[tuple[_Scope, str], tuple[int, int] | None] = {}
+        for sc, name, idx, sub in old_d - new_d:
+            dps = all_defs[sc, name]
+            firsts.setdefault((sc, name), dps[0])
+            dps.remove((idx, sub))
+        for sc, name, idx, sub in new_d - old_d:
+            dps = all_defs.setdefault((sc, name), [])
+            firsts.setdefault((sc, name), dps[0] if dps else None)
+            insort(dps, (idx, sub))
+        moved = set()
+        for key, first in firsts.items():
+            dps = all_defs[key]
+            if not dps:
+                del all_defs[key]
+            if (dps[0] if dps else None) != first:
+                moved.add(key[1])
+
+        stars_moved = False
+        if old_s or new_s:
+            stars = self._stars
+            before = set(stars)
+            for sc in old_s:
+                stars[sc] -= 1
+                if not stars[sc]:
+                    del stars[sc]
+            for sc in new_s:
+                stars[sc] = stars.get(sc, 0) + 1
+            stars_moved = before != set(stars)
+
+        uses_by_name = self._uses
+        unresolved = self._unresolved
+        for use in old_u - new_u:
+            uses_by_name[use[1]].discard(use)
+            unresolved.discard(use)
+        came = new_u - old_u
+        for use in came:
+            uses_by_name.setdefault(use[1], set()).add(use)
+        if stars_moved:
+            recheck: Iterable[tuple] = [u for group in uses_by_name.values() for u in group]
+        else:
+            recheck = list(came)
+            for name in moved:
+                recheck.extend(uses_by_name.get(name, ()))
+        for use in recheck:
+            if self._resolvable(*use):
+                unresolved.discard(use)
+            else:
+                unresolved.add(use)
+
 
 def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
     """Check the program formed by the given source-line indices.
 
-    Returns sorted (line, code, message) findings; line numbers are
-    1-based positions within the checked subset.
+    ``kept`` must be strictly increasing.  Returns sorted (line, code,
+    message) findings; line numbers are 1-based positions within the
+    checked subset.
+
+    The walk resumes from the previous call on the same ``analysis``.  At
+    a line the previous call also kept, entered in the same walk state,
+    the previous walk holds up to the next line kept by only one of the
+    two calls, so its states and events are reused; every other line is
+    walked.
     """
-    findings: set[tuple[int, str, str]] = set()
-    add = findings.add
-    sstate = ""
-    string_open = 0
-    brackets: list[tuple[str, int]] = []
-    levels: list[tuple[int, bool]] = [(0, False)]
-    module = _Scope("module", None)
-    scope = module
-    uses: list[tuple[_Scope, str, tuple[int, int], int]] = []
-    expect_block = False
-    opener_line = 0
-    opener_word = ""
-    pending_scope: _Scope | None = None
-    pending_mode: str | None = None
-    logical_open = False
-    logical_start = 0
-    logical_last = ""
-    logical_first = ""
-
-    for cand_no, idx in enumerate(kept, 1):
-        entry = sstate
-        f = analysis.scan(idx, entry)
-        sstate = f.exit_state
-        for fcode, fmsg in f.inline_findings:
-            add((cand_no, fcode, fmsg))
-        if entry == "" and sstate != "":
-            string_open = cand_no
-        if not f.has_content:
-            continue
-
-        if not logical_open:
-            logical_start = cand_no
-            nf = f.fresh_facts()
-            logical_first = nf.first_word
-            ind = f.indent
-            pushed = False
-            if expect_block:
-                if ind > levels[-1][0]:
-                    levels.append((ind, pending_scope is not None))
-                    if pending_scope is not None:
-                        scope = pending_scope
-                    pushed = True
-                else:
-                    add(_missing_body(opener_line, opener_word))
-                expect_block = False
-                pending_scope = None
-            if ind > levels[-1][0]:
-                if not pushed:
-                    add((cand_no, "unexpected-indent", "unexpected indent"))
-                    levels.append((ind, False))
-            elif ind < levels[-1][0]:
-                while ind < levels[-1][0]:
-                    _, owns = levels.pop()
-                    if owns and scope.parent is not None:
-                        scope = scope.parent
-                if ind != levels[-1][0]:
-                    add(
-                        (
-                            cand_no,
-                            "inconsistent-dedent",
-                            "dedent does not match any outer indentation level",
-                        )
-                    )
-                    levels.append((ind, False))
-            cu, cd, target = nf.uses, nf.defs, scope
-            if nf.star_import:
-                scope.star = True
-            if nf.scope_kind is not None:
-                pending_scope = _Scope(nf.scope_kind, scope)
-                for p in nf.scope_params:
-                    _define(pending_scope, p, (cand_no, 0))
-            pending_mode = nf.pending
-        else:
-            cu, cd = f.cont_facts(pending_mode)
-            # a def header's parameters bind in the function's own scope
-            target = pending_scope if pending_mode == "def" else scope
-        for name, sub in cd:
-            _define(target, name, (cand_no, sub))
-        for name, sub in cu:
-            uses.append((scope, name, (cand_no, sub), cand_no))
-
-        for ch in f.closes:
-            if brackets:
-                op, _ln = brackets.pop()
-                if _PAIR[op] != ch:
-                    add(
-                        (
-                            cand_no,
-                            "mismatched-bracket",
-                            f"closing '{ch}' does not match opening '{op}'",
-                        )
-                    )
+    a = analysis
+    kept = list(kept)
+    kept_set = set(kept)
+    n = len(kept)
+    if len(kept_set) != n or kept != sorted(kept):
+        raise ValueError("kept indices must be strictly increasing")
+    old, old_states, old_events = a._kept, a._states, a._events
+    n_old = len(old)
+    changes = sorted(kept_set.symmetric_difference(a._kept_set))
+    states: list[tuple] = []
+    events: list[tuple] = []
+    added: list[tuple] = []
+    removed: list[tuple] = []
+    j = i = done = 0
+    st = old_states[0]
+    while True:
+        (
+            sstate, string_open, brackets, levels, scope,
+            opener, pending_scope, pending_mode, logical,
+        ) = st
+        if j == n:
+            break
+        idx = kept[j]
+        i = bisect_left(old, idx, i)
+        if i < n_old and old[i] == idx and st == old_states[i]:
+            # the old walk holds from here up to the next changed line
+            k = bisect_left(changes, idx)
+            if k == len(changes):
+                j, end = n, n_old
             else:
-                add((cand_no, "unmatched-close", f"unmatched '{ch}'"))
-        for ch in f.opens:
-            brackets.append((ch, cand_no))
+                j, end = bisect_left(kept, changes[k], j), bisect_left(old, changes[k], i)
+            states += old_states[i:end]
+            events += old_events[i:end]
+            removed += old_events[done:i]
+            done = i = end
+            st = old_states[i]
+            continue
+        states.append(st)
+        j += 1
 
-        if f.last_char:
-            logical_last = f.last_char
-        ended = sstate == "" and not f.ends_backslash and not brackets
-        if ended:
-            if logical_last == ":":
-                expect_block = True
-                opener_line = logical_start
-                opener_word = logical_first or "statement"
-            if not expect_block:
-                pending_scope = None
-            pending_mode = None
-            logical_last = ""
-        logical_open = not ended
+        entry = sstate
+        f = a.scan(idx, entry)
+        sstate = f.exit_state
+        found = [(idx, fcode, fmsg) for fcode, fmsg in f.inline_findings]
+        if not sstate:
+            string_open = 0
+        elif not entry:
+            string_open = idx
+        if not f.has_content:
+            ev = (found, (), (), None) if found else _NO_EVENTS
+        else:
+            star = None
+            defs: list[tuple] = []
+            if logical is None:
+                nf = f.fresh_facts()
+                ind = f.indent
+                if opener is not None:
+                    if ind > levels[0]:
+                        levels = (ind, pending_scope is not None, levels)
+                        if pending_scope is not None:
+                            scope = pending_scope
+                    else:
+                        found.append(_missing_body(*opener))
+                    opener = pending_scope = None
+                if ind > levels[0]:
+                    found.append((idx, "unexpected-indent", "unexpected indent"))
+                    levels = (ind, False, levels)
+                elif ind < levels[0]:
+                    while ind < levels[0]:
+                        if levels[1] and scope.parent is not None:
+                            scope = scope.parent
+                        levels = levels[2]
+                    if ind != levels[0]:
+                        found.append(
+                            (
+                                idx,
+                                "inconsistent-dedent",
+                                "dedent does not match any outer indentation level",
+                            )
+                        )
+                        levels = (ind, False, levels)
+                cu, cd, target = nf.uses, nf.defs, scope
+                if nf.star_import:
+                    star = scope
+                if nf.scope_kind is not None:
+                    pending_scope = a.scope(nf.scope_kind, idx, scope)
+                    defs = [(pending_scope, name, idx, 0) for name in nf.scope_params]
+                pending_mode = nf.pending
+                start, first, last = idx, nf.first_word, ""
+            else:
+                cu, cd = f.cont_facts(pending_mode)
+                # a def header's parameters bind in the function's own scope
+                target = pending_scope if pending_mode == "def" else scope
+                start, first, last = logical
+            if cd:
+                defs += [(target, name, idx, sub) for name, sub in cd]
+            uses = [(scope, name, idx, sub) for name, sub in cu if name not in _BUILTINS]
 
-    if expect_block:
-        add(_missing_body(opener_line, opener_word))
-    if sstate != "":
-        add((string_open, "unterminated-string", "unterminated triple-quoted string"))
-    for ch, ln in brackets:
-        add((ln, "unclosed-bracket", f"unclosed '{ch}'"))
-    for sc, name, pos, line in uses:
-        if not _resolvable(sc, name, pos):
-            add((line, "undefined-name", f"undefined name '{name}'"))
-    return sorted(findings)
+            for ch in f.closes:
+                if brackets is None:
+                    found.append((idx, "unmatched-close", f"unmatched '{ch}'"))
+                else:
+                    op, _, brackets = brackets
+                    if _PAIR[op] != ch:
+                        found.append(
+                            (
+                                idx,
+                                "mismatched-bracket",
+                                f"closing '{ch}' does not match opening '{op}'",
+                            )
+                        )
+            for ch in f.opens:
+                brackets = (ch, idx, brackets)
+
+            if f.last_char:
+                last = f.last_char
+            if sstate == "" and not f.ends_backslash and brackets is None:
+                if last == ":":
+                    opener = (start, first or "statement")
+                if opener is None:
+                    pending_scope = None
+                pending_mode = logical = None
+            else:
+                logical = (start, first, last)
+            ev = (found, defs, uses, star)
+        events.append(ev)
+        added.append(ev)
+        st = (
+            sstate, string_open, brackets, levels, scope,
+            opener, pending_scope, pending_mode, logical,
+        )
+    states.append(st)
+    removed += old_events[done:]
+
+    a._kept, a._kept_set, a._states, a._events = kept, kept_set, states, events
+    a._absorb(removed, added)
+
+    out = set(a._findings)
+    if opener is not None:
+        out.add(_missing_body(*opener))
+    if sstate:
+        out.add((string_open, "unterminated-string", "unterminated triple-quoted string"))
+    while brackets is not None:
+        ch, line, brackets = brackets
+        out.add((line, "unclosed-bracket", f"unclosed '{ch}'"))
+    for _, name, line, _ in a._unresolved:
+        out.add((line, "undefined-name", f"undefined name '{name}'"))
+    return [(bisect_left(kept, line) + 1, code, msg) for line, code, msg in sorted(out)]
 
 
 def check_lines(lines: Sequence[str]) -> list[tuple[int, str, str]]:

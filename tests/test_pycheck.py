@@ -2,8 +2,11 @@ import random
 from pathlib import Path
 
 import lintseq
+import lintseq.pycheck
 from lintseq.pycheck import Analysis, check_lines, flow
 from lintseq.diffkit import split_lines
+from lintseq.sampler import backward_sample
+from tests.progen import make_program
 
 
 def findings(text):
@@ -233,3 +236,117 @@ def test_shared_analysis_matches_fresh_check_on_own_sources():
             keep = rng.random()
             kept = [i for i in range(len(lines)) if rng.random() < keep]
             assert flow(analysis, kept) == check_lines([lines[i] for i in kept]), (path, kept)
+
+
+def _cold(analysis, kept):
+    return flow(Analysis(analysis.lines), kept)
+
+
+def test_incremental_flow_matches_cold_on_backward_sample_cascades(monkeypatch):
+    # every call a cascade makes on the shared Analysis equals a walk of
+    # every line from an empty last run; a call with no lines empties it, so
+    # the reference keeps only the scan cache (a fresh Analysis per call
+    # would re-scan the whole program each time)
+    calls = []
+    real_flow = lintseq.pycheck.flow
+    pair = [None, None]  # the shared Analysis and its reference
+
+    def checked(analysis, kept):
+        got = real_flow(analysis, kept)
+        if pair[0] is not analysis:
+            pair[:] = [analysis, Analysis(analysis.lines)]
+        ref = pair[1]
+        assert real_flow(ref, []) == []
+        assert got == real_flow(ref, kept), kept
+        calls.append(len(kept))
+        return got
+
+    monkeypatch.setattr(lintseq.pycheck, "flow", checked)
+    programs = [p.read_text(encoding="utf-8") for p in sorted(Path(lintseq.__file__).parent.glob("*.py"))]
+    gen = random.Random(5)
+    programs += [make_program(gen, 20, 60, style)[1] for style in ("mixed", "coupled") for _ in range(3)]
+    for seed, program in enumerate(programs):
+        backward_sample(program, rng=random.Random(seed))
+    assert len(calls) > 1000
+
+
+def test_incremental_flow_adversarial_call_orders():
+    lines = split_lines((Path(lintseq.__file__).parent / "lint.py").read_text(encoding="utf-8"))
+    other = Analysis(split_lines("import os\nx = os.sep\ndef f(a):\n    return a + x\nprint(f(y))\n"))
+    n = len(lines)
+    rng = random.Random(11)
+    shared = Analysis(lines)
+    subset = sorted(rng.sample(range(n), n // 3))
+    superset = sorted(set(subset) | set(rng.sample(range(n), n // 3)))
+    unrelated = sorted(rng.sample(range(n), n // 2))
+    orders = [
+        range(n), subset, superset, unrelated, unrelated, [], range(n), [], subset,
+        range(n // 2, n), range(n // 2), list(range(0, n, 2)), list(range(1, n, 2)), superset,
+    ]
+    for i, kept in enumerate(orders):
+        assert flow(shared, kept) == _cold(shared, kept), i
+        # after an empty call the next one walks every line, as a cold one does
+        assert flow(other, []) == []
+        # a second Analysis in between must not disturb the first one's last run
+        other_kept = range(5) if i % 2 else [0, 2, 4]
+        assert flow(other, other_kept) == _cold(other, other_kept), i
+
+
+# headers, a star import, a global, a docstring, brackets across lines and a
+# dedent that lands on no indentation level: deleting any one or two lines
+# changes the walk state that the lines after them are entered with
+_STATEFUL = '''\
+from os.path import *
+import sys
+X = 1
+
+
+def outer(a,
+          b=X):
+    global G
+    G = a
+    s = """doc
+    still doc
+    """
+    t = (a +
+         b)
+    if t:
+            u = t
+        v = join(u, sys.argv)
+    return s, v
+
+
+class K(object):
+    y = G
+
+    def m(self):
+        return self.y + X
+
+
+print(outer(1), K().m(), sep, G, y)
+'''
+
+
+def test_incremental_flow_after_edits_that_change_walk_state():
+    lines = split_lines(_STATEFUL)
+    n = len(lines)
+    shared = Analysis(lines)
+    assert flow(shared, range(n)) == check_lines(lines)
+    for i in range(n):
+        for j in range(i, n):
+            kept = [k for k in range(n) if k != i and k != j]
+            assert flow(shared, kept) == _cold(shared, kept), (i, j)
+        # back to a superset of every subset walked above
+        assert flow(shared, range(i, n)) == _cold(shared, range(i, n)), i
+
+
+def test_flow_rejects_unordered_kept():
+    analysis = Analysis(["x = 1\n", "y = x\n", "print(y)\n"])
+    for kept in ([1, 0], [0, 2, 2], [0, 2, 1]):
+        try:
+            flow(analysis, kept)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(kept)
+        assert flow(analysis, [0, 1, 2]) == []
