@@ -16,6 +16,7 @@ care about trailing-newline bytes restore them separately.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from typing import TYPE_CHECKING, Iterable
@@ -158,40 +159,28 @@ def diff_states(seq: "StateSequence") -> list[EditDiff]:
     alignment.  Every hunk is a pure insertion by construction.
     """
     lines = seq.lines
-    states = seq.states
     diffs = []
-    for prev, cur in zip(states, states[1:]):
-        prev_kept = set(prev.kept_indices)
+    for prev, cur in zip(seq.states, seq.states[1:]):
+        kept = cur.kept_indices
+        inserted = sorted(set(kept).difference(prev.kept_indices))
         hunks = []
-        run_start = None  # position in cur of the active insertion run
-        old_before = 0  # lines of prev seen so far
-        run_lines: list[str] = []
-
-        def close_run(pos: int) -> None:
-            nonlocal run_start, run_lines
-            if run_start is None:
-                return
+        i = 0
+        while i < len(inserted):
+            # a run of consecutive inserted positions; i lines inserted before it
+            start = end = bisect_left(kept, inserted[i])
+            old_start = start - i
+            while i < len(inserted) and kept[end] == inserted[i]:
+                end += 1
+                i += 1
             hunks.append(
                 Hunk(
-                    old_start=old_before,
+                    old_start=old_start,
                     old_len=0,
-                    new_start=run_start + 1,
-                    new_len=pos - run_start,
-                    insertions=tuple(run_lines),
+                    new_start=start + 1,
+                    new_len=end - start,
+                    insertions=tuple([lines[idx] for idx in kept[start:end]]),
                 )
             )
-            run_start = None
-            run_lines = []
-
-        for pos, idx in enumerate(cur.kept_indices):
-            if idx in prev_kept:
-                close_run(pos)
-                old_before += 1
-            else:
-                if run_start is None:
-                    run_start = pos
-                run_lines.append(lines[idx])
-        close_run(len(cur.kept_indices))
         diffs.append(EditDiff(tuple(hunks)))
     return diffs
 

@@ -23,6 +23,7 @@ count.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -46,7 +47,8 @@ class ProgramState:
     kept_indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.kept_indices, self.kept_indices[1:])):
+        k = self.kept_indices
+        if not all(map(operator.lt, k, k[1:])):
             raise ValueError("kept_indices must be strictly increasing")
 
 
@@ -100,7 +102,9 @@ def backward_sample(
     """Sample one linter-guided deletion trajectory, returned forward.
 
     The engine keeps the setup of the last program it saw, so repeated
-    samples of one program share its scan cache and baseline report.
+    samples of one program share its scan cache and baseline report, and
+    consecutive cascade checks reuse the previous walk: each re-walks only
+    the lines whose walk state the last deletions changed.
     """
     rng = rng or random.Random()
     engine = get_linter(linter or LinterSpec())
