@@ -34,6 +34,7 @@ import builtins
 import keyword
 import re
 from bisect import bisect_left, insort
+from collections import defaultdict
 from typing import Iterable, Sequence
 
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -727,7 +728,7 @@ def _classify_fresh(code: str, fstrings: Sequence[tuple[int, str]]) -> NameFacts
 
 
 class _Scope:
-    """A def or class body (or the module); one object per header per Analysis."""
+    """A def or class body, or the module; interned per Analysis by kind, header and parent."""
 
     __slots__ = ("kind", "parent")
 
@@ -778,9 +779,9 @@ class Analysis:
         ]
         self._events: list[tuple] = []
         self._findings: dict[tuple[int, str, str], int] = {}
-        self._defs: dict[tuple[_Scope, str], list[tuple[int, int]]] = {}
+        self._defs: defaultdict[tuple[_Scope, str], list[tuple[int, int]]] = defaultdict(list)
         self._stars: dict[_Scope, int] = {}
-        self._uses: dict[str, set[tuple]] = {}
+        self._uses: defaultdict[str, set[tuple]] = defaultdict(set)
         self._unresolved: set[tuple] = set()
 
     def scan(self, idx: int, entry: str) -> LineScan:
@@ -855,7 +856,7 @@ class Analysis:
             firsts.setdefault((sc, name), dps[0])
             dps.remove((idx, sub))
         for sc, name, idx, sub in new_d - old_d:
-            dps = all_defs.setdefault((sc, name), [])
+            dps = all_defs[sc, name]
             firsts.setdefault((sc, name), dps[0] if dps else None)
             insort(dps, (idx, sub))
         moved = set()
@@ -885,7 +886,7 @@ class Analysis:
             unresolved.discard(use)
         came = new_u - old_u
         for use in came:
-            uses_by_name.setdefault(use[1], set()).add(use)
+            uses_by_name[use[1]].add(use)
         if stars_moved:
             recheck: Iterable[tuple] = [u for group in uses_by_name.values() for u in group]
         else:
