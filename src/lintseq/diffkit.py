@@ -169,7 +169,9 @@ def diff_states(seq: "StateSequence") -> list[EditDiff]:
             # a run of consecutive inserted positions; i lines inserted before it
             start = end = bisect_left(kept, inserted[i])
             old_start = start - i
+            run = []
             while i < len(inserted) and kept[end] == inserted[i]:
+                run.append(lines[kept[end]])
                 end += 1
                 i += 1
             hunks.append(
@@ -178,7 +180,7 @@ def diff_states(seq: "StateSequence") -> list[EditDiff]:
                     old_len=0,
                     new_start=start + 1,
                     new_len=end - start,
-                    insertions=tuple([lines[idx] for idx in kept[start:end]]),
+                    insertions=tuple(run),
                 )
             )
         diffs.append(EditDiff(tuple(hunks)))
