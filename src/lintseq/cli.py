@@ -187,7 +187,7 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
                 total += 1
                 try:
                     record = EditSequenceRecord.from_json(raw)
-                except (CorpusError, ValueError, TypeError) as exc:
+                except (CorpusError, ValueError) as exc:
                     malformed += 1
                     yield {
                         "line": lineno,

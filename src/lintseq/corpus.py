@@ -98,15 +98,26 @@ class EditSequenceRecord:
         missing = [k for k in RECORD_KEYS if k not in obj]
         if missing:
             raise CorpusError(f"record missing keys: {', '.join(missing)}")
+        for key in ("source_id", "instruction", "program", "training_text"):
+            if not isinstance(obj[key], str):
+                raise CorpusError(f"{key} must be a string")
+        for key in ("sample_index", "num_edits"):
+            # JSON integers only; type() also rules out the bool subclass
+            if type(obj[key]) is not int:
+                raise CorpusError(f"{key} must be an integer")
+        edits = obj["edits"]
+        if not (isinstance(edits, list) and all(isinstance(e, str) for e in edits)):
+            raise CorpusError("edits must be a list of strings")
         seed_path = obj["seed_path"]
-        if not (isinstance(seed_path, list) and len(seed_path) == 3):
-            raise CorpusError("seed_path must be a three-element list")
+        if not (isinstance(seed_path, list) and len(seed_path) == 3
+                and all(type(v) is int for v in seed_path)):
+            raise CorpusError("seed_path must be a list of three integers")
         return EditSequenceRecord(
             source_id=obj["source_id"],
             sample_index=obj["sample_index"],
             instruction=obj["instruction"],
             program=obj["program"],
-            edits=tuple(obj["edits"]),
+            edits=tuple(edits),
             training_text=obj["training_text"],
             num_edits=obj["num_edits"],
             seed_path=tuple(seed_path),
@@ -117,10 +128,6 @@ class EditSequenceRecord:
 class LoadResult:
     examples: list[SourceExample]
     skipped: list[tuple[int, str]]  # (1-based input line, reason)
-
-    @property
-    def skipped_count(self) -> int:
-        return len(self.skipped)
 
 
 def load_corpus(path: str | os.PathLike) -> LoadResult:
@@ -215,6 +222,7 @@ def read_records(path: str | os.PathLike) -> Iterator[EditSequenceRecord]:
             if not raw.strip():
                 continue
             try:
-                yield EditSequenceRecord.from_json(raw)
-            except (json.JSONDecodeError, CorpusError, TypeError) as exc:
+                record = EditSequenceRecord.from_json(raw)
+            except (CorpusError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: bad record: {exc}") from None
+            yield record

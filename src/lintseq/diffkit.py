@@ -1,5 +1,10 @@
 """Zero-context line diffs: construction, rendering, parsing.
 
+Diffs are built by ``diff_states``, which reads each edit of a sampled
+``StateSequence`` off its states' kept-index provenance, so every hunk is
+a pure insertion.  ``parse_diff`` reads any rendered diff back, including
+the deletions and replacements that raw model output may carry.
+
 The canonical rendering is the unified hunk format without file headers:
 a decorator line ``@@ -<old_start>[,<old_len>] +<new_start>[,<new_len>] @@``
 followed by the deleted lines (``-`` prefix) and then the inserted lines
@@ -18,7 +23,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from difflib import SequenceMatcher
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:
@@ -57,7 +61,8 @@ def join_lines(lines: Iterable[str]) -> str:
     Terminating each line (rather than separating) keeps the round trip
     exact when the last line is empty.
     """
-    return "".join(line + "\n" for line in lines)
+    lines = list(lines)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def _format_range(start: int, length: int) -> str:
@@ -117,37 +122,6 @@ class EditDiff:
     @property
     def rendered(self) -> str:
         return "\n".join(h.render() for h in self.hunks)
-
-    @property
-    def is_insertion_only(self) -> bool:
-        return all(h.old_len == 0 for h in self.hunks)
-
-
-def diff(before: str, after: str) -> EditDiff:
-    """Diff two texts into zero-context hunks.
-
-    Line matching is delegated to SequenceMatcher with the junk heuristic
-    off, so below the heuristic's activation threshold the hunks are
-    exactly the ones a reference unified diff with n=0 would print.
-    """
-    a = split_lines(before)
-    b = split_lines(after)
-    hunks = []
-    matcher = SequenceMatcher(None, a, b, autojunk=False)
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if tag == "equal":
-            continue
-        hunks.append(
-            Hunk(
-                old_start=i1 + 1 if i2 > i1 else i1,
-                old_len=i2 - i1,
-                new_start=j1 + 1 if j2 > j1 else j1,
-                new_len=j2 - j1,
-                deletions=tuple(a[i1:i2]),
-                insertions=tuple(b[j1:j2]),
-            )
-        )
-    return EditDiff(tuple(hunks))
 
 
 def diff_states(seq: "StateSequence") -> list[EditDiff]:

@@ -26,23 +26,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diffkit import DiffError, EditDiff, join_lines, parse_diff, split_lines
-
-if TYPE_CHECKING:
-    from .corpus import EditSequenceRecord
 
 DEFAULT_SEPARATOR = "<|diff|>"
 
 
 class ApplyConflict(DiffError):
     """A hunk does not fit the text it is being applied to."""
-
-    def __init__(self, message: str, *, expected: str | None = None, found: str | None = None):
-        super().__init__(message)
-        self.expected = expected
-        self.found = found
 
 
 class ResolveError(DiffError):
@@ -114,9 +106,7 @@ def apply(text: str, edit: EditDiff | str) -> str:
             if found != expect:
                 raise ApplyConflict(
                     f"hunk {hi + 1}: deletion mismatch at line {cursor + k + 1}: "
-                    f"expected {expect!r}, found {found!r}",
-                    expected=expect,
-                    found=found,
+                    f"expected {expect!r}, found {found!r}"
                 )
         cursor += hunk.old_len
         out.extend(hunk.insertions)
@@ -193,8 +183,3 @@ def restore_final_newline(text: str, program: str) -> str:
     if text and not program.endswith("\n"):
         return text[:-1]
     return text
-
-
-def resolve_record(record: "EditSequenceRecord", separator: str = DEFAULT_SEPARATOR) -> str:
-    """Resolve a record's training text to the exact source bytes."""
-    return restore_final_newline(resolve(record.training_text, separator), record.program)

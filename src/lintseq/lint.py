@@ -52,7 +52,6 @@ class LintFinding:
     code: str
     message: str
     line: int
-    severity: str = "error"
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,6 @@ class LintReport:
         ordered = tuple(sorted(self.findings, key=lambda f: (f.line, f.code, f.message)))
         object.__setattr__(self, "findings", ordered)
         object.__setattr__(self, "fingerprint", tuple(sorted((f.code, f.message) for f in ordered)))
-
-    @staticmethod
-    def from_findings(findings: Sequence[LintFinding]) -> "LintReport":
-        return LintReport(tuple(findings))
 
     @property
     def is_clean(self) -> bool:
@@ -85,16 +80,14 @@ class LinterSpec:
     placeholder receives a temp file holding the program;
     ``finding_pattern`` must expose named groups ``line``, ``code`` and
     ``message``.  The exit status of the tool is ignored (linters signal
-    findings through it).  Findings whose code starts with E or F count
-    as errors; others are warnings and are dropped from reports unless
-    ``include_warnings`` is set.
+    findings through it).  Only findings whose code starts with E or F
+    count; any other code is a warning and is dropped from reports.
     """
 
     kind: str = "builtin"
     command_template: str = ""
     finding_pattern: str = DEFAULT_FINDING_PATTERN
     timeout: float = 10.0
-    include_warnings: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("builtin", "external"):
@@ -134,13 +127,8 @@ class BuiltinLinter:
         return self.setup(text)[2]
 
     def check_subset(self, analysis: pycheck.Analysis, kept: Sequence[int]) -> LintReport:
-        return self._report(pycheck.flow(analysis, kept))
-
-    @staticmethod
-    def _report(raw: list[tuple[int, str, str]]) -> LintReport:
-        return LintReport.from_findings(
-            [LintFinding(code, message, line) for line, code, message in raw]
-        )
+        raw = pycheck.flow(analysis, kept)
+        return LintReport(tuple([LintFinding(code, message, line) for line, code, message in raw]))
 
 
 class ExternalLinter:
@@ -194,18 +182,16 @@ class ExternalLinter:
                 if m is None:
                     continue
                 code = m.group("code")
-                severity = "error" if code[:1] in ("E", "F") else "warning"
-                if severity != "error" and not self.spec.include_warnings:
+                if code[:1] not in ("E", "F"):
                     continue
                 findings.append(
                     LintFinding(
                         code=code,
                         message=_normalize_message(m.group("message"), path),
                         line=int(m.group("line")),
-                        severity=severity,
                     )
                 )
-            return LintReport.from_findings(findings)
+            return LintReport(tuple(findings))
         finally:
             try:
                 os.unlink(path)

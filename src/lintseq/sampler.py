@@ -34,6 +34,8 @@ from .diffkit import split_lines
 from .lint import LinterSpec, LinterTimeout, extra_findings, get_linter
 
 DEFAULT_MAX_LINES = 2048
+#: retries per sample for a signature not yet seen, with unique_sequences
+MAX_UNIQUE_ATTEMPTS = 8
 
 
 class SamplerError(Exception):
@@ -61,10 +63,6 @@ class StateSequence:
 
     lines: tuple[str, ...]
     states: tuple[ProgramState, ...]
-
-    @property
-    def num_edits(self) -> int:
-        return len(self.states) - 1
 
     def signature(self) -> tuple[tuple[int, ...], ...]:
         return tuple(s.kept_indices for s in self.states)
@@ -169,7 +167,6 @@ def _sample_example(
     unique_sequences: bool,
     skip_dirty: bool,
     max_lines: int,
-    max_attempts: int,
 ) -> ExampleResult:
     program = example.program
     if not program.strip():
@@ -195,7 +192,7 @@ def _sample_example(
                 else:
                     seq = random_sample(program, rng)
                 sig = seq.signature()
-                if not unique_sequences or sig not in seen or attempt >= max_attempts:
+                if not unique_sequences or sig not in seen or attempt >= MAX_UNIQUE_ATTEMPTS:
                     seen.add(sig)
                     sequences.append(seq)
                     break
@@ -222,7 +219,6 @@ def sample_corpus(
     unique_sequences: bool = False,
     skip_dirty: bool = False,
     max_lines: int = DEFAULT_MAX_LINES,
-    max_unique_attempts: int = 8,
 ) -> Iterator[ExampleResult]:
     """Sample every example, yielding results in corpus order.
 
@@ -250,7 +246,6 @@ def sample_corpus(
             unique_sequences,
             skip_dirty,
             max_lines,
-            max_unique_attempts,
         )
         for index, example in enumerate(examples)
     )

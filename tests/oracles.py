@@ -1,9 +1,37 @@
 """Independent oracles the tests judge the package against."""
 
-from difflib import unified_diff
+from difflib import SequenceMatcher, unified_diff
 
-from lintseq.diffkit import join_lines, split_lines
+from lintseq.diffkit import EditDiff, Hunk, join_lines, split_lines
+from lintseq.editcodec import resolve, restore_final_newline
 from lintseq.lint import check, extra_findings
+
+
+def diff(before: str, after: str) -> EditDiff:
+    """Diff two texts into zero-context hunks.
+
+    Line matching is delegated to SequenceMatcher with the junk heuristic
+    off, so below the heuristic's activation threshold the hunks are
+    exactly the ones a reference unified diff with n=0 would print.
+    """
+    a = split_lines(before)
+    b = split_lines(after)
+    hunks = []
+    matcher = SequenceMatcher(None, a, b, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            continue
+        hunks.append(
+            Hunk(
+                old_start=i1 + 1 if i2 > i1 else i1,
+                old_len=i2 - i1,
+                new_start=j1 + 1 if j2 > j1 else j1,
+                new_len=j2 - j1,
+                deletions=tuple(a[i1:i2]),
+                insertions=tuple(b[j1:j2]),
+            )
+        )
+    return EditDiff(tuple(hunks))
 
 
 def reference_render(before: str, after: str) -> str:
@@ -25,3 +53,8 @@ def is_error_free_relative(candidate: str, baseline_report, linter=None) -> bool
     source passes, but never gain one.
     """
     return not extra_findings(check(candidate, linter), baseline_report)
+
+
+def resolve_record(record) -> str:
+    """Resolve a record's training text to the exact source bytes."""
+    return restore_final_newline(resolve(record.training_text), record.program)

@@ -18,8 +18,8 @@ import pytest
 
 from lintseq.cli import main
 from lintseq.corpus import read_records
-from lintseq.diffkit import diff, join_lines, parse_diff
-from lintseq.editcodec import apply, resolve_prefixes, resolve_record, resolve_stream
+from lintseq.diffkit import join_lines, parse_diff
+from lintseq.editcodec import apply, resolve_prefixes, resolve_stream
 from lintseq.lint import check
 from lintseq.metrics import (
     FlopsModel,
@@ -28,7 +28,7 @@ from lintseq.metrics import (
     pass_at_k,
     total_flops,
 )
-from tests.oracles import is_error_free_relative, reference_render
+from tests.oracles import diff, is_error_free_relative, reference_render, resolve_record
 from tests.progen import write_corpus
 
 

@@ -160,6 +160,51 @@ def test_resolve_flags_damage(tmp_path, capsys):
     assert by_line[4]["error"]["kind"] == "MalformedRecord"
 
 
+# each breaks one field's type, or (num_edits) the record's own invariant
+BAD_FIELDS = [
+    {"program": 5},
+    {"training_text": None},
+    {"source_id": ["p0"]},
+    {"sample_index": True},
+    {"num_edits": "1"},
+    {"num_edits": 99},
+    {"edits": [1]},
+    {"seed_path": [3, 0, "0"]},
+]
+
+
+def write_mixed_records(tmp_path, bad):
+    """Valid records with one badly typed record after the first."""
+    _, out = run_generate(tmp_path, CLEAN, "--samples", "1")
+    lines = out.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec.update(bad)
+    lines.insert(1, json.dumps(rec))
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(l + "\n" for l in lines))
+    return mixed
+
+
+@pytest.mark.parametrize("bad", BAD_FIELDS)
+def test_resolve_counts_badly_typed_records(tmp_path, capsys, bad):
+    mixed = write_mixed_records(tmp_path, bad)
+    assert main(["resolve", "--input", str(mixed)]) == 2
+    captured = capsys.readouterr()
+    rows = {r["line"]: r for r in map(json.loads, captured.out.splitlines())}
+    assert rows[2]["error"]["kind"] == "MalformedRecord"
+    assert all(rows[n]["ok"] and rows[n]["matches_source"] for n in (1, 3, 4))
+    assert "4 records, 1 malformed, 0 conflicts, 0 mismatches" in captured.err
+
+
+@pytest.mark.parametrize("bad", BAD_FIELDS)
+def test_stats_reports_badly_typed_record_position(tmp_path, capsys, bad):
+    mixed = write_mixed_records(tmp_path, bad)
+    assert main(["stats", "--input", str(mixed)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "CorpusError"
+    assert f"{mixed}:2: bad record" in err["error"]
+
+
 def test_stats_output(tmp_path, capsys):
     _, out = run_generate(tmp_path, CLEAN, "--samples", "2")
     assert main(["stats", "--input", str(out)]) == 0

@@ -77,7 +77,7 @@ def test_load_corpus_skips_with_diagnostics(tmp_path):
     assert any("invalid JSON" in r for r in reasons)
     assert any("not a JSON object" in r for r in reasons)
     assert sum("'program'" in r for r in reasons) == 2
-    assert result.skipped_count == 6
+    assert len(result.skipped) == 6
 
 
 def test_load_corpus_rejects_non_utf8(tmp_path):
@@ -138,6 +138,29 @@ def test_record_from_json_rejects_bad_seed_path():
     obj = json.loads(sample_record().to_json())
     obj["seed_path"] = [1, 2]
     with pytest.raises(CorpusError):
+        EditSequenceRecord.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("source_id", 1),
+        ("instruction", None),
+        ("program", 5),
+        ("training_text", None),
+        ("sample_index", "2"),
+        ("sample_index", False),
+        ("num_edits", 1.0),
+        ("edits", "@@ -0,0 +1 @@\n+x = 1"),
+        ("edits", [None]),
+        ("seed_path", [0, 4, True]),
+        ("seed_path", [0, 4, 2.0]),
+    ],
+)
+def test_record_from_json_rejects_wrong_types(key, value):
+    obj = json.loads(sample_record().to_json())
+    obj[key] = value
+    with pytest.raises(CorpusError, match=key):
         EditSequenceRecord.from_json(json.dumps(obj))
 
 

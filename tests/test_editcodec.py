@@ -3,7 +3,7 @@ import random
 import pytest
 
 from lintseq.corpus import EditSequenceRecord
-from lintseq.diffkit import DiffError, diff, diff_states, join_lines, split_lines
+from lintseq.diffkit import DiffError, diff_states, join_lines, split_lines
 from lintseq.editcodec import (
     DEFAULT_SEPARATOR,
     ApplyConflict,
@@ -11,13 +11,13 @@ from lintseq.editcodec import (
     apply,
     resolve,
     resolve_prefixes,
-    resolve_record,
     resolve_stream,
+    restore_final_newline,
     serialize,
     split_serialized,
 )
 from lintseq.sampler import backward_sample
-from tests.oracles import state_texts
+from tests.oracles import diff, state_texts
 
 SEP = DEFAULT_SEPARATOR
 
@@ -107,10 +107,8 @@ def test_apply_preserves_trailing_blank_line():
 
 
 def test_apply_conflicts():
-    with pytest.raises(ApplyConflict) as exc:
+    with pytest.raises(ApplyConflict, match="expected 'X', found 'b'"):
         apply("a\nb\n", "@@ -2 +2 @@\n-X\n+Y")
-    assert exc.value.expected == "X"
-    assert exc.value.found == "b"
     with pytest.raises(ApplyConflict):
         apply("a\n", "@@ -5 +4,0 @@\n-x")  # beyond the end
     with pytest.raises(ApplyConflict):
@@ -192,16 +190,15 @@ def record_for(program, seed=2):
         program=program,
         edits=tuple(e.rendered for e in diff_states(seq)),
         training_text=serialize(diff_states(seq)),
-        num_edits=seq.num_edits,
+        num_edits=len(seq.states) - 1,
         seed_path=(0, 0, 0),
     )
 
 
 def test_resolve_record_restores_exact_bytes():
-    with_nl = record_for("a = 1\nprint(a)\n")
-    assert resolve_record(with_nl) == "a = 1\nprint(a)\n"
-    without_nl = record_for("a = 1\nprint(a)")
-    assert resolve_record(without_nl) == "a = 1\nprint(a)"
+    for program in ("a = 1\nprint(a)\n", "a = 1\nprint(a)"):
+        record = record_for(program)
+        assert restore_final_newline(resolve(record.training_text), record.program) == program
 
 
 def test_split_lines_join_lines_inverse_on_states():

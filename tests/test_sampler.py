@@ -1,10 +1,14 @@
+import os
 import random
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
 
+import lintseq
 from lintseq.corpus import SourceExample
-from lintseq.lint import check
+from lintseq.lint import LinterSpec, check
 from lintseq.sampler import (
     ProgramState,
     StateSequence,
@@ -35,7 +39,7 @@ def test_program_state_requires_increasing_indices():
 
 def test_sequence_counts_edits():
     seq = StateSequence(("a",), (ProgramState(()), ProgramState((0,))))
-    assert seq.num_edits == 1
+    assert len(seq.states) - 1 == 1
     assert seq.signature() == ((), (0,))
 
 
@@ -66,7 +70,7 @@ def test_backward_sample_independent_lines():
     # no line depends on another, so no cascade: always one line per step
     seq = backward_sample(FLAT, rng=random.Random(0))
     check_shape(seq, FLAT)
-    assert seq.num_edits == 3
+    assert len(seq.states) - 1 == 3
     sizes = [len(s.kept_indices) for s in seq.states]
     assert sizes == [0, 1, 2, 3]
 
@@ -84,7 +88,7 @@ def test_backward_sample_first_deletion_uniform():
 
 def test_backward_sample_cascades_on_dependencies():
     # deleting "a = 1" orphans both users, collapsing the whole chain
-    edits = {backward_sample(CHAIN, rng=random.Random(t)).num_edits for t in range(40)}
+    edits = {len(backward_sample(CHAIN, rng=random.Random(t)).states) - 1 for t in range(40)}
     assert 1 in edits
     assert max(edits) <= 3
 
@@ -110,18 +114,50 @@ def test_backward_sample_states_stay_clean_on_dirty_source():
             assert is_error_free_relative(text, baseline)
 
 
+def test_backward_sample_external_linter_matches_builtin(tmp_path):
+    # an external linter that runs the built-in checker on its file must
+    # steer the sampler exactly as the built-in engine does
+    src = os.path.dirname(os.path.dirname(lintseq.__file__))
+    script = tmp_path / "pychecklint.py"
+    script.write_text(textwrap.dedent(f"""\
+        import sys
+        sys.path.insert(0, {src!r})
+        from lintseq import pycheck
+        from lintseq.diffkit import split_lines
+        path = sys.argv[1]
+        with open(path, encoding="utf-8") as fh:
+            lines = split_lines(fh.read())
+        for line, code, message in pycheck.check_lines(lines):
+            print(f"{{path}}:{{line}}:1: E1 {{code}} {{message}}")
+        """))
+    spec = LinterSpec(kind="external", command_template=f"{sys.executable} {script} {{path}}")
+    program = (
+        "import os\n"
+        "def f(a):\n"
+        "    b = a + 1\n"
+        "    return b\n"
+        "x = f(2)\n"
+        "if x:\n"
+        "    print(os.sep, x)\n"
+    )
+    for seed in (0, 1):
+        external = backward_sample(program, spec, random.Random(seed))
+        builtin = backward_sample(program, rng=random.Random(seed))
+        assert external.signature() == builtin.signature()
+
+
 def test_random_sample_shape():
     program = "\n".join(f"v{i} = {i}" for i in range(8)) + "\n"
     seq = random_sample(program, rng=random.Random(1))
     check_shape(seq, program)
-    assert 1 <= seq.num_edits <= 8
+    assert 1 <= len(seq.states) - 1 <= 8
 
 
 def test_random_sample_mean_steps_is_harmonic():
     # E[steps] for n lines is 1 + 1/2 + ... + 1/n
     total = 0
     for trial in range(4000):
-        total += random_sample(FLAT, rng=random.Random(trial)).num_edits
+        total += len(random_sample(FLAT, rng=random.Random(trial)).states) - 1
     assert abs(total / 4000 - (1 + 1 / 2 + 1 / 3)) < 0.05
 
 
