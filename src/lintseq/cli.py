@@ -16,11 +16,13 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 from typing import Iterator, Sequence
 
 from .corpus import (
     CorpusError,
     EditSequenceRecord,
+    atomic_output,
     deduplicate,
     dump_records,
     load_corpus,
@@ -174,6 +176,7 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
     input_path = _require(_opt(ns, config, "input", None), "--input")
     output = _opt(ns, config, "output", None)
     separator = _opt(ns, config, "separator", DEFAULT_SEPARATOR)
+    check_separator(separator)
 
     total = malformed = conflicts = mismatches = 0
 
@@ -218,16 +221,10 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
                         mismatches += 1
                 yield row
 
-    def write_rows(fh) -> None:
+    with atomic_output(output) if output else nullcontext(sys.stdout) as fh:
         for row in rows():
             fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
-
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            write_rows(fh)
-    else:
-        write_rows(sys.stdout)
 
     _progress(
         f"resolve: {total} records, {malformed} malformed, "

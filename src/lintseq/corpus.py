@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -184,25 +185,31 @@ def deduplicate(examples: Sequence[SourceExample]) -> tuple[list[SourceExample],
     return kept, len(examples) - len(kept)
 
 
-def write_records(
-    records: Iterable[EditSequenceRecord], path: str | os.PathLike
-) -> int:
-    """Write records as JSONL, atomically; returns the record count."""
+@contextmanager
+def atomic_output(path: str | os.PathLike) -> Iterator[IO[str]]:
+    """A text file that replaces ``path`` only if the block completes.
+
+    It gets the mode a new file would; on any exception it is removed.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    count = 0
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".records-", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".lintseq-", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            count = dump_records(records, fh)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
-    return count
+
+
+def write_records(records: Iterable[EditSequenceRecord], path: str | os.PathLike) -> int:
+    """Write records as JSONL, atomically; returns the record count."""
+    with atomic_output(path) as fh:
+        return dump_records(records, fh)
 
 
 def dump_records(records: Iterable[EditSequenceRecord], fh: IO[str]) -> int:

@@ -10,11 +10,14 @@ place still be decomposed, down to the empty program.
 Two checker kinds exist behind one interface: the built-in line-oriented
 surface checker (fast, no subprocess, understands partially deleted
 programs) and an adapter that shells out to an external tool and parses
-its stdout with a configurable pattern.  The built-in engine keeps the
-setup of the last program it checked, whose ``pycheck.Analysis`` also keeps
-the last walk, so consecutive checks of one program's subsets re-walk only
-the lines a deletion changed; the external one caches reports by content
-hash in a per-process map with last-writer-wins semantics.
+its stdout with a configurable pattern.  Through the sampling cascade
+(``setup``, ``check_subset``, ``extra_findings``) findings are the sorted
+``(line, code, message)`` triples ``pycheck.flow`` returns; only
+``check_text`` wraps them in a ``LintReport``, for callers that show them.
+The built-in engine keeps the setup of the last program it checked, whose
+``pycheck.Analysis`` also keeps the last walk, so consecutive checks of
+one program's subsets re-walk only the lines a deletion changed; the
+external one caches findings by content hash for the last program set up.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import subprocess
 import tempfile
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import pycheck
@@ -47,6 +51,10 @@ class LinterTimeout(LintError):
     """The external linter exceeded its configured timeout."""
 
 
+#: one finding as ``pycheck.flow`` returns it: (line, code, message)
+Finding = tuple[int, str, str]
+
+
 @dataclass(frozen=True)
 class LintFinding:
     code: str
@@ -56,19 +64,17 @@ class LintFinding:
 
 @dataclass(frozen=True)
 class LintReport:
-    """Findings for one program, in line order, plus their line-erased fingerprint."""
+    """Findings for one program, in line order."""
 
     findings: tuple[LintFinding, ...]
-    fingerprint: tuple[tuple[str, str], ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.findings, key=lambda f: (f.line, f.code, f.message)))
-        object.__setattr__(self, "findings", ordered)
-        object.__setattr__(self, "fingerprint", tuple(sorted((f.code, f.message) for f in ordered)))
 
     @property
     def is_clean(self) -> bool:
         return not self.findings
+
+
+def _report(findings: Sequence[Finding]) -> LintReport:
+    return LintReport(tuple([LintFinding(code, message, line) for line, code, message in findings]))
 
 
 @dataclass(frozen=True)
@@ -98,65 +104,70 @@ class LinterSpec:
             raise ValueError("timeout must be positive")
 
 
-def _content_key(text: str) -> bytes:
-    return hashlib.sha1(text.encode("utf-8", "surrogatepass")).digest()
-
-
 class BuiltinLinter:
     def __init__(self, spec: LinterSpec) -> None:
         self.spec = spec
-        # (program, lines, analysis, report) of the last program set up
-        self._last: tuple[str, tuple[str, ...], pycheck.Analysis, LintReport] | None = None
+        # (program, lines, analysis, baseline) of the last program set up
+        self._last: tuple[str, tuple[str, ...], pycheck.Analysis, list[Finding]] | None = None
 
-    def setup(self, program: str) -> tuple[tuple[str, ...], pycheck.Analysis, LintReport]:
-        """The program's lines, scan cache and report.
+    def setup(self, program: str) -> tuple[tuple[str, ...], pycheck.Analysis, list[Finding]]:
+        """The program's lines, scan cache and baseline findings.
 
         The last program's setup is kept, so every sample of one example
-        shares one scan cache and one baseline report, and each
-        ``check_subset`` on the Analysis resumes from the previous walk.
+        shares one scan cache and one baseline, and each ``check_subset``
+        on the Analysis resumes from the previous walk.  The baseline is
+        the sorted ``(line, code, message)`` triples of the whole program.
         """
         last = self._last
         if last is None or last[0] != program:
             lines = tuple(split_lines(program))
             analysis = pycheck.Analysis(lines)
-            report = self.check_subset(analysis, range(len(lines)))
-            last = self._last = (program, lines, analysis, report)
+            baseline = self.check_subset(analysis, range(len(lines)))
+            last = self._last = (program, lines, analysis, baseline)
         return last[1:]
 
     def check_text(self, text: str) -> LintReport:
-        return self.setup(text)[2]
+        return _report(self.setup(text)[2])
 
-    def check_subset(self, analysis: pycheck.Analysis, kept: Sequence[int]) -> LintReport:
-        raw = pycheck.flow(analysis, kept)
-        return LintReport(tuple([LintFinding(code, message, line) for line, code, message in raw]))
+    def check_subset(self, analysis: pycheck.Analysis, kept: Sequence[int]) -> list[Finding]:
+        return pycheck.flow(analysis, kept)
 
 
 class ExternalLinter:
     def __init__(self, spec: LinterSpec) -> None:
         self.spec = spec
-        self._cache: dict[bytes, LintReport] = {}
+        # findings by content hash, for texts of the last program set up only
+        self._program: str | None = None
+        self._cache: dict[bytes, tuple[Finding, ...]] = {}
         self._pattern = re.compile(spec.finding_pattern)
         self._argv = shlex.split(spec.command_template)
         if not any("{path}" in part for part in self._argv):
             raise ValueError("command template must contain a {path} placeholder")
 
-    def check_text(self, text: str) -> LintReport:
-        key = _content_key(text)
-        report = self._cache.get(key)
-        if report is None:
-            report = self._run(text)
-            self._cache[key] = report
-        return report
+    def setup(self, program: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Finding, ...]]:
+        """As BuiltinLinter.setup; the lines double as check_subset's input.
 
-    def setup(self, program: str) -> tuple[tuple[str, ...], tuple[str, ...], LintReport]:
-        """As BuiltinLinter.setup; the lines double as check_subset's input."""
+        A program other than the last one set up starts a fresh cache.
+        """
+        if program != self._program:
+            self._program, self._cache = program, {}
         lines = tuple(split_lines(program))
-        return lines, lines, self.check_text(program)
+        return lines, lines, self._findings(program)
 
-    def check_subset(self, lines: Sequence[str], kept: Sequence[int]) -> LintReport:
-        return self.check_text(join_lines(lines[i] for i in kept))
+    def check_text(self, text: str) -> LintReport:
+        return _report(self.setup(text)[2])
 
-    def _run(self, text: str) -> LintReport:
+    def check_subset(self, lines: Sequence[str], kept: Sequence[int]) -> tuple[Finding, ...]:
+        return self._findings(join_lines(lines[i] for i in kept))
+
+    def _findings(self, text: str) -> tuple[Finding, ...]:
+        key = hashlib.sha1(text.encode("utf-8", "surrogatepass")).digest()
+        found = self._cache.get(key)
+        if found is None:
+            found = self._cache[key] = self._run(text)
+        return found
+
+    def _run(self, text: str) -> tuple[Finding, ...]:
         tmpdir = os.environ.get("LINTSEQ_TMPDIR") or None
         fd, path = tempfile.mkstemp(suffix=".py", dir=tmpdir)
         try:
@@ -165,15 +176,10 @@ class ExternalLinter:
             argv = [part.replace("{path}", path) for part in self._argv]
             try:
                 proc = subprocess.run(
-                    argv,
-                    capture_output=True,
-                    text=True,
-                    timeout=self.spec.timeout,
+                    argv, capture_output=True, text=True, timeout=self.spec.timeout
                 )
             except subprocess.TimeoutExpired as exc:
-                raise LinterTimeout(
-                    f"linter exceeded {self.spec.timeout:g}s"
-                ) from exc
+                raise LinterTimeout(f"linter exceeded {self.spec.timeout:g}s") from exc
             except OSError as exc:
                 raise LintError(f"failed to run linter: {exc}") from exc
             findings = []
@@ -184,19 +190,13 @@ class ExternalLinter:
                 code = m.group("code")
                 if code[:1] not in ("E", "F"):
                     continue
-                findings.append(
-                    LintFinding(
-                        code=code,
-                        message=_normalize_message(m.group("message"), path),
-                        line=int(m.group("line")),
-                    )
-                )
-            return LintReport(tuple(findings))
+                message = _normalize_message(m.group("message"), path)
+                findings.append((int(m.group("line")), code, message))
+            # the cascade consumes findings in line order, as flow returns them
+            return tuple(sorted(findings))
         finally:
-            try:
+            with suppress(OSError):
                 os.unlink(path)
-            except OSError:
-                pass
 
 
 def _normalize_message(message: str, path: str) -> str:
@@ -223,20 +223,21 @@ def check(program: str, linter: LinterSpec | None = None) -> LintReport:
     return get_linter(linter or LinterSpec()).check_text(program)
 
 
-def extra_findings(
-    candidate: LintReport, baseline: LintReport
-) -> list[LintFinding]:
+def extra_findings(candidate: Sequence[Finding], baseline: Sequence[Finding]) -> list[Finding]:
     """Candidate findings in excess of the baseline (code, message) multiset.
 
-    Findings are consumed in line order, so when multiplicities collide
-    the later occurrences are the ones reported as new.
+    Both are sorted ``(line, code, message)`` triples, as ``setup`` and
+    ``check_subset`` return them.  Line numbers are erased for the
+    comparison, and findings are consumed in line order, so when
+    multiplicities collide the later occurrences are the ones reported
+    as new.  This is the one definition of relative error-freeness.
     """
-    allowance = Counter(baseline.fingerprint)
+    allowance = Counter([(code, message) for _, code, message in baseline])
     out = []
-    for f in candidate.findings:
-        key = (f.code, f.message)
-        if allowance.get(key, 0) > 0:
+    for finding in candidate:
+        key = finding[1:]
+        if allowance[key] > 0:
             allowance[key] -= 1
         else:
-            out.append(f)
+            out.append(finding)
     return out

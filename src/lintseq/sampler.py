@@ -100,7 +100,7 @@ def backward_sample(
     """Sample one linter-guided deletion trajectory, returned forward.
 
     The engine keeps the setup of the last program it saw, so repeated
-    samples of one program share its scan cache and baseline report, and
+    samples of one program share its scan cache and baseline findings, and
     consecutive cascade checks reuse the previous walk: each re-walks only
     the lines whose walk state the last deletions changed.
     """
@@ -112,22 +112,16 @@ def backward_sample(
     while kept:
         del kept[rng.randrange(len(kept))]
         while kept:
-            report = engine.check_subset(analysis, kept)
-            extras = extra_findings(report, baseline)
+            extras = extra_findings(engine.check_subset(analysis, kept), baseline)
             if not extras:
                 break
-            doomed = sorted({f.line - 1 for f in extras}, reverse=True)
-            removed = 0
-            for pos in doomed:
-                if 0 <= pos < len(kept):
-                    del kept[pos]
-                    removed += 1
-            if not removed:
+            doomed = sorted({line - 1 for line, _, _ in extras if 0 < line <= len(kept)})
+            if not doomed:
                 # only reachable with a checker that reports lines outside
                 # the candidate; without a removal the loop cannot stabilize
-                raise SamplerError(
-                    "finding lines fall outside the candidate; cannot stabilize"
-                )
+                raise SamplerError("finding lines fall outside the candidate; cannot stabilize")
+            for pos in reversed(doomed):
+                del kept[pos]
         trajectory.append(tuple(kept))
     return _states_from_trajectory(lines, trajectory)
 

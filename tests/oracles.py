@@ -4,7 +4,7 @@ from difflib import SequenceMatcher, unified_diff
 
 from lintseq.diffkit import EditDiff, Hunk, join_lines, split_lines
 from lintseq.editcodec import resolve, restore_final_newline
-from lintseq.lint import check, extra_findings
+from lintseq.lint import LinterSpec, extra_findings, get_linter
 
 
 def diff(before: str, after: str) -> EditDiff:
@@ -45,14 +45,20 @@ def state_texts(seq) -> list[str]:
     return [join_lines(seq.lines[i] for i in s.kept_indices) for s in seq.states]
 
 
-def is_error_free_relative(candidate: str, baseline_report, linter=None) -> bool:
+def findings(program: str, linter=None) -> list[tuple[int, str, str]]:
+    """The program's sorted (line, code, message) triples, as the sampler sees them."""
+    return get_linter(linter or LinterSpec()).setup(program)[2]
+
+
+def is_error_free_relative(candidate: str, baseline, linter=None) -> bool:
     """True when the candidate has no finding beyond the baseline multiset.
 
     This is the law the sampler applies (``lint.extra_findings``): a
     candidate may lose baseline findings, so the empty program of a dirty
-    source passes, but never gain one.
+    source passes, but never gain one.  ``baseline`` is the source's
+    ``findings``.
     """
-    return not extra_findings(check(candidate, linter), baseline_report)
+    return not extra_findings(findings(candidate, linter), baseline)
 
 
 def resolve_record(record) -> str:

@@ -20,7 +20,6 @@ from lintseq.cli import main
 from lintseq.corpus import read_records
 from lintseq.diffkit import join_lines, parse_diff
 from lintseq.editcodec import apply, resolve_prefixes, resolve_stream
-from lintseq.lint import check
 from lintseq.metrics import (
     FlopsModel,
     dataset_stats,
@@ -28,7 +27,7 @@ from lintseq.metrics import (
     pass_at_k,
     total_flops,
 )
-from tests.oracles import diff, is_error_free_relative, reference_render, resolve_record
+from tests.oracles import diff, findings, is_error_free_relative, reference_render, resolve_record
 from tests.progen import write_corpus
 
 
@@ -141,7 +140,7 @@ def test_criterion_03_prefixes_stay_error_free(records):
     checked = dirty = 0
     for rec in records:
         if rec.source_id not in baselines:
-            baselines[rec.source_id] = check(rec.program)
+            baselines[rec.source_id] = findings(rec.program)
         baseline = baselines[rec.source_id]
         for prefix in resolve_prefixes(rec.training_text):
             checked += 1

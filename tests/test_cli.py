@@ -160,6 +160,28 @@ def test_resolve_flags_damage(tmp_path, capsys):
     assert by_line[4]["error"]["kind"] == "MalformedRecord"
 
 
+@pytest.mark.parametrize(
+    "records, flags", [("missing.jsonl", []), ("out.jsonl", ["--separator", ""])]
+)
+def test_resolve_fatal_error_keeps_existing_output(tmp_path, capsys, records, flags):
+    run_generate(tmp_path, CLEAN, "--samples", "1")  # writes out.jsonl
+    out = tmp_path / "resolved.jsonl"
+    out.write_bytes(b"keep me\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = ["resolve", "--input", str(tmp_path / records), "--output", str(out), *flags]
+    assert main(argv) == 1
+    assert out.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_resolve_empty_separator_exit_1_on_empty_records(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert main(["resolve", "--input", str(empty), "--separator", ""]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "ValueError"
+
+
 # each breaks one field's type, or (num_edits) the record's own invariant
 BAD_FIELDS = [
     {"program": 5},

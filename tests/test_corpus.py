@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -183,6 +185,14 @@ def test_write_records_is_atomic_on_failure(tmp_path):
         write_records(boom(), out)
     assert out.read_text() == "keep me\n"
     assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+
+def test_write_records_gives_new_file_mode(tmp_path):
+    out = tmp_path / "records.jsonl"
+    write_records([sample_record()], out)
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
 
 
 def test_read_records_reports_position(tmp_path):

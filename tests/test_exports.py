@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 import re
 
@@ -38,3 +39,29 @@ def test_every_export_has_a_non_test_caller():
         if not (name.startswith("__") and name.endswith("__")) and name not in referenced
     ]
     assert unreached == []
+
+
+def test_bench_trace_targets_resolve():
+    # perfbench/tracing.py patches each target by name and only warns when
+    # one is gone, so a refactor could silently drop a layer from traced runs
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    ]
+    unresolved = []
+    for name, modname, path, _ in targets:
+        owner = importlib.import_module(modname)
+        *outer, attr = path.split(".")
+        try:
+            for part in outer:
+                owner = getattr(owner, part)
+            # as Tracer.install does: a class attribute must be the class's own
+            raw = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        except (AttributeError, KeyError):
+            unresolved.append(name)
+            continue
+        if not callable(getattr(raw, "__func__", raw)):
+            unresolved.append(name)
+    assert len(targets) > 20
+    assert unresolved == []

@@ -14,38 +14,12 @@ from lintseq.lint import (
     extra_findings,
     get_linter,
 )
-from tests.oracles import is_error_free_relative
-
-
-def report(*triples):
-    return LintReport(tuple(LintFinding(code, msg, line) for line, code, msg in triples))
-
-
-def test_report_sorts_and_fingerprints():
-    r = report((5, "b", "later"), (1, "a", "first"), (5, "a", "zz"))
-    assert [(f.line, f.code) for f in r.findings] == [(1, "a"), (5, "a"), (5, "b")]
-    # fingerprint erases line numbers
-    assert r.fingerprint == (("a", "first"), ("a", "zz"), ("b", "later"))
-
-
-def test_fingerprint_ignores_line_positions():
-    a = report((1, "x", "m"), (9, "y", "n"))
-    b = report((7, "y", "n"), (2, "x", "m"))
-    assert a.fingerprint == b.fingerprint
-
-
-def test_report_built_directly_derives_order_and_fingerprint():
-    found = [LintFinding("b", "later", 5), LintFinding("a", "first", 1)]
-    direct = LintReport(tuple(found))
-    assert direct == LintReport(tuple(reversed(found)))
-    assert direct.fingerprint == (("a", "first"), ("b", "later"))
-    # a baseline's own findings are never new against it
-    assert extra_findings(direct, direct) == []
+from tests.oracles import findings, is_error_free_relative
 
 
 def test_is_clean():
-    assert report().is_clean
-    assert not report((1, "x", "m")).is_clean
+    assert LintReport(()).is_clean
+    assert not LintReport((LintFinding("x", "m", 1),)).is_clean
 
 
 def test_check_builtin():
@@ -55,22 +29,27 @@ def test_check_builtin():
 
 
 def test_extra_findings_consumes_baseline_allowance():
-    baseline = report((1, "undefined-name", "undefined name 'y'"))
+    baseline = [(1, "undefined-name", "undefined name 'y'")]
     # same finding, new line: covered by the allowance
-    cand = report((3, "undefined-name", "undefined name 'y'"))
+    cand = [(3, "undefined-name", "undefined name 'y'")]
     assert extra_findings(cand, baseline) == []
     # a second copy is new; the later occurrence is reported
-    cand2 = report((2, "undefined-name", "undefined name 'y'"),
-                   (6, "undefined-name", "undefined name 'y'"))
+    cand2 = [(2, "undefined-name", "undefined name 'y'"),
+             (6, "undefined-name", "undefined name 'y'")]
     extras = extra_findings(cand2, baseline)
-    assert [f.line for f in extras] == [6]
+    assert [line for line, _, _ in extras] == [6]
+    # line numbers are erased: the same multiset anywhere is covered
+    assert extra_findings([(2, "x", "m"), (7, "y", "n")], [(1, "x", "m"), (9, "y", "n")]) == []
+    # a baseline's own findings are never new against it
+    both = [(1, "a", "first"), (5, "b", "later")]
+    assert extra_findings(both, both) == []
 
 
 def test_relative_cleanliness_with_dirty_source():
     # the source itself has a finding; subsets keeping it are still "clean"
     src = "print(ghost)\nx = 1\nprint(x)\n"
-    baseline = check(src)
-    assert not baseline.is_clean
+    baseline = findings(src)
+    assert baseline
     assert is_error_free_relative("print(ghost)\nx = 1\n", baseline)
     assert is_error_free_relative("print(ghost)\n", baseline)
     # losing the source's own finding is allowed, down to the empty program
@@ -81,19 +60,19 @@ def test_relative_cleanliness_with_dirty_source():
 
 
 def affected_lines(candidate, baseline):
-    return sorted({f.line for f in extra_findings(check(candidate), baseline)})
+    return sorted({line for line, _, _ in extra_findings(findings(candidate), baseline)})
 
 
 def test_affected_lines_orphan_body():
     src = "def f():\n    return 1\nprint(f())\n"
-    baseline = check(src)
+    baseline = findings(src)
     # drop the def header: keep lines 2..3
     assert affected_lines("    return 1\nprint(f())\n", baseline) == [1, 2]
 
 
 def test_affected_lines_empty_when_equal():
     src = "a = 1\nb = a + 1\nprint(b)\n"
-    baseline = check(src)
+    baseline = findings(src)
     assert affected_lines(src, baseline) == []
     assert affected_lines("a = 1\nb = a + 1\n", baseline) == []
 
@@ -130,6 +109,62 @@ def test_external_linter_parses_findings(tmp_path):
     # warnings are dropped by default; messages hide the temp path and line
     assert [(f.code, f.line) for f in r.findings] == [("E101", 3)]
     assert r.findings[0].message == "bad thing in <file> on line ?"
+
+
+def test_external_linter_sorts_findings(tmp_path):
+    script = tmp_path / "shufflelint.py"
+    _write_script(
+        script,
+        """
+        import sys
+        path = sys.argv[1]
+        print(f"{path}:5:1: Eb later")
+        print(f"{path}:5:1: E1 same")
+        print(f"{path}:1:1: Ea first")
+        print(f"{path}:2:1: E1 same")
+        """,
+    )
+    spec = LinterSpec(kind="external", command_template=f"python3 {script} {{path}}")
+    # reports list findings by line, then code, then message
+    r = check("a = 1\n", spec)
+    assert [(f.line, f.code) for f in r.findings] == [(1, "Ea"), (2, "E1"), (5, "E1"), (5, "Eb")]
+    # the cascade gets the same order, so the later copy of a
+    # message the baseline allows once is the one reported as new
+    engine = get_linter(spec)
+    lines, _, _ = engine.setup("a = 1\nb = 2\n")
+    found = engine.check_subset(lines, [1])
+    assert [line for line, _, _ in found] == [1, 2, 5, 5]
+    allowed_once = [(9, "E1", "same"), (9, "Ea", "first"), (9, "Eb", "later")]
+    assert extra_findings(found, allowed_once) == [(5, "E1", "same")]
+
+
+def test_external_linter_cache_keeps_last_program_only(tmp_path):
+    runs = tmp_path / "runs.log"
+    script = tmp_path / "firstlinelint.py"
+    _write_script(
+        script,
+        f"""
+        import sys
+        path = sys.argv[1]
+        with open({str(runs)!r}, "a") as log:
+            log.write("run\\n")
+        with open(path) as fh:
+            print(f"{{path}}:1:1: E1 {{fh.readline().strip()}}")
+        """,
+    )
+    spec = LinterSpec(kind="external", command_template=f"python3 {script} {{path}}")
+    engine = get_linter(spec)
+    first, second = "a = 1\nb = 2\n", "c = 3\n"
+    lines, _, _ = engine.setup(first)
+    engine.check_subset(lines, [1])
+    engine.setup(first)
+    assert runs.read_text().count("run") == 2  # the second setup hit the cache
+    engine.setup(second)
+    assert list(engine._cache.values()) == [((1, "E1", "c = 3"),)]
+    # check_text goes through setup too
+    assert [f.message for f in check(first, spec).findings] == ["a = 1"]
+    assert list(engine._cache.values()) == [((1, "E1", "a = 1"),)]
+    assert runs.read_text().count("run") == 4
 
 
 def test_external_linter_includes_warnings_when_asked(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 import lintseq
 from lintseq.corpus import SourceExample
-from lintseq.lint import LinterSpec, check
+from lintseq.lint import LinterSpec
 from lintseq.sampler import (
     ProgramState,
     StateSequence,
@@ -17,7 +17,7 @@ from lintseq.sampler import (
     random_sample,
     sample_corpus,
 )
-from tests.oracles import is_error_free_relative, state_texts
+from tests.oracles import findings, is_error_free_relative, state_texts
 
 CHAIN = "a = 1\nb = a + 1\nprint(b)\n"
 FLAT = "a = 1\nb = 2\nc = 3\n"
@@ -94,7 +94,7 @@ def test_backward_sample_cascades_on_dependencies():
 
 
 def test_backward_sample_states_stay_clean():
-    baseline = check(CHAIN)
+    baseline = findings(CHAIN)
     for trial in range(30):
         seq = backward_sample(CHAIN, rng=random.Random(trial))
         for text in state_texts(seq):
@@ -105,8 +105,8 @@ def test_backward_sample_states_stay_clean_on_dirty_source():
     # the source's own finding may vanish on the way down to the empty
     # program, but no state may gain a finding the source lacks
     program = "a = 1\nprint(y)\nb = a + 1\nprint(b)\nprint(y)\n"
-    baseline = check(program)
-    assert not baseline.is_clean
+    baseline = findings(program)
+    assert baseline
     for trial in range(30):
         texts = state_texts(backward_sample(program, rng=random.Random(trial)))
         assert texts[0] == ""
@@ -144,6 +144,21 @@ def test_backward_sample_external_linter_matches_builtin(tmp_path):
         external = backward_sample(program, spec, random.Random(seed))
         builtin = backward_sample(program, rng=random.Random(seed))
         assert external.signature() == builtin.signature()
+
+
+def test_backward_sample_skips_findings_outside_candidate(tmp_path):
+    # a finding on a line the candidate lacks deletes nothing, so the
+    # cascade stops with a skip instead of looping
+    script = tmp_path / "farlint.py"
+    script.write_text(textwrap.dedent("""\
+        import sys
+        path = sys.argv[1]
+        with open(path, encoding="utf-8") as fh:
+            print(f"{path}:99:1: E1 {len(fh.readlines())} lines")
+        """))
+    spec = LinterSpec(kind="external", command_template=f"{sys.executable} {script} {{path}}")
+    (r,) = sample_corpus(examples(FLAT), spec, samples_per_example=1)
+    assert r.skip_reason == "finding lines fall outside the candidate; cannot stabilize"
 
 
 def test_random_sample_shape():
