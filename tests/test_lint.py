@@ -38,9 +38,31 @@ def test_extra_findings_consumes_baseline_allowance():
              (6, "undefined-name", "undefined name 'y'")]
     extras = extra_findings(cand2, baseline)
     assert [line for line, _, _ in extras] == [6]
-    # line numbers are erased: the same multiset anywhere is covered
-    assert extra_findings([(2, "x", "m"), (7, "y", "n")], [(1, "x", "m"), (9, "y", "n")]) == []
+
+
+def test_fingerprint_ignores_line_positions():
+    # the baseline allowance erases line numbers: the same (code, message)
+    # multiset at any lines is covered
+    a = [(1, "x", "m"), (9, "y", "n")]
+    b = [(2, "x", "m"), (7, "y", "n")]
+    assert extra_findings(a, b) == []
+    assert extra_findings(b, a) == []
+    assert extra_findings(b + [(8, "x", "m")], a) == [(8, "x", "m")]
+
+
+def test_report_built_directly_derives_order_and_fingerprint():
+    # check() builds its report from the same sorted triples the cascade
+    # judges, so the report lists findings in line order
+    src = "print(b)\nprint(a)\n"
+    direct = check(src)
+    assert [(f.line, f.message) for f in direct.findings] == [
+        (1, "undefined name 'b'"),
+        (2, "undefined name 'a'"),
+    ]
+    baseline = findings(src)
+    assert [(f.line, f.code, f.message) for f in direct.findings] == list(baseline)
     # a baseline's own findings are never new against it
+    assert extra_findings(baseline, baseline) == []
     both = [(1, "a", "first"), (5, "b", "later")]
     assert extra_findings(both, both) == []
 
