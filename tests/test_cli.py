@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -292,6 +293,46 @@ def test_lintcheck_output(tmp_path, capsys):
     assert main(["lintcheck", "--input", str(corpus), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["rate"] == 0.25
+
+
+# three clean programs around one carrying two finding codes
+MIXED = CLEAN[:2] + [
+    {
+        "id": "dirty",
+        "instruction": "ghosts",
+        "program": "x = 1\nprint(ghost)\n    y = x\nprint(x, ghost, other)\n",
+    },
+    CLEAN[2],
+]
+# sha256 of the records of MIXED at --seed 3 --samples 2 --skip-dirty
+SKIP_DIRTY_SHA256 = "352191570a710d31f110d0a9db7770246c0071ff0cbe87b80dd6ca48fd227198"
+
+
+def test_lintcheck_and_skip_dirty_bytes_pinned(tmp_path, capsys):
+    corpus = write_corpus(tmp_path, MIXED)
+    assert main(["lintcheck", "--input", str(corpus)]) == 0
+    assert capsys.readouterr().out == (
+        "checked 4 programs: 1 with findings (25.0%), 0 linter failures\n"
+        "  undefined-name  3\n"
+        "  unexpected-indent  1\n"
+    )
+    assert main(["lintcheck", "--input", str(corpus), "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"rate":0.25,"checked":4,"flagged":1,"failures":0,'
+        '"per_code":{"undefined-name":3,"unexpected-indent":1}}\n'
+    )
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.jsonl"
+        code = main(
+            ["generate", "--input", str(corpus), "--output", str(out), "--seed", "3",
+             "--samples", "2", "--skip-dirty", "--workers", workers]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "skip dirty: source has findings"
+        summary = "generate: 3/4 examples, 6 sequences, 1 skipped, mean edits 1.83, "
+        assert err[1].startswith(summary)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SKIP_DIRTY_SHA256
 
 
 def test_missing_file_exit_1(capsys):
