@@ -38,8 +38,6 @@ from .editcodec import (
 )
 from .lint import (
     LintError,
-    LintFinding,
-    LintReport,
     LinterSpec,
     LinterTimeout,
     check,
@@ -81,8 +79,6 @@ __all__ = [
     "Hunk",
     "LintError",
     "LintErrorRate",
-    "LintFinding",
-    "LintReport",
     "LinterSpec",
     "LinterTimeout",
     "LoadResult",

@@ -85,7 +85,7 @@ def _linter_spec(ns: argparse.Namespace, config: dict) -> LinterSpec:
     kind = _opt(ns, config, "linter", "builtin")
     command = _opt(ns, config, "linter_cmd", "")
     pattern = _opt(ns, config, "linter_pattern", DEFAULT_FINDING_PATTERN)
-    timeout = float(config.get("linter_timeout", 10.0))
+    timeout = float(config.get("linter_timeout", LinterSpec.timeout))
     return LinterSpec(
         kind=kind,
         command_template=command,

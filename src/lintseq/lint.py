@@ -10,10 +10,10 @@ place still be decomposed, down to the empty program.
 Two checker kinds exist behind one interface: the built-in line-oriented
 surface checker (fast, no subprocess, understands partially deleted
 programs) and an adapter that shells out to an external tool and parses
-its stdout with a configurable pattern.  Through the sampling cascade
-(``setup``, ``check_subset``, ``extra_findings``) findings are the sorted
-``(line, code, message)`` triples ``pycheck.flow`` returns; only
-``check_text`` wraps them in a ``LintReport``, for callers that show them.
+its stdout with a configurable pattern.  A finding is one sorted
+``(line, code, message)`` triple, as ``pycheck.flow`` returns it, in the
+sampling cascade (``setup``, ``check_subset``, ``extra_findings``) and in
+``check_text`` alike.
 The built-in engine keeps the setup of the last program it checked, whose
 ``pycheck.Analysis`` also keeps the last walk, so consecutive checks of
 one program's subsets re-walk only the lines a deletion changed; the
@@ -56,28 +56,6 @@ Finding = tuple[int, str, str]
 
 
 @dataclass(frozen=True)
-class LintFinding:
-    code: str
-    message: str
-    line: int
-
-
-@dataclass(frozen=True)
-class LintReport:
-    """Findings for one program, in line order."""
-
-    findings: tuple[LintFinding, ...]
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.findings
-
-
-def _report(findings: Sequence[Finding]) -> LintReport:
-    return LintReport(tuple([LintFinding(code, message, line) for line, code, message in findings]))
-
-
-@dataclass(frozen=True)
 class LinterSpec:
     """Configuration of a checker.
 
@@ -108,26 +86,28 @@ class BuiltinLinter:
     def __init__(self, spec: LinterSpec) -> None:
         self.spec = spec
         # (program, lines, analysis, baseline) of the last program set up
-        self._last: tuple[str, tuple[str, ...], pycheck.Analysis, list[Finding]] | None = None
+        self._last: tuple[str, tuple[str, ...], pycheck.Analysis, tuple[Finding, ...]] | None = None
 
-    def setup(self, program: str) -> tuple[tuple[str, ...], pycheck.Analysis, list[Finding]]:
+    def setup(self, program: str) -> tuple[tuple[str, ...], pycheck.Analysis, tuple[Finding, ...]]:
         """The program's lines, scan cache and baseline findings.
 
         The last program's setup is kept, so every sample of one example
         shares one scan cache and one baseline, and each ``check_subset``
         on the Analysis resumes from the previous walk.  The baseline is
-        the sorted ``(line, code, message)`` triples of the whole program.
+        the sorted ``(line, code, message)`` triples of the whole program,
+        a tuple, so no caller of ``check`` can change what later samples
+        of the program are judged against.
         """
         last = self._last
         if last is None or last[0] != program:
             lines = tuple(split_lines(program))
             analysis = pycheck.Analysis(lines)
-            baseline = self.check_subset(analysis, range(len(lines)))
+            baseline = tuple(self.check_subset(analysis, range(len(lines))))
             last = self._last = (program, lines, analysis, baseline)
         return last[1:]
 
-    def check_text(self, text: str) -> LintReport:
-        return _report(self.setup(text)[2])
+    def check_text(self, text: str) -> tuple[Finding, ...]:
+        return self.setup(text)[2]
 
     def check_subset(self, analysis: pycheck.Analysis, kept: Sequence[int]) -> list[Finding]:
         return pycheck.flow(analysis, kept)
@@ -154,8 +134,8 @@ class ExternalLinter:
         lines = tuple(split_lines(program))
         return lines, lines, self._findings(program)
 
-    def check_text(self, text: str) -> LintReport:
-        return _report(self.setup(text)[2])
+    def check_text(self, text: str) -> tuple[Finding, ...]:
+        return self.setup(text)[2]
 
     def check_subset(self, lines: Sequence[str], kept: Sequence[int]) -> tuple[Finding, ...]:
         return self._findings(join_lines(lines[i] for i in kept))
@@ -218,8 +198,11 @@ def get_linter(spec: LinterSpec) -> BuiltinLinter | ExternalLinter:
         return engine
 
 
-def check(program: str, linter: LinterSpec | None = None) -> LintReport:
-    """Lint one program; deterministic for fixed content and spec."""
+def check(program: str, linter: LinterSpec | None = None) -> tuple[Finding, ...]:
+    """Lint one program: its sorted ``(line, code, message)`` triples.
+
+    Deterministic for fixed content and spec.
+    """
     return get_linter(linter or LinterSpec()).check_text(program)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import fmean
 from typing import Iterable, Sequence
 
@@ -150,13 +150,7 @@ class LintErrorRate:
     per_code: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "checked": self.checked,
-            "flagged": self.flagged,
-            "failures": self.failures,
-            "per_code": dict(self.per_code),
-        }
+        return asdict(self)
 
 
 def lint_error_rate(
@@ -171,15 +165,14 @@ def lint_error_rate(
     per_code: Counter[str] = Counter()
     for program in programs:
         try:
-            report = check(program, linter)
+            found = check(program, linter)
         except LintError:
             failures += 1
             continue
         checked += 1
-        if not report.is_clean:
+        if found:
             flagged += 1
-            for finding in report.findings:
-                per_code[finding.code] += 1
+            per_code.update(code for _, code, _ in found)
     if checked == 0:
         raise ValueError("no programs could be checked; lint error rate undefined")
     return LintErrorRate(

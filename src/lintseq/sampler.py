@@ -23,10 +23,12 @@ count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import operator
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 from .corpus import SourceExample
@@ -172,7 +174,7 @@ def _sample_example(
             skip_reason=f"{example.line_count} lines exceeds the {max_lines}-line guard",
         )
     if skip_dirty and mode == "lintseq":
-        if not get_linter(spec).check_text(program).is_clean:
+        if get_linter(spec).check_text(program):
             return ExampleResult(example_index, example, skip_reason="source has findings")
     sequences: list[StateSequence] = []
     seen: set[tuple] = set()
@@ -196,10 +198,6 @@ def _sample_example(
     except SamplerError as exc:
         return ExampleResult(example_index, example, skip_reason=str(exc))
     return ExampleResult(example_index, example, sequences=tuple(sequences))
-
-
-def _sample_task(args: tuple) -> ExampleResult:
-    return _sample_example(*args)
 
 
 def sample_corpus(
@@ -228,24 +226,18 @@ def sample_corpus(
         raise ValueError("workers must be at least 1")
     if max_lines < 1:
         raise ValueError("max_lines must be at least 1")
-    spec = linter or LinterSpec()
-    tasks = (
-        (
-            index,
-            example,
-            spec,
-            mode,
-            samples_per_example,
-            seed,
-            unique_sequences,
-            skip_dirty,
-            max_lines,
-        )
-        for index, example in enumerate(examples)
+    task = partial(
+        _sample_example,
+        spec=linter or LinterSpec(),
+        mode=mode,
+        samples=samples_per_example,
+        seed=seed,
+        unique_sequences=unique_sequences,
+        skip_dirty=skip_dirty,
+        max_lines=max_lines,
     )
     if workers <= 1:
-        for args in tasks:
-            yield _sample_task(args)
+        yield from map(task, itertools.count(), examples)
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_sample_task, tasks, chunksize=8)
+        yield from pool.map(task, itertools.count(), examples, chunksize=8)

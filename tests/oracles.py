@@ -45,7 +45,7 @@ def state_texts(seq) -> list[str]:
     return [join_lines(seq.lines[i] for i in s.kept_indices) for s in seq.states]
 
 
-def findings(program: str, linter=None) -> list[tuple[int, str, str]]:
+def findings(program: str, linter=None) -> tuple[tuple[int, str, str], ...]:
     """The program's sorted (line, code, message) triples, as the sampler sees them."""
     return get_linter(linter or LinterSpec()).setup(program)[2]
 

@@ -165,10 +165,8 @@ def write_corpus(
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(count):
             instruction, program = make_program(rng, lo, hi, style)
-            report = check(program)
-            if not report.is_clean:
-                raise AssertionError(
-                    f"generated program is not clean: {report.findings}\n{program}"
-                )
+            found = check(program)
+            if found:
+                raise AssertionError(f"generated program is not clean: {found}\n{program}")
             row = {"id": f"gen-{i:04d}", "instruction": instruction, "program": program}
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")

@@ -1,4 +1,5 @@
 import os
+import random
 import stat
 import textwrap
 
@@ -6,26 +7,21 @@ import pytest
 
 from lintseq.lint import (
     DEFAULT_FINDING_PATTERN,
-    LintFinding,
-    LintReport,
     LinterSpec,
     LinterTimeout,
     check,
     extra_findings,
     get_linter,
 )
+from lintseq.sampler import backward_sample
 from tests.oracles import findings, is_error_free_relative
 
 
-def test_is_clean():
-    assert LintReport(()).is_clean
-    assert not LintReport((LintFinding("x", "m", 1),)).is_clean
-
-
 def test_check_builtin():
-    assert check("x = 1\nprint(x)\n").is_clean
+    # a clean program has an empty result
+    assert check("x = 1\nprint(x)\n") == ()
     r = check("print(y)\n")
-    assert [f.code for f in r.findings] == ["undefined-name"]
+    assert [code for _, code, _ in r] == ["undefined-name"]
 
 
 def test_extra_findings_consumes_baseline_allowance():
@@ -51,20 +47,35 @@ def test_fingerprint_ignores_line_positions():
 
 
 def test_report_built_directly_derives_order_and_fingerprint():
-    # check() builds its report from the same sorted triples the cascade
-    # judges, so the report lists findings in line order
+    # check() returns the same sorted triples the cascade judges, so its
+    # findings come in line order
     src = "print(b)\nprint(a)\n"
     direct = check(src)
-    assert [(f.line, f.message) for f in direct.findings] == [
+    assert [(line, message) for line, _, message in direct] == [
         (1, "undefined name 'b'"),
         (2, "undefined name 'a'"),
     ]
     baseline = findings(src)
-    assert [(f.line, f.code, f.message) for f in direct.findings] == list(baseline)
+    assert list(direct) == list(baseline)
     # a baseline's own findings are never new against it
     assert extra_findings(baseline, baseline) == []
     both = [(1, "a", "first"), (5, "b", "later")]
     assert extra_findings(both, both) == []
+
+
+def test_check_is_the_baseline_and_leaves_sampling_unchanged(monkeypatch):
+    src = "x = 1\nprint(ghost)\n    y = x\nprint(x, ghost, other)\nprint(y)\n"
+    found = check(src)
+    assert type(found) is tuple
+    assert found == findings(src)
+
+    def signatures():
+        return [backward_sample(src, rng=random.Random(i)).signature() for i in range(6)]
+
+    # the engine now holds src's setup from check(); a fresh one builds it anew
+    after_check = signatures()
+    monkeypatch.setattr("lintseq.lint._ENGINES", {})
+    assert signatures() == after_check
 
 
 def test_relative_cleanliness_with_dirty_source():
@@ -129,8 +140,8 @@ def test_external_linter_parses_findings(tmp_path):
     spec = LinterSpec(kind="external", command_template=f"python3 {script} {{path}}")
     r = check("a = 1\nb = 2\nc = 3\n", spec)
     # warnings are dropped by default; messages hide the temp path and line
-    assert [(f.code, f.line) for f in r.findings] == [("E101", 3)]
-    assert r.findings[0].message == "bad thing in <file> on line ?"
+    assert [(code, line) for line, code, _ in r] == [("E101", 3)]
+    assert r[0][2] == "bad thing in <file> on line ?"
 
 
 def test_external_linter_sorts_findings(tmp_path):
@@ -149,7 +160,7 @@ def test_external_linter_sorts_findings(tmp_path):
     spec = LinterSpec(kind="external", command_template=f"python3 {script} {{path}}")
     # reports list findings by line, then code, then message
     r = check("a = 1\n", spec)
-    assert [(f.line, f.code) for f in r.findings] == [(1, "Ea"), (2, "E1"), (5, "E1"), (5, "Eb")]
+    assert [(line, code) for line, code, _ in r] == [(1, "Ea"), (2, "E1"), (5, "E1"), (5, "Eb")]
     # the cascade gets the same order, so the later copy of a
     # message the baseline allows once is the one reported as new
     engine = get_linter(spec)
@@ -184,7 +195,7 @@ def test_external_linter_cache_keeps_last_program_only(tmp_path):
     engine.setup(second)
     assert list(engine._cache.values()) == [((1, "E1", "c = 3"),)]
     # check_text goes through setup too
-    assert [f.message for f in check(first, spec).findings] == ["a = 1"]
+    assert [message for _, _, message in check(first, spec)] == ["a = 1"]
     assert list(engine._cache.values()) == [((1, "E1", "a = 1"),)]
     assert runs.read_text().count("run") == 4
 
@@ -200,7 +211,7 @@ def test_external_linter_includes_warnings_when_asked(tmp_path):
     )
     base = f"python3 {script} {{path}}"
     quiet = check("x = 1\n", LinterSpec(kind="external", command_template=base))
-    assert quiet.is_clean
+    assert quiet == ()
 
 
 def test_external_linter_timeout(tmp_path):
@@ -231,7 +242,7 @@ def test_external_linter_respects_tmpdir(tmp_path, monkeypatch):
     )
     spec = LinterSpec(kind="external", command_template=f"python3 {script} {{path}}")
     # the finding's message is the directory the temp file was written to
-    assert [f.message for f in check("x = 1\n", spec).findings] == [str(workdir)]
+    assert [message for _, _, message in check("x = 1\n", spec)] == [str(workdir)]
 
 
 def test_default_pattern_shape():
