@@ -7,7 +7,6 @@ line by line, serializes them for training, and resolves them back.
 from .corpus import (
     CorpusError,
     EditSequenceRecord,
-    LoadResult,
     SourceExample,
     deduplicate,
     load_corpus,
@@ -81,7 +80,6 @@ __all__ = [
     "LintErrorRate",
     "LinterSpec",
     "LinterTimeout",
-    "LoadResult",
     "MalformedDecorator",
     "ProgramState",
     "ResolveError",

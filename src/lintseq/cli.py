@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 from .corpus import (
     CorpusError,
     EditSequenceRecord,
+    SourceExample,
     atomic_output,
     deduplicate,
     dump_records,
@@ -94,6 +95,16 @@ def _linter_spec(ns: argparse.Namespace, config: dict) -> LinterSpec:
     )
 
 
+def _read_examples(path: str) -> Iterator[SourceExample]:
+    """The corpus's examples, lazily; each malformed line is reported as it is read."""
+    for item in load_corpus(path):
+        if isinstance(item, SourceExample):
+            yield item
+        else:
+            lineno, reason = item
+            _progress(f"input line {lineno} skipped: {reason}")
+
+
 def cmd_generate(ns: argparse.Namespace) -> int:
     config = _load_config(ns.config)
     input_path = _require(_opt(ns, config, "input", None), "--input")
@@ -101,20 +112,21 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     seed = int(_opt(ns, config, "seed", 0))
     separator = _opt(ns, config, "separator", DEFAULT_SEPARATOR)
     check_separator(separator)
+    dedup = bool(_opt(ns, config, "dedup", False))
     started = time.monotonic()
 
-    loaded = load_corpus(input_path)
-    for lineno, reason in loaded.skipped:
-        _progress(f"input line {lineno} skipped: {reason}")
-    examples = loaded.examples
-    if _opt(ns, config, "dedup", False):
-        examples, dropped = deduplicate(examples)
-        if dropped:
-            _progress(f"dropped {dropped} duplicate examples")
+    loaded = 0
+
+    def counted() -> Iterator[SourceExample]:
+        nonlocal loaded
+        for example in _read_examples(input_path):
+            loaded += 1
+            yield example
+
     # lazy: the sampler checks its options on the first step, which emit()
     # takes even for an empty corpus
     results = sample_corpus(
-        examples,
+        deduplicate(counted()) if dedup else counted(),
         _linter_spec(ns, config),
         mode=_opt(ns, config, "mode", "lintseq"),
         samples_per_example=int(_opt(ns, config, "samples", 5)),
@@ -125,18 +137,18 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         max_lines=int(_opt(ns, config, "max_lines", DEFAULT_MAX_LINES)),
     )
 
-    skips: list[tuple[str, str]] = []
-    seq_count = 0
-    edit_total = 0
+    total = skipped = seq_count = edit_total = 0
 
     def emit() -> Iterator[EditSequenceRecord]:
-        nonlocal seq_count, edit_total
+        nonlocal total, skipped, seq_count, edit_total
         for result in results:
+            total += 1
             example = result.example
             if result.skip_reason is not None:
-                skips.append((example.id, result.skip_reason))
+                skipped += 1
                 _progress(f"skip {example.id}: {result.skip_reason}")
-                continue
+                if result.traceback is not None:
+                    _progress(result.traceback.rstrip("\n"))
             for sample_index, sequence in enumerate(result.sequences):
                 rendered = tuple(d.rendered for d in diff_states(sequence))
                 record = EditSequenceRecord(
@@ -152,23 +164,24 @@ def cmd_generate(ns: argparse.Namespace) -> int:
                 seq_count += 1
                 edit_total += record.num_edits
                 yield record
-            done = result.example_index + 1
-            if done % 200 == 0:
-                _progress(f"processed {done}/{len(examples)} examples")
+            if total % 200 == 0:
+                _progress(f"processed {total} examples")
 
     if output:
         write_records(emit(), output)
     else:
         dump_records(emit(), sys.stdout)
 
+    if dedup and loaded > total:
+        _progress(f"dropped {loaded - total} duplicate examples")
     elapsed = time.monotonic() - started
     mean_edits = edit_total / seq_count if seq_count else 0.0
     _progress(
-        f"generate: {len(examples) - len(skips)}/{len(examples)} examples, "
-        f"{seq_count} sequences, {len(skips)} skipped, "
+        f"generate: {total - skipped}/{total} examples, "
+        f"{seq_count} sequences, {skipped} skipped, "
         f"mean edits {mean_edits:.2f}, {elapsed:.1f}s"
     )
-    return 2 if skips else 0
+    return 2 if skipped else 0
 
 
 def cmd_resolve(ns: argparse.Namespace) -> int:
@@ -303,10 +316,7 @@ def cmd_lintcheck(ns: argparse.Namespace) -> int:
     config = _load_config(ns.config)
     input_path = _require(_opt(ns, config, "input", None), "--input")
     spec = _linter_spec(ns, config)
-    loaded = load_corpus(input_path)
-    for lineno, reason in loaded.skipped:
-        _progress(f"input line {lineno} skipped: {reason}")
-    report = lint_error_rate((ex.program for ex in loaded.examples), spec)
+    report = lint_error_rate((ex.program for ex in _read_examples(input_path)), spec)
     if _opt(ns, config, "json", False):
         print(json.dumps(report.to_dict(), ensure_ascii=False, separators=(",", ":")))
         return 0

@@ -12,12 +12,13 @@ identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 from .diffkit import split_lines
 
@@ -125,64 +126,64 @@ class EditSequenceRecord:
         )
 
 
-@dataclass
-class LoadResult:
-    examples: list[SourceExample]
-    skipped: list[tuple[int, str]]  # (1-based input line, reason)
+def load_corpus(path: str | os.PathLike) -> Iterator[SourceExample | tuple[int, str]]:
+    """Read a corpus file lazily, one line at a time.
 
-
-def load_corpus(path: str | os.PathLike) -> LoadResult:
-    """Read a corpus file, skipping malformed records with diagnostics.
-
-    A file that is not valid UTF-8 is a fatal error.
+    Yields each accepted record as a ``SourceExample`` and each malformed
+    one as a ``(1-based input line, reason)`` pair, in file order.  A file
+    that is not valid UTF-8 is a fatal error, raised when the reader
+    reaches the undecodable bytes.
     """
-    examples: list[SourceExample] = []
-    skipped: list[tuple[int, str]] = []
+    accepted = 0
     try:
         with open(path, encoding="utf-8") as fh:
-            raw_lines = fh.read().split("\n")
+            for lineno, raw in enumerate(fh, 1):
+                raw = raw.rstrip("\n")
+                if not raw.strip():
+                    continue
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    yield lineno, f"invalid JSON: {exc.msg}"
+                    continue
+                if not isinstance(obj, dict):
+                    yield lineno, "record is not a JSON object"
+                    continue
+                program = obj.get("program")
+                if not isinstance(program, str):
+                    yield lineno, "missing or non-string 'program'"
+                    continue
+                instruction = obj.get("instruction", "")
+                if not isinstance(instruction, str):
+                    yield lineno, "non-string 'instruction'"
+                    continue
+                rec_id = obj.get("id")
+                if rec_id is not None and not isinstance(rec_id, str):
+                    yield lineno, "non-string 'id'"
+                    continue
+                if rec_id is None:
+                    rec_id = f"{accepted:06d}"
+                accepted += 1
+                yield SourceExample.build(rec_id, instruction, program)
     except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not valid UTF-8: {exc}") from None
-    for lineno, raw in enumerate(raw_lines, 1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            skipped.append((lineno, f"invalid JSON: {exc.msg}"))
-            continue
-        if not isinstance(obj, dict):
-            skipped.append((lineno, "record is not a JSON object"))
-            continue
-        program = obj.get("program")
-        if not isinstance(program, str):
-            skipped.append((lineno, "missing or non-string 'program'"))
-            continue
-        instruction = obj.get("instruction", "")
-        if not isinstance(instruction, str):
-            skipped.append((lineno, "non-string 'instruction'"))
-            continue
-        rec_id = obj.get("id")
-        if rec_id is not None and not isinstance(rec_id, str):
-            skipped.append((lineno, "non-string 'id'"))
-            continue
-        if rec_id is None:
-            rec_id = f"{len(examples):06d}"
-        examples.append(SourceExample.build(rec_id, instruction, program))
-    return LoadResult(examples, skipped)
+        # exc's byte position counts from the start of a read chunk, not the file
+        raise CorpusError(f"{path}: not valid UTF-8: {exc.reason}") from None
 
 
-def deduplicate(examples: Sequence[SourceExample]) -> tuple[list[SourceExample], int]:
-    """Drop exact (instruction, program) duplicates, keeping first occurrences."""
-    seen: set[tuple[str, str]] = set()
-    kept: list[SourceExample] = []
+def deduplicate(examples: Iterable[SourceExample]) -> Iterator[SourceExample]:
+    """Drop exact (instruction, program) duplicates, keeping first occurrences.
+
+    Only a sha256 digest of each length-prefixed pair is kept, not its text.
+    """
+    seen: set[bytes] = set()
     for ex in examples:
-        key = (ex.instruction, ex.program)
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(ex)
-    return kept, len(examples) - len(kept)
+        instruction = ex.instruction.encode("utf-8", "surrogatepass")
+        digest = hashlib.sha256(b"%d:%b" % (len(instruction), instruction))
+        digest.update(ex.program.encode("utf-8", "surrogatepass"))
+        key = digest.digest()
+        if key not in seen:
+            seen.add(key)
+            yield ex
 
 
 @contextmanager

@@ -26,14 +26,16 @@ import hashlib
 import itertools
 import operator
 import random
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from traceback import format_exc
 from typing import Iterable, Iterator
 
 from .corpus import SourceExample
 from .diffkit import split_lines
-from .lint import LinterSpec, LinterTimeout, extra_findings, get_linter
+from .lint import LintError, LinterSpec, LinterTimeout, extra_findings, get_linter
 
 DEFAULT_MAX_LINES = 2048
 #: retries per sample for a signature not yet seen, with unique_sequences
@@ -145,12 +147,16 @@ def random_sample(program: str, rng: random.Random | None = None) -> StateSequen
 
 @dataclass(frozen=True)
 class ExampleResult:
-    """Sampling outcome for one example: sequences, or a skip reason."""
+    """Sampling outcome for one example: sequences, or a skip reason.
+
+    A skip for an unexpected exception also carries its formatted traceback.
+    """
 
     example_index: int
     example: SourceExample
     sequences: tuple[StateSequence, ...] = ()
     skip_reason: str | None = None
+    traceback: str | None = None
 
 
 def _sample_example(
@@ -173,12 +179,11 @@ def _sample_example(
             example,
             skip_reason=f"{example.line_count} lines exceeds the {max_lines}-line guard",
         )
-    if skip_dirty and mode == "lintseq":
-        if get_linter(spec).check_text(program):
-            return ExampleResult(example_index, example, skip_reason="source has findings")
     sequences: list[StateSequence] = []
     seen: set[tuple] = set()
     try:
+        if skip_dirty and mode == "lintseq" and get_linter(spec).check_text(program):
+            return ExampleResult(example_index, example, skip_reason="source has findings")
         for sample_index in range(samples):
             attempt = 0
             while True:
@@ -197,6 +202,16 @@ def _sample_example(
         return ExampleResult(example_index, example, skip_reason=f"linter timeout: {exc}")
     except SamplerError as exc:
         return ExampleResult(example_index, example, skip_reason=str(exc))
+    except LintError:
+        raise  # the linter cannot run at all; that fails every example alike
+    except Exception as exc:
+        # one bad example must not abort the run or lose the other records
+        return ExampleResult(
+            example_index,
+            example,
+            skip_reason=f"internal error: {type(exc).__name__}: {exc}",
+            traceback=format_exc(),
+        )
     return ExampleResult(example_index, example, sequences=tuple(sequences))
 
 
@@ -215,8 +230,10 @@ def sample_corpus(
     """Sample every example, yielding results in corpus order.
 
     Tasks are independent and individually seeded, so any worker count
-    produces identical output; with ``workers`` above 1 a process pool
-    runs examples concurrently and this generator restores ordering.
+    produces identical output.  With ``workers`` above 1 a process pool
+    runs one task per example; at most ``2 * workers`` submitted tasks are
+    waiting to be yielded, so examples are pulled from ``examples`` only
+    as results are consumed.
     """
     if mode not in ("lintseq", "randseq"):
         raise ValueError(f"unknown sampling mode: {mode!r}")
@@ -226,9 +243,12 @@ def sample_corpus(
         raise ValueError("workers must be at least 1")
     if max_lines < 1:
         raise ValueError("max_lines must be at least 1")
+    spec = linter or LinterSpec()
+    if mode == "lintseq":
+        get_linter(spec)  # a bad command template fails the run, not each example
     task = partial(
         _sample_example,
-        spec=linter or LinterSpec(),
+        spec=spec,
         mode=mode,
         samples=samples_per_example,
         seed=seed,
@@ -239,5 +259,14 @@ def sample_corpus(
     if workers <= 1:
         yield from map(task, itertools.count(), examples)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(task, itertools.count(), examples, chunksize=8)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    window: deque[Future[ExampleResult]] = deque()
+    try:
+        for example_index, example in enumerate(examples):
+            window.append(pool.submit(task, example_index, example))
+            if len(window) > 2 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)

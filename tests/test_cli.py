@@ -1,13 +1,18 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from lintseq import sampler
 from lintseq.cli import main
 from lintseq.corpus import read_records
 from lintseq.metrics import dataset_stats
+from tests.progen import write_corpus as write_progen_corpus
 
 CLEAN = [
     {"id": "p0", "instruction": "three constants", "program": "a = 1\nb = 2\nc = 3\n"},
@@ -54,6 +59,116 @@ def test_generate_workers_do_not_change_output(tmp_path):
         tmp_path, CLEAN, "--samples", "3", "--workers", "2", name="w2.jsonl"
     )
     assert seq.read_bytes() == par.read_bytes()
+
+
+def test_generate_workers_identical_beyond_window(tmp_path):
+    # 40 examples are more than a 2- or 8-worker pool keeps in flight
+    corpus = tmp_path / "progen40.jsonl"
+    write_progen_corpus(str(corpus), count=40, seed=5)
+    outputs = []
+    for workers in ("1", "2", "8"):
+        out = tmp_path / f"w{workers}.jsonl"
+        argv = ["generate", "--input", str(corpus), "--output", str(out), "--seed", "4",
+                "--samples", "2", "--workers", workers]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert len(list(read_records(tmp_path / "w1.jsonl"))) == 80
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_generate_memory_flat_in_corpus_size(tmp_path, capsys):
+    peaks = []
+    for count in (1000, 10000):
+        corpus = tmp_path / f"c{count}.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            fh.writelines(
+                json.dumps({"program": f"a{i} = {i}\nb{i} = a{i} + 1\n"}) + "\n" for i in range(count)
+            )
+        argv = ["generate", "--input", str(corpus), "--output", str(tmp_path / "out.jsonl"),
+                "--mode", "randseq", "--samples", "1"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert f"processed {count} examples\n" in err
+        assert f"generate: {count}/{count} examples, {count} sequences" in err
+    # ten times the corpus, about the same peak: nothing is held per example
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_generate_isolates_internal_errors(tmp_path, capsys, monkeypatch, workers):
+    _, clean = run_generate(tmp_path, CLEAN, "--samples", "2", name="clean.jsonl")
+    capsys.readouterr()
+    real = sampler.backward_sample
+
+    def faulty(program, linter=None, rng=None):
+        if program == CLEAN[1]["program"]:
+            raise ZeroDivisionError("injected fault")
+        return real(program, linter, rng)
+
+    # pool workers are forked after this, so they inherit the patch
+    monkeypatch.setattr(sampler, "backward_sample", faulty)
+    code, out = run_generate(tmp_path, CLEAN, "--samples", "2", "--workers", workers)
+    assert code == 2
+    expected = [r for r in read_records(clean) if r.source_id != "p1"]
+    assert list(read_records(out)) == expected
+    err = capsys.readouterr().err
+    assert "skip p1: internal error: ZeroDivisionError: injected fault\n" in err
+    assert "Traceback (most recent call last):" in err
+    assert 'raise ZeroDivisionError("injected fault")' in err
+    assert "generate: 2/3 examples, 4 sequences, 1 skipped" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "command, kind",
+    [("lintseq-no-such-linter {path}", "LintError"), ("true", "ValueError")],
+)
+def test_generate_linter_that_cannot_run_exit_1(tmp_path, capsys, workers, command, kind):
+    code, out = run_generate(
+        tmp_path, CLEAN, "--samples", "1", "--workers", workers,
+        "--linter", "external", "--linter-cmd", command,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert json.loads(err.strip().splitlines()[-1])["kind"] == kind
+    assert "internal error" not in err
+    assert not out.exists()
+
+
+def test_generate_broken_pool_is_fatal(tmp_path, monkeypatch):
+    def dying(program, linter=None, rng=None):
+        os._exit(3)
+
+    monkeypatch.setattr(sampler, "backward_sample", dying)
+    out = tmp_path / "out.jsonl"
+    out.write_text("keep me\n")
+    with pytest.raises(BrokenProcessPool):
+        main(["generate", "--input", str(write_corpus(tmp_path, CLEAN)), "--output", str(out),
+              "--workers", "2"])
+    assert out.read_text() == "keep me\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_generate_non_utf8_last_line_keeps_output(tmp_path, capsys, workers):
+    rows = [dict(CLEAN[i % 3], id=f"r{i}") for i in range(300)]
+    corpus = write_corpus(tmp_path, rows)
+    with open(corpus, "ab") as fh:
+        fh.write(b'{"program": "\xff = 1\n"}\n')
+    out = tmp_path / "out.jsonl"
+    out.write_text("keep me\n")
+    code = main(["generate", "--input", str(corpus), "--output", str(out),
+                 "--samples", "1", "--workers", workers])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "CorpusError"
+    assert "not valid UTF-8" in err["error"]
+    assert out.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "out.jsonl"]
 
 
 def test_generate_skips_exit_2(tmp_path, capsys):

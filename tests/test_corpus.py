@@ -42,6 +42,14 @@ def corpus_file(tmp_path, lines):
     return path
 
 
+def load(path):
+    """load_corpus's stream, split into (examples, skipped lines)."""
+    items = list(load_corpus(path))
+    examples = [x for x in items if isinstance(x, SourceExample)]
+    skipped = [x for x in items if not isinstance(x, SourceExample)]
+    return examples, skipped
+
+
 def test_load_corpus_basic(tmp_path):
     path = corpus_file(
         tmp_path,
@@ -51,10 +59,10 @@ def test_load_corpus_basic(tmp_path):
             "",
         ],
     )
-    result = load_corpus(path)
-    assert result.skipped == []
-    assert [ex.id for ex in result.examples] == ["a", "000001"]
-    assert result.examples[1].instruction == "two"
+    examples, skipped = load(path)
+    assert skipped == []
+    assert [ex.id for ex in examples] == ["a", "000001"]
+    assert examples[1].instruction == "two"
 
 
 def test_load_corpus_skips_with_diagnostics(tmp_path):
@@ -70,32 +78,38 @@ def test_load_corpus_skips_with_diagnostics(tmp_path):
             json.dumps({"program": "kept = 1\n"}),
         ],
     )
-    result = load_corpus(path)
-    assert len(result.examples) == 1
-    assert result.examples[0].program == "kept = 1\n"
-    linenos = [line for line, _ in result.skipped]
+    examples, skipped = load(path)
+    assert len(examples) == 1
+    assert examples[0].program == "kept = 1\n"
+    linenos = [line for line, _ in skipped]
     assert linenos == [1, 2, 3, 4, 5, 6]
-    reasons = [reason for _, reason in result.skipped]
+    reasons = [reason for _, reason in skipped]
     assert any("invalid JSON" in r for r in reasons)
     assert any("not a JSON object" in r for r in reasons)
     assert sum("'program'" in r for r in reasons) == 2
-    assert len(result.skipped) == 6
+    assert len(skipped) == 6
 
 
 def test_load_corpus_rejects_non_utf8(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(b'{"program": "\xff\xfe"}\n')
     with pytest.raises(CorpusError):
-        load_corpus(path)
+        load(path)
 
 
 def test_deduplicate_keeps_first():
     a = SourceExample.build("a", "same", "x = 1\n")
     b = SourceExample.build("b", "same", "x = 1\n")
     c = SourceExample.build("c", "other", "x = 1\n")
-    kept, dropped = deduplicate([a, b, c])
+    kept = list(deduplicate([a, b, c]))
     assert [ex.id for ex in kept] == ["a", "c"]
-    assert dropped == 1
+    assert 3 - len(kept) == 1
+
+
+def test_deduplicate_separates_instruction_from_program():
+    a = SourceExample.build("a", "same", "x = 1\n")
+    b = SourceExample.build("b", "sam", "ex = 1\n")
+    assert [ex.id for ex in deduplicate([a, b])] == ["a", "b"]
 
 
 def sample_record(**overrides):

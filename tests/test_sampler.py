@@ -214,6 +214,26 @@ def test_sample_corpus_deterministic_across_workers():
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_corpus_pulls_a_bounded_window(workers):
+    exs = examples(*[FLAT, CHAIN] * 8)
+    pulled = received = most_ahead = 0
+
+    def source():
+        nonlocal pulled, most_ahead
+        for ex in exs:
+            pulled += 1
+            most_ahead = max(most_ahead, pulled - received)
+            yield ex
+
+    for result in sample_corpus(source(), samples_per_example=1, workers=workers):
+        assert result.example_index == received
+        received += 1
+    assert received == len(exs)
+    # a pool keeps 2 * workers tasks queued, plus the one just pulled
+    assert most_ahead == (1 if workers == 1 else 2 * workers + 1)
+
+
 def test_sample_corpus_unique_sequences_retries():
     # 2-line flat program has only two possible orders; ask for both
     exs = examples("a = 1\nb = 2\n")
