@@ -149,12 +149,15 @@ class ExternalLinter:
 
     def _run(self, text: str) -> tuple[Finding, ...]:
         tmpdir = os.environ.get("LINTSEQ_TMPDIR") or None
-        fd, path = tempfile.mkstemp(suffix=".py", dir=tmpdir)
+        path = None
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            argv = [part.replace("{path}", path) for part in self._argv]
+            # an input file that cannot be written, like a linter that cannot
+            # start, fails every example alike: LintError, not a per-example skip
             try:
+                fd, path = tempfile.mkstemp(suffix=".py", dir=tmpdir)
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                argv = [part.replace("{path}", path) for part in self._argv]
                 proc = subprocess.run(
                     argv, capture_output=True, text=True, timeout=self.spec.timeout
                 )
@@ -175,8 +178,9 @@ class ExternalLinter:
             # the cascade consumes findings in line order, as flow returns them
             return tuple(sorted(findings))
         finally:
-            with suppress(OSError):
-                os.unlink(path)
+            if path is not None:
+                with suppress(OSError):
+                    os.unlink(path)
 
 
 def _normalize_message(message: str, path: str) -> str:

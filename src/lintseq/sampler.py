@@ -31,7 +31,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from traceback import format_exc
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .corpus import SourceExample
 from .diffkit import split_lines
@@ -40,6 +40,12 @@ from .lint import LintError, LinterSpec, LinterTimeout, extra_findings, get_lint
 DEFAULT_MAX_LINES = 2048
 #: retries per sample for a signature not yet seen, with unique_sequences
 MAX_UNIQUE_ATTEMPTS = 8
+# A pool task samples a batch of consecutive examples, closed at this many
+# examples or once it holds this many source lines: instruction-sized
+# programs share one task's submission and result transfer, while a long
+# program is a task of its own, so a few long ones still spread over workers.
+BATCH_EXAMPLES = 8
+BATCH_LINES = 256
 
 
 class SamplerError(Exception):
@@ -231,7 +237,8 @@ def sample_corpus(
 
     Tasks are independent and individually seeded, so any worker count
     produces identical output.  With ``workers`` above 1 a process pool
-    runs one task per example; at most ``2 * workers`` submitted tasks are
+    runs one task per batch of consecutive examples (see ``BATCH_EXAMPLES``
+    and ``BATCH_LINES``); at most ``2 * workers`` submitted tasks are
     waiting to be yielded, so examples are pulled from ``examples`` only
     as results are consumed.
     """
@@ -260,13 +267,33 @@ def sample_corpus(
         yield from map(task, itertools.count(), examples)
         return
     pool = ProcessPoolExecutor(max_workers=workers)
-    window: deque[Future[ExampleResult]] = deque()
+    window: deque[Future[list[ExampleResult]]] = deque()
     try:
-        for example_index, example in enumerate(examples):
-            window.append(pool.submit(task, example_index, example))
+        for batch in _batches(examples):
+            window.append(pool.submit(_sample_batch, task, batch))
             if len(window) > 2 * workers:
-                yield window.popleft().result()
+                yield from window.popleft().result()
         while window:
-            yield window.popleft().result()
+            yield from window.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _batches(examples: Iterable[SourceExample]) -> Iterator[list[tuple[int, SourceExample]]]:
+    """(index, example) pairs in corpus order, cut into pool tasks."""
+    batch: list[tuple[int, SourceExample]] = []
+    lines = 0
+    for item in enumerate(examples):
+        batch.append(item)
+        lines += item[1].line_count
+        if len(batch) == BATCH_EXAMPLES or lines >= BATCH_LINES:
+            yield batch
+            batch, lines = [], 0
+    if batch:
+        yield batch
+
+
+def _sample_batch(
+    task: Callable[[int, SourceExample], ExampleResult], batch: list[tuple[int, SourceExample]]
+) -> list[ExampleResult]:
+    return [task(index, example) for index, example in batch]

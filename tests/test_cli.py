@@ -62,9 +62,10 @@ def test_generate_workers_do_not_change_output(tmp_path):
 
 
 def test_generate_workers_identical_beyond_window(tmp_path):
-    # 40 examples are more than a 2- or 8-worker pool keeps in flight
-    corpus = tmp_path / "progen40.jsonl"
-    write_progen_corpus(str(corpus), count=40, seed=5)
+    # 160 examples (21 batches) are more than a 2- or 8-worker pool
+    # keeps in flight
+    corpus = tmp_path / "progen160.jsonl"
+    write_progen_corpus(str(corpus), count=160, seed=5)
     outputs = []
     for workers in ("1", "2", "8"):
         out = tmp_path / f"w{workers}.jsonl"
@@ -72,7 +73,7 @@ def test_generate_workers_identical_beyond_window(tmp_path):
                 "--samples", "2", "--workers", workers]
         assert main(argv) == 0
         outputs.append(out.read_bytes())
-    assert len(list(read_records(tmp_path / "w1.jsonl"))) == 80
+    assert len(list(read_records(tmp_path / "w1.jsonl"))) == 320
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -138,6 +139,21 @@ def test_generate_linter_that_cannot_run_exit_1(tmp_path, capsys, workers, comma
     assert json.loads(err.strip().splitlines()[-1])["kind"] == kind
     assert "internal error" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_generate_missing_linter_tmpdir_exit_1(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("LINTSEQ_TMPDIR", str(tmp_path / "missing"))
+    out = tmp_path / "out.jsonl"
+    out.write_text("keep me\n")
+    code = main(["generate", "--input", str(write_corpus(tmp_path, CLEAN)), "--output", str(out),
+                 "--samples", "1", "--workers", workers,
+                 "--linter", "external", "--linter-cmd", f"{sys.executable} -c pass {{path}}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert json.loads(err.strip().splitlines()[-1])["kind"] == "LintError"
+    assert "internal error" not in err
+    assert out.read_text() == "keep me\n"
 
 
 def test_generate_broken_pool_is_fatal(tmp_path, monkeypatch):

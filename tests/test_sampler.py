@@ -10,8 +10,11 @@ import lintseq
 from lintseq.corpus import SourceExample
 from lintseq.lint import LinterSpec
 from lintseq.sampler import (
+    BATCH_EXAMPLES,
+    BATCH_LINES,
     ProgramState,
     StateSequence,
+    _batches,
     backward_sample,
     derive_seed,
     random_sample,
@@ -216,7 +219,7 @@ def test_sample_corpus_deterministic_across_workers():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sample_corpus_pulls_a_bounded_window(workers):
-    exs = examples(*[FLAT, CHAIN] * 8)
+    exs = examples(*[FLAT, CHAIN] * 32)
     pulled = received = most_ahead = 0
 
     def source():
@@ -230,8 +233,18 @@ def test_sample_corpus_pulls_a_bounded_window(workers):
         assert result.example_index == received
         received += 1
     assert received == len(exs)
-    # a pool keeps 2 * workers tasks queued, plus the one just pulled
-    assert most_ahead == (1 if workers == 1 else 2 * workers + 1)
+    # a pool keeps 2 * workers batches queued, plus the one being filled
+    assert most_ahead == (1 if workers == 1 else (2 * workers + 1) * BATCH_EXAMPLES)
+
+
+def test_batches_close_at_examples_or_lines():
+    long = "x = 1\n" * BATCH_LINES
+    exs = examples(FLAT, long, *[FLAT] * (BATCH_EXAMPLES + 1), long)
+    sizes = [len(batch) for batch in _batches(exs)]
+    # a long program closes its batch; short ones fill a batch to BATCH_EXAMPLES
+    assert sizes == [2, BATCH_EXAMPLES, 2]
+    flat = [index for batch in _batches(iter(exs)) for index, _ in batch]
+    assert flat == list(range(len(exs)))
 
 
 def test_sample_corpus_unique_sequences_retries():
