@@ -7,7 +7,8 @@ run that finished but skipped examples or hit per-record conflicts.
 
 Options resolve as flags > ``--config`` file > built-in defaults.  The
 config file is a single JSON object using the flag names with
-underscores (``{"samples": 3, "skip_dirty": true}``).
+underscores (``{"samples": 3, "skip_dirty": true}``) and each flag's JSON
+type: a switch is ``true`` or ``false``, a count an integer.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .corpus import (
     atomic_output,
     deduplicate,
     dump_records,
+    jsonl_lines,
     load_corpus,
     read_records,
     write_records,
@@ -54,6 +56,18 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+#: the JSON types a config value may take, by key; type() matches exactly,
+#: so a bool is neither an integer nor a number
+_CONFIG_TYPES = {
+    **dict.fromkeys(("dedup", "skip_dirty", "unique_sequences", "json"), (bool,)),
+    **dict.fromkeys(("seed", "samples", "workers", "max_lines", "n_params", "n_layers", "context",
+                     "samples_per_problem", "problems"), (int,)),
+    **dict.fromkeys(("tokens", "chars_per_token", "linter_timeout"), (int, float)),
+    **dict.fromkeys(("input", "output", "separator", "mode", "linter", "linter_cmd",
+                     "linter_pattern"), (str,)),
+}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -64,6 +78,10 @@ def _load_config(path: str | None) -> dict:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a single JSON object")
+    for key, value in obj.items():
+        if type(value) not in _CONFIG_TYPES.get(key, (type(value),)):
+            want = " or ".join(t.__name__ for t in _CONFIG_TYPES[key])
+            raise ValueError(f"config key {key!r} must be {want}, not {json.dumps(value)}")
     return obj
 
 
@@ -83,15 +101,11 @@ def _require(value, flag: str):
 
 
 def _linter_spec(ns: argparse.Namespace, config: dict) -> LinterSpec:
-    kind = _opt(ns, config, "linter", "builtin")
-    command = _opt(ns, config, "linter_cmd", "")
-    pattern = _opt(ns, config, "linter_pattern", DEFAULT_FINDING_PATTERN)
-    timeout = float(config.get("linter_timeout", LinterSpec.timeout))
     return LinterSpec(
-        kind=kind,
-        command_template=command,
-        finding_pattern=pattern,
-        timeout=timeout,
+        kind=_opt(ns, config, "linter", "builtin"),
+        command_template=_opt(ns, config, "linter_cmd", ""),
+        finding_pattern=_opt(ns, config, "linter_pattern", DEFAULT_FINDING_PATTERN),
+        timeout=config.get("linter_timeout", LinterSpec.timeout),
     )
 
 
@@ -109,10 +123,10 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     config = _load_config(ns.config)
     input_path = _require(_opt(ns, config, "input", None), "--input")
     output = _opt(ns, config, "output", None)
-    seed = int(_opt(ns, config, "seed", 0))
+    seed = _opt(ns, config, "seed", 0)
     separator = _opt(ns, config, "separator", DEFAULT_SEPARATOR)
     check_separator(separator)
-    dedup = bool(_opt(ns, config, "dedup", False))
+    dedup = _opt(ns, config, "dedup", False)
     started = time.monotonic()
 
     loaded = 0
@@ -129,12 +143,12 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         deduplicate(counted()) if dedup else counted(),
         _linter_spec(ns, config),
         mode=_opt(ns, config, "mode", "lintseq"),
-        samples_per_example=int(_opt(ns, config, "samples", 5)),
+        samples_per_example=_opt(ns, config, "samples", 5),
         seed=seed,
-        workers=int(_opt(ns, config, "workers", 1)),
-        unique_sequences=bool(_opt(ns, config, "unique_sequences", False)),
-        skip_dirty=bool(_opt(ns, config, "skip_dirty", False)),
-        max_lines=int(_opt(ns, config, "max_lines", DEFAULT_MAX_LINES)),
+        workers=_opt(ns, config, "workers", 1),
+        unique_sequences=_opt(ns, config, "unique_sequences", False),
+        skip_dirty=_opt(ns, config, "skip_dirty", False),
+        max_lines=_opt(ns, config, "max_lines", DEFAULT_MAX_LINES),
     )
 
     total = skipped = seq_count = edit_total = 0
@@ -195,44 +209,40 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
 
     def rows() -> Iterator[dict]:
         nonlocal total, malformed, conflicts, mismatches
-        with open(input_path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                raw = raw.rstrip("\n")
-                if not raw.strip():
-                    continue
-                total += 1
-                try:
-                    record = EditSequenceRecord.from_json(raw)
-                except (CorpusError, ValueError) as exc:
-                    malformed += 1
-                    yield {
-                        "line": lineno,
-                        "ok": False,
-                        "error": {"kind": "MalformedRecord", "message": str(exc)},
-                    }
-                    continue
-                outcome = resolve_stream(record.training_text, separator)
-                restored = restore_final_newline(outcome.program, record.program)
-                row: dict = {
+        for lineno, raw in jsonl_lines(input_path):
+            total += 1
+            try:
+                record = EditSequenceRecord.from_json(raw)
+            except (CorpusError, ValueError) as exc:
+                malformed += 1
+                yield {
                     "line": lineno,
-                    "source_id": record.source_id,
-                    "sample_index": record.sample_index,
-                    "ok": outcome.ok,
-                    "program": restored,
+                    "ok": False,
+                    "error": {"kind": "MalformedRecord", "message": str(exc)},
                 }
-                if not outcome.ok:
-                    conflicts += 1
-                    row["applied"] = outcome.applied
-                    row["error"] = {
-                        "kind": outcome.failure.kind,
-                        "edit_index": outcome.failure.edit_index,
-                        "message": outcome.failure.message,
-                    }
-                else:
-                    row["matches_source"] = restored == record.program
-                    if not row["matches_source"]:
-                        mismatches += 1
-                yield row
+                continue
+            outcome = resolve_stream(record.training_text, separator)
+            restored = restore_final_newline(outcome.program, record.program)
+            row: dict = {
+                "line": lineno,
+                "source_id": record.source_id,
+                "sample_index": record.sample_index,
+                "ok": outcome.ok,
+                "program": restored,
+            }
+            if not outcome.ok:
+                conflicts += 1
+                row["applied"] = outcome.applied
+                row["error"] = {
+                    "kind": outcome.failure.kind,
+                    "edit_index": outcome.failure.edit_index,
+                    "message": outcome.failure.message,
+                }
+            else:
+                row["matches_source"] = restored == record.program
+                if not row["matches_source"]:
+                    mismatches += 1
+            yield row
 
     with atomic_output(output) if output else nullcontext(sys.stdout) as fh:
         for row in rows():
@@ -282,7 +292,7 @@ def cmd_flops(ns: argparse.Namespace) -> int:
     input_path = _opt(ns, config, "input", None)
     if tokens is None and input_path:
         stats = dataset_stats(read_records(input_path))
-        ratio = float(_opt(ns, config, "chars_per_token", 4.0))
+        ratio = _opt(ns, config, "chars_per_token", 4.0)
         tokens = stats.mean_chars_per_training_text / ratio
     if tokens is None:
         tokens = 1.0
@@ -290,12 +300,12 @@ def cmd_flops(ns: argparse.Namespace) -> int:
     if tokens.is_integer():
         tokens = int(tokens)
     model = FlopsModel(
-        n_params=int(_require(_opt(ns, config, "n_params", None), "--n-params")),
-        n_layers=int(_require(_opt(ns, config, "n_layers", None), "--n-layers")),
-        context=int(_require(_opt(ns, config, "context", None), "--context")),
+        n_params=_require(_opt(ns, config, "n_params", None), "--n-params"),
+        n_layers=_require(_opt(ns, config, "n_layers", None), "--n-layers"),
+        context=_require(_opt(ns, config, "context", None), "--context"),
         avg_tokens_per_sample=tokens,
-        samples_per_problem=int(_opt(ns, config, "samples_per_problem", 1)),
-        problems=int(_opt(ns, config, "problems", 1)),
+        samples_per_problem=_opt(ns, config, "samples_per_problem", 1),
+        problems=_opt(ns, config, "problems", 1),
     )
     per_token = flops_per_token(model)
     total = total_flops(model)

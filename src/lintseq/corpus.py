@@ -80,16 +80,8 @@ class EditSequenceRecord:
             raise ValueError("num_edits disagrees with the edits list")
 
     def to_json(self) -> str:
-        payload = {
-            "source_id": self.source_id,
-            "sample_index": self.sample_index,
-            "instruction": self.instruction,
-            "program": self.program,
-            "edits": list(self.edits),
-            "training_text": self.training_text,
-            "num_edits": self.num_edits,
-            "seed_path": list(self.seed_path),
-        }
+        # tuples encode as JSON arrays
+        payload = {key: getattr(self, key) for key in RECORD_KEYS}
         return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
 
     @staticmethod
@@ -126,48 +118,54 @@ class EditSequenceRecord:
         )
 
 
+def jsonl_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
+    """Each non-blank line of a JSONL file, newline stripped, with its 1-based number.
+
+    A file that is not valid UTF-8 is a fatal error, raised when the reader
+    reaches the undecodable bytes.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                if raw.strip():
+                    yield lineno, raw.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        # exc's byte position counts from the start of a read chunk, not the file
+        raise CorpusError(f"{path}: not valid UTF-8: {exc.reason}") from None
+
+
 def load_corpus(path: str | os.PathLike) -> Iterator[SourceExample | tuple[int, str]]:
     """Read a corpus file lazily, one line at a time.
 
     Yields each accepted record as a ``SourceExample`` and each malformed
-    one as a ``(1-based input line, reason)`` pair, in file order.  A file
-    that is not valid UTF-8 is a fatal error, raised when the reader
-    reaches the undecodable bytes.
+    one as a ``(1-based input line, reason)`` pair, in file order.
     """
     accepted = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                raw = raw.rstrip("\n")
-                if not raw.strip():
-                    continue
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    yield lineno, f"invalid JSON: {exc.msg}"
-                    continue
-                if not isinstance(obj, dict):
-                    yield lineno, "record is not a JSON object"
-                    continue
-                program = obj.get("program")
-                if not isinstance(program, str):
-                    yield lineno, "missing or non-string 'program'"
-                    continue
-                instruction = obj.get("instruction", "")
-                if not isinstance(instruction, str):
-                    yield lineno, "non-string 'instruction'"
-                    continue
-                rec_id = obj.get("id")
-                if rec_id is not None and not isinstance(rec_id, str):
-                    yield lineno, "non-string 'id'"
-                    continue
-                if rec_id is None:
-                    rec_id = f"{accepted:06d}"
-                accepted += 1
-                yield SourceExample.build(rec_id, instruction, program)
-    except UnicodeDecodeError as exc:
-        # exc's byte position counts from the start of a read chunk, not the file
-        raise CorpusError(f"{path}: not valid UTF-8: {exc.reason}") from None
+    for lineno, raw in jsonl_lines(path):
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            yield lineno, f"invalid JSON: {exc.msg}"
+            continue
+        if not isinstance(obj, dict):
+            yield lineno, "record is not a JSON object"
+            continue
+        program = obj.get("program")
+        if not isinstance(program, str):
+            yield lineno, "missing or non-string 'program'"
+            continue
+        instruction = obj.get("instruction", "")
+        if not isinstance(instruction, str):
+            yield lineno, "non-string 'instruction'"
+            continue
+        rec_id = obj.get("id")
+        if rec_id is not None and not isinstance(rec_id, str):
+            yield lineno, "non-string 'id'"
+            continue
+        if rec_id is None:
+            rec_id = f"{accepted:06d}"
+        accepted += 1
+        yield SourceExample.build(rec_id, instruction, program)
 
 
 def deduplicate(examples: Iterable[SourceExample]) -> Iterator[SourceExample]:
@@ -224,13 +222,9 @@ def dump_records(records: Iterable[EditSequenceRecord], fh: IO[str]) -> int:
 
 def read_records(path: str | os.PathLike) -> Iterator[EditSequenceRecord]:
     """Iterate records from a JSONL file; malformed lines are fatal here."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            raw = raw.rstrip("\n")
-            if not raw.strip():
-                continue
-            try:
-                record = EditSequenceRecord.from_json(raw)
-            except (CorpusError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: bad record: {exc}") from None
-            yield record
+    for lineno, raw in jsonl_lines(path):
+        try:
+            record = EditSequenceRecord.from_json(raw)
+        except (CorpusError, ValueError) as exc:
+            raise CorpusError(f"{path}:{lineno}: bad record: {exc}") from None
+        yield record

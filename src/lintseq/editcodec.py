@@ -15,11 +15,11 @@ occupies a whole line.  Diff body lines always carry a ``+``/``-`` prefix
 and decorators start with ``@@``, so program text that happens to contain
 the token can never split an edit apart.
 
-Resolution starts from the empty program and applies edits one at a
-time.  ``resolve`` is strict and raises on the first bad edit;
-``resolve_stream`` applies the longest well-formed prefix and reports
-where the stream went wrong, which is the right behavior for raw model
-output.
+Resolution folds ``apply`` over the edits, one line list from the empty
+program on; text is joined only where it is returned.  ``resolve`` is
+strict and raises on the first bad edit; ``resolve_stream`` applies the
+longest well-formed prefix and reports where the stream went wrong, which
+is the right behavior for raw model output.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .diffkit import DiffError, EditDiff, join_lines, parse_diff, split_lines
+from .diffkit import DiffError, EditDiff, join_lines, parse_diff
 
 DEFAULT_SEPARATOR = "<|diff|>"
 
@@ -79,62 +79,56 @@ def split_serialized(text: str, separator: str = DEFAULT_SEPARATOR) -> list[str]
     return [part.rstrip("\n") for part in pattern.split(text) if part.strip("\n")]
 
 
-def apply(text: str, edit: EditDiff | str) -> str:
-    """Apply one edit to a program; all hunks address the same pre-text.
+def apply(lines: Sequence[str], edit: EditDiff) -> list[str]:
+    """Apply one edit to a program's lines; all hunks address the same lines.
 
-    Output is newline-terminated (one trailing newline per line, so an
-    empty final line survives the trip); input may or may not be.
+    Returns a new list, so a conflicting edit leaves ``lines`` as it was.
     """
-    if isinstance(edit, str):
-        edit = parse_diff(edit)
-    orig = split_lines(text)
     out: list[str] = []
-    cursor = 0  # next orig line not yet emitted
+    cursor = 0  # next pre-edit line not yet emitted
     for hi, hunk in enumerate(edit.hunks):
         anchor = hunk.old_start - 1 if hunk.old_len else hunk.old_start
         if anchor < cursor:
             raise ApplyConflict(f"hunk {hi + 1} overlaps or precedes an earlier hunk")
-        if anchor + hunk.old_len > len(orig):
+        if anchor + hunk.old_len > len(lines):
             raise ApplyConflict(
                 f"hunk {hi + 1} falls outside the text "
-                f"(wants lines through {anchor + hunk.old_len} of {len(orig)})"
+                f"(wants lines through {anchor + hunk.old_len} of {len(lines)})"
             )
-        out.extend(orig[cursor:anchor])
-        cursor = anchor
-        for k, expect in enumerate(hunk.deletions):
-            found = orig[cursor + k]
-            if found != expect:
+        out.extend(lines[cursor:anchor])
+        for k, expect in enumerate(hunk.deletions, anchor):
+            if lines[k] != expect:
                 raise ApplyConflict(
-                    f"hunk {hi + 1}: deletion mismatch at line {cursor + k + 1}: "
-                    f"expected {expect!r}, found {found!r}"
+                    f"hunk {hi + 1}: deletion mismatch at line {k + 1}: "
+                    f"expected {expect!r}, found {lines[k]!r}"
                 )
-        cursor += hunk.old_len
+        cursor = anchor + hunk.old_len
         out.extend(hunk.insertions)
-    out.extend(orig[cursor:])
-    return join_lines(out)
+    out.extend(lines[cursor:])
+    return out
 
 
-def _iter_states(parts: Iterable[str]) -> Iterator[str]:
-    text = ""
+def _iter_states(parts: Iterable[str]) -> Iterator[list[str]]:
+    lines: list[str] = []
     for idx, part in enumerate(parts):
         try:
-            text = apply(text, parse_diff(part))
+            lines = apply(lines, parse_diff(part))
         except DiffError as exc:
             raise ResolveError(idx, exc) from exc
-        yield text
+        yield lines
 
 
 def resolve(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> str:
     """Resolve a full edit stream to its final program (strict)."""
-    program = ""
-    for program in _iter_states(split_serialized(edit_text, separator)):
+    lines: list[str] = []
+    for lines in _iter_states(split_serialized(edit_text, separator)):
         pass
-    return program
+    return join_lines(lines)
 
 
 def resolve_prefixes(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> list[str]:
     """Program text after each edit; length equals the number of edits."""
-    return list(_iter_states(split_serialized(edit_text, separator)))
+    return [join_lines(lines) for lines in _iter_states(split_serialized(edit_text, separator))]
 
 
 @dataclass(frozen=True)
@@ -157,21 +151,16 @@ class ResolveOutcome:
 
 def resolve_stream(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> ResolveOutcome:
     """Apply the longest well-formed prefix of a possibly malformed stream."""
-    parts = split_serialized(edit_text, separator)
-    program = ""
+    lines: list[str] = []
     applied = 0
     failure = None
     try:
-        for state in _iter_states(parts):
-            program = state
+        # a failing edit leaves ``lines`` at the last state that applied
+        for lines in _iter_states(split_serialized(edit_text, separator)):
             applied += 1
     except ResolveError as exc:
-        failure = ResolveFailure(
-            edit_index=exc.edit_index,
-            kind=type(exc.cause).__name__,
-            message=str(exc.cause),
-        )
-    return ResolveOutcome(program=program, applied=applied, failure=failure)
+        failure = ResolveFailure(exc.edit_index, type(exc.cause).__name__, str(exc.cause))
+    return ResolveOutcome(program=join_lines(lines), applied=applied, failure=failure)
 
 
 def restore_final_newline(text: str, program: str) -> str:

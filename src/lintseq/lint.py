@@ -76,8 +76,15 @@ class LinterSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("builtin", "external"):
             raise ValueError(f"unknown linter kind: {self.kind!r}")
-        if self.kind == "external" and not self.command_template:
-            raise ValueError("external linter requires a command template")
+        if self.kind == "external":
+            if not any("{path}" in part for part in shlex.split(self.command_template)):
+                raise ValueError("external linter requires a command template with {path}")
+            try:
+                groups = re.compile(self.finding_pattern).groupindex
+            except re.error as exc:
+                raise ValueError(f"bad finding pattern: {exc}") from None
+            if not {"line", "code", "message"} <= groups.keys():
+                raise ValueError("finding pattern needs named groups line, code and message")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 
@@ -121,8 +128,6 @@ class ExternalLinter:
         self._cache: dict[bytes, tuple[Finding, ...]] = {}
         self._pattern = re.compile(spec.finding_pattern)
         self._argv = shlex.split(spec.command_template)
-        if not any("{path}" in part for part in self._argv):
-            raise ValueError("command template must contain a {path} placeholder")
 
     def setup(self, program: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Finding, ...]]:
         """As BuiltinLinter.setup; the lines double as check_subset's input.

@@ -250,12 +250,9 @@ def sample_corpus(
         raise ValueError("workers must be at least 1")
     if max_lines < 1:
         raise ValueError("max_lines must be at least 1")
-    spec = linter or LinterSpec()
-    if mode == "lintseq":
-        get_linter(spec)  # a bad command template fails the run, not each example
     task = partial(
         _sample_example,
-        spec=spec,
+        spec=linter or LinterSpec(),
         mode=mode,
         samples=samples_per_example,
         seed=seed,

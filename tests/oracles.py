@@ -2,8 +2,16 @@
 
 from difflib import SequenceMatcher, unified_diff
 
-from lintseq.diffkit import EditDiff, Hunk, join_lines, split_lines
-from lintseq.editcodec import resolve, restore_final_newline
+from lintseq.diffkit import DiffError, EditDiff, Hunk, join_lines, parse_diff, split_lines
+from lintseq.editcodec import (
+    ApplyConflict,
+    ResolveError,
+    resolve,
+    resolve_prefixes,
+    resolve_stream,
+    restore_final_newline,
+    split_serialized,
+)
 from lintseq.lint import LinterSpec, extra_findings, get_linter
 
 
@@ -64,3 +72,74 @@ def is_error_free_relative(candidate: str, baseline, linter=None) -> bool:
 def resolve_record(record) -> str:
     """Resolve a record's training text to the exact source bytes."""
     return restore_final_newline(resolve(record.training_text), record.program)
+
+
+def reference_apply(text: str, edit: EditDiff | str) -> str:
+    """Apply one edit to program text, re-splitting and re-joining it whole.
+
+    The text-level resolver step the line-list ``editcodec.apply`` replaced;
+    output is newline-terminated, input may or may not be.
+    """
+    if isinstance(edit, str):
+        edit = parse_diff(edit)
+    orig = split_lines(text)
+    out: list[str] = []
+    cursor = 0  # next orig line not yet emitted
+    for hi, hunk in enumerate(edit.hunks):
+        anchor = hunk.old_start - 1 if hunk.old_len else hunk.old_start
+        if anchor < cursor:
+            raise ApplyConflict(f"hunk {hi + 1} overlaps or precedes an earlier hunk")
+        if anchor + hunk.old_len > len(orig):
+            raise ApplyConflict(
+                f"hunk {hi + 1} falls outside the text "
+                f"(wants lines through {anchor + hunk.old_len} of {len(orig)})"
+            )
+        out.extend(orig[cursor:anchor])
+        cursor = anchor
+        for k, expect in enumerate(hunk.deletions):
+            found = orig[cursor + k]
+            if found != expect:
+                raise ApplyConflict(
+                    f"hunk {hi + 1}: deletion mismatch at line {cursor + k + 1}: "
+                    f"expected {expect!r}, found {found!r}"
+                )
+        cursor += hunk.old_len
+        out.extend(hunk.insertions)
+    out.extend(orig[cursor:])
+    return join_lines(out)
+
+
+def reference_fold(edit_text: str):
+    """Fold ``reference_apply`` over a stream's parts from the empty program.
+
+    Returns the text after each edit that applied and, if an edit failed,
+    its ``(edit_index, kind, message)``; else None.
+    """
+    texts = []
+    text = ""
+    for idx, part in enumerate(split_serialized(edit_text)):
+        try:
+            text = reference_apply(text, part)
+        except DiffError as exc:
+            return texts, (idx, type(exc).__name__, str(exc))
+        texts.append(text)
+    return texts, None
+
+
+def assert_resolvers_match_reference(edit_text: str) -> None:
+    """``resolve_stream`` and ``resolve_prefixes`` agree with ``reference_fold``.
+
+    Same program, same applied count, same failure index, kind and message.
+    """
+    texts, failure = reference_fold(edit_text)
+    outcome = resolve_stream(edit_text)
+    f = outcome.failure
+    assert outcome.program == (texts[-1] if texts else "")
+    assert outcome.applied == len(texts)
+    assert (f and (f.edit_index, f.kind, f.message)) == failure
+    try:
+        prefixes = resolve_prefixes(edit_text)
+    except ResolveError as exc:
+        assert (exc.edit_index, type(exc.cause).__name__, str(exc.cause)) == failure
+    else:
+        assert failure is None and prefixes == texts

@@ -27,7 +27,14 @@ from lintseq.metrics import (
     pass_at_k,
     total_flops,
 )
-from tests.oracles import diff, findings, is_error_free_relative, reference_render, resolve_record
+from tests.oracles import (
+    assert_resolvers_match_reference,
+    diff,
+    findings,
+    is_error_free_relative,
+    reference_render,
+    resolve_record,
+)
 from tests.progen import write_corpus
 
 
@@ -250,7 +257,7 @@ def test_criterion_09_diff_engine_oracle():
     for _ in range(1000):
         a = [rng.choice(alphabet) for _ in range(rng.randrange(0, 30))]
         b = [rng.choice(alphabet) for _ in range(rng.randrange(0, 30))]
-        if apply(join_lines(a), diff(join_lines(a), join_lines(b))) != join_lines(b):
+        if apply(a, diff(join_lines(a), join_lines(b))) != b:
             bad_apply += 1
     bad_render = 0
     for _ in range(50):
@@ -276,10 +283,10 @@ def test_criterion_09_diff_engine_oracle():
     )
 
 
-def test_criterion_10_resolver_never_crashes(records):
+def mutants(records):
+    """10000 seeded character-level mutants of the first 200 training texts."""
     rng = random.Random(10)
     bases = [r.training_text for r in records[:200]]
-    crashes = unstructured = 0
     for i in range(10000):
         text = list(bases[i % len(bases)])
         for _ in range(rng.randrange(1, 8)):
@@ -296,6 +303,12 @@ def test_criterion_10_resolver_never_crashes(records):
         mutated = "".join(text)
         if rng.random() < 0.2:
             mutated = mutated[: rng.randrange(len(mutated) + 1)]
+        yield mutated
+
+
+def test_criterion_10_resolver_never_crashes(records):
+    crashes = unstructured = 0
+    for mutated in mutants(records):
         try:
             outcome = resolve_stream(mutated)
         except Exception:
@@ -312,3 +325,9 @@ def test_criterion_10_resolver_never_crashes(records):
         ok,
         f"10000 mutants, {crashes} crashes, {unstructured} unstructured failures",
     )
+
+
+def test_resolver_matches_reference_on_mutants(records):
+    # the line-list resolver against a fold of the text-level reference step
+    for mutated in mutants(records):
+        assert_resolvers_match_reference(mutated)

@@ -187,6 +187,25 @@ def test_generate_non_utf8_last_line_keeps_output(tmp_path, capsys, workers):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "out.jsonl"]
 
 
+@pytest.mark.parametrize("command", ["generate", "lintcheck"])
+@pytest.mark.parametrize("pattern", ["(", "(?P<line>.+)"])
+def test_bad_linter_pattern_exit_1(tmp_path, capsys, command, pattern):
+    # echo prints the temp path, which "(?P<line>.+)" matches without a code group
+    out = tmp_path / "out.jsonl"
+    out.write_text("keep me\n")
+    argv = [command, "--input", str(write_corpus(tmp_path, CLEAN)), "--linter", "external",
+            "--linter-cmd", "echo {path}", "--linter-pattern", pattern]
+    if command == "generate":
+        argv += ["--output", str(out), "--samples", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["kind"] == "ValueError"
+    assert "finding pattern" in err["error"]
+    assert captured.out == ""
+    assert out.read_text() == "keep me\n"
+
+
 def test_generate_skips_exit_2(tmp_path, capsys):
     rows = CLEAN + [{"id": "empty", "instruction": "", "program": ""}]
     code, out = run_generate(tmp_path, rows, "--samples", "1")
@@ -260,6 +279,78 @@ def test_config_file_and_flag_precedence(tmp_path):
         ]
     ) == 0
     assert len(list(read_records(out2))) == 2
+
+
+FLOPS_SHAPE = ["--n-params", "10", "--n-layers", "2", "--context", "8"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("generate", {"dedup": "false"}),
+        ("generate", {"samples": 2.7}),
+        ("generate", {"seed": True}),
+        ("generate", {"skip_dirty": 0}),
+        ("generate", {"workers": None}),
+        ("generate", {"linter_timeout": "5"}),
+        ("generate", {"separator": 5}),
+        ("stats", {"json": "true"}),
+        ("flops", {"n_params": 10.0}),
+        ("flops", {"tokens": False}),
+    ],
+)
+def test_config_value_of_wrong_type_exit_1(tmp_path, capsys, command, config):
+    _, records = run_generate(tmp_path, CLEAN, "--samples", "1", name="records.jsonl")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.jsonl"
+    out.write_text("keep me\n")
+    inputs = {"generate": write_corpus(tmp_path, CLEAN), "stats": records, "flops": records}
+    argv = [command, "--input", str(inputs[command]), "--config", str(cfg)]
+    argv += {"generate": ["--output", str(out)], "flops": FLOPS_SHAPE[2:]}.get(command, [])
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["kind"] == "ValueError"
+    (key,) = config
+    assert f"config key {key!r}" in err["error"]
+    assert captured.out == ""
+    assert out.read_text() == "keep me\n"
+
+
+def test_config_values_of_their_json_type_run(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"dedup": False, "samples": 1, "seed": 3, "linter_timeout": 5}))
+    corpus = write_corpus(tmp_path, CLEAN + CLEAN[:1])
+    out = tmp_path / "out.jsonl"
+    argv = ["generate", "--input", str(corpus), "--output", str(out), "--config", str(cfg)]
+    assert main(argv) == 0
+    assert [r.source_id for r in read_records(out)] == ["p0", "p1", "p2", "p0"]
+    cfg.write_text(json.dumps(
+        {"tokens": 3, "n_params": 10, "n_layers": 2, "context": 8, "json": True}
+    ))
+    assert main(["flops", "--config", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"flops_per_token": 84, "total_flops": 252}
+
+
+@pytest.mark.parametrize("command", ["resolve", "stats", "flops"])
+def test_records_non_utf8_last_line_exit_1(tmp_path, capsys, command):
+    _, records = run_generate(tmp_path, CLEAN, "--samples", "1")
+    with open(records, "ab") as fh:
+        fh.write(b'{"program": "\xff = 1\n"}\n')
+    out = tmp_path / "resolved.jsonl"
+    out.write_text("keep me\n")
+    argv = [command, "--input", str(records)]
+    argv += {"resolve": ["--output", str(out)], "flops": FLOPS_SHAPE}.get(command, [])
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["kind"] == "CorpusError"
+    assert err["error"].startswith(f"{records}: not valid UTF-8")
+    assert out.read_text() == "keep me\n"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["corpus.jsonl", "out.jsonl", "resolved.jsonl"]
 
 
 def test_resolve_clean_records(tmp_path, capsys):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from lintseq import editcodec
 from lintseq.corpus import EditSequenceRecord
-from lintseq.diffkit import DiffError, diff_states, join_lines, split_lines
+from lintseq.diffkit import DiffError, diff_states, join_lines, parse_diff, split_lines
 from lintseq.editcodec import (
     DEFAULT_SEPARATOR,
     ApplyConflict,
@@ -17,7 +18,7 @@ from lintseq.editcodec import (
     split_serialized,
 )
 from lintseq.sampler import backward_sample
-from tests.oracles import diff, state_texts
+from tests.oracles import assert_resolvers_match_reference, diff, reference_fold, state_texts
 
 SEP = DEFAULT_SEPARATOR
 
@@ -79,41 +80,51 @@ def test_program_line_equal_to_token_round_trips():
     assert resolve(serialize(edits)) == program
 
 
+def apply_text(text, diff_text):
+    """``apply`` on program text: split, apply the parsed diff, join."""
+    return join_lines(apply(split_lines(text), parse_diff(diff_text)))
+
+
 def test_apply_insert_into_empty():
-    assert apply("", "@@ -0,0 +1 @@\n+x = 1") == "x = 1\n"
+    assert apply_text("", "@@ -0,0 +1 @@\n+x = 1") == "x = 1\n"
 
 
 def test_apply_insert_at_top():
-    assert apply("b\n", "@@ -0,0 +1 @@\n+a") == "a\nb\n"
+    assert apply_text("b\n", "@@ -0,0 +1 @@\n+a") == "a\nb\n"
 
 
 def test_apply_stacks_insertions_at_same_anchor():
-    out = apply("a\nz\n", "@@ -1,0 +2,2 @@\n+m\n+n")
+    out = apply_text("a\nz\n", "@@ -1,0 +2,2 @@\n+m\n+n")
     assert out == "a\nm\nn\nz\n"
 
 
 def test_apply_delete_and_replace():
-    assert apply("a\nb\nc\n", "@@ -2 +1,0 @@\n-b") == "a\nc\n"
-    assert apply("a\nb\nc\n", "@@ -2 +2 @@\n-b\n+B") == "a\nB\nc\n"
+    assert apply_text("a\nb\nc\n", "@@ -2 +1,0 @@\n-b") == "a\nc\n"
+    assert apply_text("a\nb\nc\n", "@@ -2 +2 @@\n-b\n+B") == "a\nB\nc\n"
 
 
 def test_apply_terminates_output():
-    assert apply("a", "@@ -1,0 +2 @@\n+b") == "a\nb\n"
+    assert apply_text("a", "@@ -1,0 +2 @@\n+b") == "a\nb\n"
 
 
 def test_apply_preserves_trailing_blank_line():
-    assert apply("", "@@ -0,0 +1 @@\n+") == "\n"
-    assert apply("a\n", "@@ -1,0 +2 @@\n+") == "a\n\n"
+    assert apply_text("", "@@ -0,0 +1 @@\n+") == "\n"
+    assert apply_text("a\n", "@@ -1,0 +2 @@\n+") == "a\n\n"
 
 
 def test_apply_conflicts():
     with pytest.raises(ApplyConflict, match="expected 'X', found 'b'"):
-        apply("a\nb\n", "@@ -2 +2 @@\n-X\n+Y")
+        apply_text("a\nb\n", "@@ -2 +2 @@\n-X\n+Y")
     with pytest.raises(ApplyConflict):
-        apply("a\n", "@@ -5 +4,0 @@\n-x")  # beyond the end
+        apply_text("a\n", "@@ -5 +4,0 @@\n-x")  # beyond the end
     with pytest.raises(ApplyConflict):
         # second hunk starts before the first finished
-        apply("a\nb\nc\n", "@@ -2 +1,0 @@\n-b\n@@ -1 +0,0 @@\n-a")
+        apply_text("a\nb\nc\n", "@@ -2 +1,0 @@\n-b\n@@ -1 +0,0 @@\n-a")
+    # the first hunk fits; the caller's lines stay as they were anyway
+    lines = ["a", "b"]
+    with pytest.raises(ApplyConflict):
+        apply(lines, parse_diff("@@ -1,0 +2 @@\n+m\n@@ -2 +2 @@\n-X\n+Y"))
+    assert lines == ["a", "b"]
 
 
 def test_apply_inverts_diff_random_pairs():
@@ -122,8 +133,50 @@ def test_apply_inverts_diff_random_pairs():
     for _ in range(300):
         a = [rng.choice(alphabet) for _ in range(rng.randrange(0, 8))]
         b = [rng.choice(alphabet) for _ in range(rng.randrange(0, 8))]
-        a_text, b_text = join_lines(a), join_lines(b)
-        assert apply(a_text, diff(a_text, b_text)) == b_text
+        assert apply(a, diff(join_lines(a), join_lines(b))) == b
+
+
+def test_apply_runs_once_per_edit(monkeypatch):
+    # the benchmark counts editcodec.apply calls as resolved edits
+    calls = []
+    real = editcodec.apply
+
+    def counted(lines, edit):
+        calls.append(edit)
+        return real(lines, edit)
+
+    monkeypatch.setattr(editcodec, "apply", counted)
+    program = "a = 1\nb = a + 1\nc = b * 2\nprint(a, b, c)\nd = c\nprint(d)\n"
+    edits = diff_states(backward_sample(program, rng=random.Random(3)))
+    text = serialize(edits)
+    assert len(edits) > 1
+    for resolver in (resolve_stream, resolve, resolve_prefixes):
+        calls.clear()
+        resolver(text)
+        assert len(calls) == len(edits), resolver.__name__
+
+
+def test_resolver_matches_reference_on_diff_chains():
+    # chains of diffs between random texts carry deletions and replacements;
+    # dropping one edit from a chain can make a later edit conflict
+    rng = random.Random(21)
+    alphabet = ["a = 1", "b = 2", "c = a", "print(a)", "", "d = 9", "    pass"]
+    failures = 0
+    for _ in range(400):
+        texts = [""] + [
+            join_lines(rng.choice(alphabet) for _ in range(rng.randrange(0, 12)))
+            for _ in range(rng.randrange(1, 7))
+        ]
+        edits = [diff(a, b) for a, b in zip(texts, texts[1:])]
+        edits = [e for e in edits if e.hunks]
+        if len(edits) > 1 and rng.random() < 0.5:
+            del edits[rng.randrange(len(edits) - 1)]
+        if not edits:
+            continue
+        text = serialize(edits)
+        assert_resolvers_match_reference(text)
+        failures += reference_fold(text)[1] is not None
+    assert failures > 20
 
 
 def test_resolve_empty_stream():

@@ -119,6 +119,14 @@ def test_linter_spec_validation():
         LinterSpec(timeout=0)
 
 
+@pytest.mark.parametrize("pattern", ["(", "(?P<line>.+)", r"(?P<line>\d+) (?P<code>\w+)"])
+def test_linter_spec_rejects_bad_finding_pattern(pattern):
+    with pytest.raises(ValueError, match="finding pattern"):
+        LinterSpec(kind="external", command_template="lint {path}", finding_pattern=pattern)
+    # the built-in checker never reads the pattern
+    assert LinterSpec(finding_pattern=pattern).kind == "builtin"
+
+
 def _write_script(path, body):
     with open(path, "w") as fh:
         fh.write("#!/usr/bin/env python3\n" + textwrap.dedent(body))
