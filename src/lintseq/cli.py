@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import nullcontext
@@ -290,9 +291,11 @@ def cmd_flops(ns: argparse.Namespace) -> int:
     config = _load_config(ns.config)
     tokens = _opt(ns, config, "tokens", None)
     input_path = _opt(ns, config, "input", None)
+    ratio = _opt(ns, config, "chars_per_token", 4.0)
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ValueError(f"--chars-per-token must be a finite positive number, not {ratio!r}")
     if tokens is None and input_path:
         stats = dataset_stats(read_records(input_path))
-        ratio = _opt(ns, config, "chars_per_token", 4.0)
         tokens = stats.mean_chars_per_training_text / ratio
     if tokens is None:
         tokens = 1.0

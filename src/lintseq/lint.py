@@ -15,14 +15,16 @@ its stdout with a configurable pattern.  A finding is one sorted
 sampling cascade (``setup``, ``check_subset``, ``extra_findings``) and in
 ``check_text`` alike.
 The built-in engine keeps the setup of the last program it checked, whose
-``pycheck.Analysis`` also keeps the last walk, so consecutive checks of
-one program's subsets re-walk only the lines a deletion changed; the
-external one caches findings by content hash for the last program set up.
+``pycheck.Analysis`` also keeps the last walk and the whole-program walk,
+so consecutive checks of one program's subsets re-walk only the lines a
+deletion changed; the external one caches findings by content hash for
+the last program set up.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import shlex
@@ -85,8 +87,8 @@ class LinterSpec:
                 raise ValueError(f"bad finding pattern: {exc}") from None
             if not {"line", "code", "message"} <= groups.keys():
                 raise ValueError("finding pattern needs named groups line, code and message")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a finite positive number, not {self.timeout!r}")
 
 
 class BuiltinLinter:
@@ -100,7 +102,9 @@ class BuiltinLinter:
 
         The last program's setup is kept, so every sample of one example
         shares one scan cache and one baseline, and each ``check_subset``
-        on the Analysis resumes from the previous walk.  The baseline is
+        on the Analysis resumes from the previous walk, or from the
+        whole-program walk made here for the baseline, which the Analysis
+        keeps as its base for each sample's first check.  The baseline is
         the sorted ``(line, code, message)`` triples of the whole program,
         a tuple, so no caller of ``check`` can change what later samples
         of the program are judged against.
@@ -224,6 +228,8 @@ def extra_findings(candidate: Sequence[Finding], baseline: Sequence[Finding]) ->
     multiplicities collide the later occurrences are the ones reported
     as new.  This is the one definition of relative error-freeness.
     """
+    if not candidate or not baseline:
+        return list(candidate)
     allowance = Counter([(code, message) for _, code, message in baseline])
     out = []
     for finding in candidate:

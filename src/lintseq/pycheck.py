@@ -26,6 +26,13 @@ entered in the same state as before, walks only the lines whose walk state
 changed, and resolves again only the uses that a changed definition or
 star import can affect, so each check of a deletion cascade costs about
 the span the deletion changed.
+
+The first run over the whole program is kept as well, as a read-only
+base.  A call whose kept lines differ from the whole program by fewer
+lines than from the last run resumes from the base instead: the base's
+walk is shared, and its aggregates are restored as one C-level copy per
+dict and set.  So the first check of each sampled cascade, one deletion
+away from the whole program, costs the span of that deletion too.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import builtins
 import keyword
 import re
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import defaultdict
 from typing import Iterable, Sequence
 
@@ -747,8 +754,21 @@ def _missing_body(line: int, word: str) -> tuple[int, str, str]:
 _NO_EVENTS: tuple = ((), (), (), None)
 
 
+def _copied(aggregates: tuple) -> tuple:
+    """(findings, defs, stars, uses, unresolved), sharing no mutable container.
+
+    Def positions are tuples and the other values immutable, so one
+    C-level copy per dict and per set of uses suffices.
+    """
+    findings, defs, stars, uses, unresolved = aggregates
+    return (
+        dict(findings), dict(defs), dict(stars),
+        defaultdict(set, zip(uses, map(set.copy, uses.values()))), set(unresolved),
+    )
+
+
 class Analysis:
-    """Scan cache and last ``flow`` run for one source program's lines.
+    """Scan cache, last ``flow`` run and whole-program base for one source.
 
     The last run keeps the kept indices, the walk state before each
     position (immutable and comparable: brackets and indentation levels
@@ -759,11 +779,16 @@ class Analysis:
     are source indices, so a line's events do not depend on deletions
     elsewhere.  A call walks only the lines whose walk state changed and
     updates the aggregates by their events alone.
+
+    The first run that keeps every line is also kept as the base.  Each
+    call replaces the kept indices, states and events rather than mutating
+    them, so the base shares them; the aggregates that ``_absorb`` mutates
+    in place are copied into the base and copied out of it on a restore.
     """
 
     __slots__ = (
         "lines", "_scans", "_scopes", "_kept", "_kept_set", "_states", "_events",
-        "_findings", "_defs", "_stars", "_uses", "_unresolved",
+        "_findings", "_defs", "_stars", "_uses", "_unresolved", "_base",
     )
 
     def __init__(self, lines: Sequence[str]) -> None:
@@ -779,10 +804,12 @@ class Analysis:
         ]
         self._events: list[tuple] = []
         self._findings: dict[tuple[int, str, str], int] = {}
-        self._defs: defaultdict[tuple[_Scope, str], list[tuple[int, int]]] = defaultdict(list)
+        self._defs: dict[tuple[_Scope, str], tuple[tuple[int, int], ...]] = {}
         self._stars: dict[_Scope, int] = {}
         self._uses: defaultdict[str, set[tuple]] = defaultdict(set)
         self._unresolved: set[tuple] = set()
+        # (kept, kept_set, states, events, aggregates) of the whole-program run
+        self._base: tuple | None = None
 
     def scan(self, idx: int, entry: str) -> LineScan:
         key = (idx, entry)
@@ -815,6 +842,16 @@ class Analysis:
                 passed_function = True
             s = s.parent
         return False
+
+    def _keep_base(self) -> None:
+        """Keep the last run, which holds every line, as the base."""
+        aggregates = (self._findings, self._defs, self._stars, self._uses, self._unresolved)
+        self._base = (self._kept, self._kept_set, self._states, self._events, _copied(aggregates))
+
+    def _restore_base(self) -> None:
+        """Make the base the last run, with aggregates of its own."""
+        self._kept, self._kept_set, self._states, self._events, aggregates = self._base
+        (self._findings, self._defs, self._stars, self._uses, self._unresolved) = _copied(aggregates)
 
     def _absorb(self, removed: list[tuple], added: list[tuple]) -> None:
         """Swap the events of ``removed`` positions for ``added`` ones.
@@ -852,13 +889,17 @@ class Analysis:
         all_defs = self._defs
         firsts: dict[tuple[_Scope, str], tuple[int, int] | None] = {}
         for sc, name, idx, sub in old_d - new_d:
-            dps = all_defs[sc, name]
-            firsts.setdefault((sc, name), dps[0])
-            dps.remove((idx, sub))
+            key = (sc, name)
+            dps = all_defs[key]
+            firsts.setdefault(key, dps[0])
+            k = bisect_left(dps, (idx, sub))
+            all_defs[key] = dps[:k] + dps[k + 1 :]
         for sc, name, idx, sub in new_d - old_d:
-            dps = all_defs[sc, name]
-            firsts.setdefault((sc, name), dps[0] if dps else None)
-            insort(dps, (idx, sub))
+            key = (sc, name)
+            dps = all_defs.get(key, ())
+            firsts.setdefault(key, dps[0] if dps else None)
+            k = bisect_left(dps, (idx, sub))
+            all_defs[key] = dps[:k] + ((idx, sub),) + dps[k:]
         moved = set()
         for key, first in firsts.items():
             dps = all_defs[key]
@@ -907,11 +948,12 @@ def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
     message) findings; line numbers are 1-based positions within the
     checked subset.
 
-    The walk resumes from the previous call on the same ``analysis``.  At
-    a line the previous call also kept, entered in the same walk state,
-    the previous walk holds up to the next line kept by only one of the
-    two calls, so its states and events are reused; every other line is
-    walked.
+    The walk resumes from the previous call on the same ``analysis``, or
+    from the base, the first call that kept every line, when ``kept``
+    differs from every line by fewer lines than from the previous call.
+    At a line the resumed run also kept, entered in the same walk state,
+    that run's walk holds up to the next line kept by only one of the two,
+    so its states and events are reused; every other line is walked.
     """
     a = analysis
     kept = list(kept)
@@ -919,9 +961,13 @@ def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
     n = len(kept)
     if len(kept_set) != n or kept != sorted(kept):
         raise ValueError("kept indices must be strictly increasing")
+    diff = kept_set.symmetric_difference(a._kept_set)
+    if a._base is not None and len(a.lines) - n < len(diff):
+        a._restore_base()
+        diff = kept_set.symmetric_difference(a._kept_set)
+    changes = sorted(diff)
     old, old_states, old_events = a._kept, a._states, a._events
     n_old = len(old)
-    changes = sorted(kept_set.symmetric_difference(a._kept_set))
     states: list[tuple] = []
     events: list[tuple] = []
     added: list[tuple] = []
@@ -1049,6 +1095,8 @@ def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
 
     a._kept, a._kept_set, a._states, a._events = kept, kept_set, states, events
     a._absorb(removed, added)
+    if a._base is None and n == len(a.lines) and kept == list(range(n)):
+        a._keep_base()
 
     out = set(a._findings)
     if opener is not None:

@@ -112,7 +112,8 @@ def backward_sample(
     The engine keeps the setup of the last program it saw, so repeated
     samples of one program share its scan cache and baseline findings, and
     consecutive cascade checks reuse the previous walk: each re-walks only
-    the lines whose walk state the last deletions changed.
+    the lines whose walk state the last deletions changed.  A sample's
+    first check resumes from the whole-program walk made for the baseline.
     """
     rng = rng or random.Random()
     engine = get_linter(linter or LinterSpec())

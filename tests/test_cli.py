@@ -319,6 +319,25 @@ def test_config_value_of_wrong_type_exit_1(tmp_path, capsys, command, config):
     assert out.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("timeout", ["NaN", "Infinity"])
+def test_generate_rejects_non_finite_linter_timeout(tmp_path, capsys, timeout):
+    # Python's json reads NaN and Infinity as floats, which pass a type check
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"linter_timeout": %s}' % timeout)
+    corpus = write_corpus(tmp_path, CLEAN)
+    out = tmp_path / "out.jsonl"
+    out.write_text("keep me\n")
+    linter = ["--linter", "external", "--linter-cmd", f"{sys.executable} -c pass {{path}}"]
+    argv = ["generate", "--input", str(corpus), "--output", str(out), "--config", str(cfg)]
+    assert main(argv + linter) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["kind"] == "ValueError"
+    assert "timeout must be a finite positive number" in err["error"]
+    assert captured.out == ""
+    assert out.read_text() == "keep me\n"
+
+
 def test_config_values_of_their_json_type_run(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"dedup": False, "samples": 1, "seed": 3, "linter_timeout": 5}))
@@ -503,6 +522,27 @@ def test_flops_tokens_from_records(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     mean_chars = dataset_stats(read_records(out)).mean_chars_per_training_text
     assert payload["total_flops"] == pytest.approx(6 * mean_chars / 2.0)
+
+
+@pytest.mark.parametrize(
+    "flag, config", [("0", None), ("-2", None), ("nan", None), ("inf", None), (None, "NaN")]
+)
+def test_flops_rejects_chars_per_token_not_finite_positive(tmp_path, capsys, flag, config):
+    _, out = run_generate(tmp_path, CLEAN, "--samples", "1")
+    argv = ["flops", *FLOPS_SHAPE, "--input", str(out), "--json"]
+    if flag is not None:
+        argv += ["--chars-per-token", flag]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"chars_per_token": %s}' % config)
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["kind"] == "ValueError"
+    assert "--chars-per-token must be a finite positive number" in err["error"]
+    assert captured.out == ""
 
 
 def test_lintcheck_output(tmp_path, capsys):

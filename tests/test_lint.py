@@ -2,6 +2,7 @@ import os
 import random
 import stat
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -34,6 +35,38 @@ def test_extra_findings_consumes_baseline_allowance():
              (6, "undefined-name", "undefined name 'y'")]
     extras = extra_findings(cand2, baseline)
     assert [line for line, _, _ in extras] == [6]
+
+
+def _counter_rule(candidate, baseline):
+    # the multiset rule written out, with no shortcut for an empty side
+    allowance = Counter((code, message) for _, code, message in baseline)
+    out = []
+    for line, code, message in candidate:
+        if allowance[code, message] > 0:
+            allowance[code, message] -= 1
+        else:
+            out.append((line, code, message))
+    return out
+
+
+def test_extra_findings_matches_counter_rule_on_random_multisets():
+    rng = random.Random(17)
+    # few distinct (code, message) pairs, so pairs repeat on both sides
+    pairs = [("E1", "a"), ("E1", "b"), ("F2", "a"), ("undefined-name", "x")]
+    empty_sides = 0
+    for _ in range(2000):
+        sides = []
+        for _ in range(2):
+            size = rng.choice([0, 0, 1, 2, rng.randint(3, 12)])
+            sides.append(sorted((rng.randint(1, 9), *rng.choice(pairs)) for _ in range(size)))
+        candidate, baseline = sides
+        empty_sides += not candidate or not baseline
+        got = extra_findings(candidate, baseline)
+        assert got == _counter_rule(candidate, baseline), (candidate, baseline)
+        assert type(got) is list
+        # a tuple, as setup returns the baseline, judges alike
+        assert extra_findings(tuple(candidate), tuple(baseline)) == got
+    assert 500 < empty_sides < 1500
 
 
 def test_fingerprint_ignores_line_positions():
@@ -115,8 +148,9 @@ def test_linter_spec_validation():
         LinterSpec(kind="nope")
     with pytest.raises(ValueError):
         LinterSpec(kind="external", command_template="")
-    with pytest.raises(ValueError):
-        LinterSpec(timeout=0)
+    for timeout in (0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite positive"):
+            LinterSpec(timeout=timeout)
 
 
 @pytest.mark.parametrize("pattern", ["(", "(?P<line>.+)", r"(?P<line>\d+) (?P<code>\w+)"])

@@ -244,19 +244,19 @@ def _cold(analysis, kept):
 
 def test_incremental_flow_matches_cold_on_backward_sample_cascades(monkeypatch):
     # every call a cascade makes on the shared Analysis equals a walk of
-    # every line from an empty last run; a call with no lines empties it, so
-    # the reference keeps only the scan cache (a fresh Analysis per call
-    # would re-scan the whole program each time)
+    # every kept line by a fresh Analysis, which has no last run and no
+    # base; the fresh ones share one scan cache per program, since scans
+    # are context-free (re-scanning the whole program per call is slow)
     calls = []
     real_flow = lintseq.pycheck.flow
-    pair = [None, None]  # the shared Analysis and its reference
+    pair = [None, None]  # the shared Analysis and the scan cache of its references
 
     def checked(analysis, kept):
         got = real_flow(analysis, kept)
         if pair[0] is not analysis:
-            pair[:] = [analysis, Analysis(analysis.lines)]
-        ref = pair[1]
-        assert real_flow(ref, []) == []
+            pair[:] = [analysis, Analysis(analysis.lines)._scans]
+        ref = Analysis(analysis.lines)
+        ref._scans = pair[1]
         assert got == real_flow(ref, kept), kept
         calls.append(len(kept))
         return got
@@ -269,6 +269,11 @@ def test_incremental_flow_matches_cold_on_backward_sample_cascades(monkeypatch):
         programs += [make_program(gen, 20, 60, style)[1] for _ in range(3)]
     for seed, program in enumerate(programs):
         backward_sample(program, rng=random.Random(seed))
+        if seed % 3 == 0:
+            # later samples of a program start from the base; the third one
+            # sees whatever the second left in it
+            for sample in (1, 2):
+                backward_sample(program, rng=random.Random(1000 * sample + seed))
     assert len(calls) > 1000
 
 
@@ -281,15 +286,51 @@ def test_incremental_flow_adversarial_call_orders():
     subset = sorted(rng.sample(range(n), n // 3))
     superset = sorted(set(subset) | set(rng.sample(range(n), n // 3)))
     unrelated = sorted(rng.sample(range(n), n // 2))
+
+    def without(*drop):
+        return [k for k in range(n) if k not in drop]
+
+    mid = n // 2
     orders = [
         range(n), subset, superset, unrelated, unrelated, [], range(n), [], subset,
         range(n // 2, n), range(n // 2), list(range(0, n, 2)), list(range(1, n, 2)), superset,
+        # hops between the base, the whole program, and runs far from it
+        range(n), [], range(n - 1), without(mid), without(mid, mid + 1),
+        without(*range(mid - 3, mid + 4)), without(3), unrelated, without(n - 1), [],
+        without(0), without(0, 1), range(n), without(mid),
     ]
     for i, kept in enumerate(orders):
         assert flow(shared, kept) == _cold(shared, kept), i
         # a second Analysis in between must not disturb the first one's last run
         other_kept = range(5) if i % 2 else [0, 2, 4]
         assert flow(other, other_kept) == _cold(other, other_kept), i
+
+
+def test_first_check_resumes_from_base(monkeypatch):
+    # a sample's first check follows the last sample's empty run; the
+    # whole-program run kept as the base is one line away from it
+    lines = split_lines((Path(lintseq.__file__).parent / "pycheck.py").read_text(encoding="utf-8"))
+    n = len(lines)
+    assert n >= 300
+    a = Analysis(lines)
+    whole = flow(a, range(n))
+    assert whole == check_lines(lines)
+    assert flow(a, []) == []
+    scans = []
+    real_scan = Analysis.scan
+
+    def counted(self, idx, entry):
+        scans.append(idx)
+        return real_scan(self, idx, entry)
+
+    monkeypatch.setattr(Analysis, "scan", counted)
+    got = flow(a, range(n - 1))
+    assert len(scans) <= 1
+    monkeypatch.undo()
+    assert got == _cold(a, range(n - 1))
+    # the base is left as it was: back at the whole program, nothing changed
+    assert flow(a, []) == []
+    assert flow(a, range(n)) == whole
 
 
 # headers, a star import, a global, a docstring, brackets across lines and a
