@@ -14,11 +14,11 @@ its stdout with a configurable pattern.  A finding is one sorted
 ``(line, code, message)`` triple, as ``pycheck.flow`` returns it, in the
 sampling cascade (``setup``, ``check_subset``, ``extra_findings``) and in
 ``check_text`` alike.
-The built-in engine keeps the setup of the last program it checked, whose
-``pycheck.Analysis`` also keeps the last walk and the whole-program walk,
-so consecutive checks of one program's subsets re-walk only the lines a
-deletion changed; the external one caches findings by content hash for
-the last program set up.
+In the cascade, ``setup`` hands out a subset keeping every line, and each
+``check_subset`` names only the source indices deleted since the last one.
+The built-in engine keeps the last program's setup, whose Analysis keeps
+the last walk and the whole-program walk, so a check re-walks only the
+lines a deletion changed; the external one caches findings by content hash.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import threading
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import pycheck
 from .diffkit import join_lines, split_lines
@@ -98,30 +98,31 @@ class BuiltinLinter:
         self._last: tuple[str, tuple[str, ...], pycheck.Analysis, tuple[Finding, ...]] | None = None
 
     def setup(self, program: str) -> tuple[tuple[str, ...], pycheck.Analysis, tuple[Finding, ...]]:
-        """The program's lines, scan cache and baseline findings.
+        """The program's lines, its Analysis keeping every line, and baseline findings.
 
         The last program's setup is kept, so every sample of one example
-        shares one scan cache and one baseline, and each ``check_subset``
-        on the Analysis resumes from the previous walk, or from the
-        whole-program walk made here for the baseline, which the Analysis
-        keeps as its base for each sample's first check.  The baseline is
-        the sorted ``(line, code, message)`` triples of the whole program,
-        a tuple, so no caller of ``check`` can change what later samples
-        of the program are judged against.
+        shares one scan cache and one baseline.  The Analysis is restarted
+        from the whole-program walk its first check made here for the
+        baseline, so each sample's cascade resumes from that walk.  The
+        baseline is the sorted ``(line, code, message)`` triples of the
+        whole program, a tuple, so no caller of ``check`` can change what
+        later samples of the program are judged against.
         """
         last = self._last
         if last is None or last[0] != program:
             lines = tuple(split_lines(program))
             analysis = pycheck.Analysis(lines)
-            baseline = tuple(self.check_subset(analysis, range(len(lines))))
+            baseline = tuple(self.check_subset(analysis, ()))
             last = self._last = (program, lines, analysis, baseline)
+        else:
+            last[2].restart()
         return last[1:]
 
     def check_text(self, text: str) -> tuple[Finding, ...]:
         return self.setup(text)[2]
 
-    def check_subset(self, analysis: pycheck.Analysis, kept: Sequence[int]) -> list[Finding]:
-        return pycheck.flow(analysis, kept)
+    def check_subset(self, analysis: pycheck.Analysis, deleted: Iterable[int]) -> list[Finding]:
+        return pycheck.flow(analysis, deleted)
 
 
 class ExternalLinter:
@@ -133,21 +134,23 @@ class ExternalLinter:
         self._pattern = re.compile(spec.finding_pattern)
         self._argv = shlex.split(spec.command_template)
 
-    def setup(self, program: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[Finding, ...]]:
-        """As BuiltinLinter.setup; the lines double as check_subset's input.
+    def setup(self, program: str) -> tuple[tuple[str, ...], dict[int, str], tuple[Finding, ...]]:
+        """As BuiltinLinter.setup; the subset is a fresh dict of every line by index.
 
         A program other than the last one set up starts a fresh cache.
         """
         if program != self._program:
             self._program, self._cache = program, {}
         lines = tuple(split_lines(program))
-        return lines, lines, self._findings(program)
+        return lines, dict(enumerate(lines)), self._findings(program)
 
     def check_text(self, text: str) -> tuple[Finding, ...]:
         return self.setup(text)[2]
 
-    def check_subset(self, lines: Sequence[str], kept: Sequence[int]) -> tuple[Finding, ...]:
-        return self._findings(join_lines(lines[i] for i in kept))
+    def check_subset(self, subset: dict[int, str], deleted: Iterable[int]) -> tuple[Finding, ...]:
+        for idx in deleted:
+            del subset[idx]
+        return self._findings(join_lines(subset.values()))
 
     def _findings(self, text: str) -> tuple[Finding, ...]:
         key = hashlib.sha1(text.encode("utf-8", "surrogatepass")).digest()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from statistics import fmean
@@ -122,8 +123,8 @@ class FlopsModel:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if not self.avg_tokens_per_sample > 0:
-            raise ValueError("avg_tokens_per_sample must be positive")
+        if not 0 < self.avg_tokens_per_sample < math.inf:
+            raise ValueError("avg_tokens_per_sample must be a finite positive number")
 
 
 def flops_per_token(model: FlopsModel) -> int:
@@ -132,13 +133,18 @@ def flops_per_token(model: FlopsModel) -> int:
 
 
 def total_flops(model: FlopsModel) -> float | int:
-    """Per-token cost scaled by tokens per sample, samples, and problems."""
-    return (
-        flops_per_token(model)
-        * model.samples_per_problem
-        * model.problems
-        * model.avg_tokens_per_sample
-    )
+    """Per-token cost scaled by tokens per sample, samples, and problems.
+
+    Raises ValueError when a float result would not be finite.
+    """
+    total = flops_per_token(model) * model.samples_per_problem * model.problems
+    try:
+        total *= model.avg_tokens_per_sample
+    except OverflowError:  # an int too large to convert to float
+        total = math.inf
+    if total == math.inf:
+        raise ValueError("total FLOPs do not fit in a float")
+    return total
 
 
 @dataclass(frozen=True)

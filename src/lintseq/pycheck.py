@@ -19,20 +19,20 @@ semicolon chains use intra-line token order) keep the pass linear.
 
 ``Analysis`` caches per-line scans keyed by the string state a line is
 entered in, and each ``LineScan`` caches its name facts, both as a fresh
-statement and per continuation mode.  The ``Analysis`` also keeps the last
-flow run: the walk state before each kept line and the events the line
-produced, positioned by source index.  The next call reuses every line
-entered in the same state as before, walks only the lines whose walk state
-changed, and resolves again only the uses that a changed definition or
-star import can affect, so each check of a deletion cascade costs about
-the span the deletion changed.
+statement and per continuation mode.  The ``Analysis`` also owns the kept
+lines and the last flow run over them: the walk state before each kept line
+and the events the line produced, positioned by source index.  A call names
+only the lines it deletes.  It reuses every kept line entered in the same
+state as before, walks only the lines whose walk state the deletion changed,
+and resolves again only the uses that a changed definition or star import
+can affect, so each check of a deletion cascade costs about the span the
+deletion changed.
 
-The first run over the whole program is kept as well, as a read-only
-base.  A call whose kept lines differ from the whole program by fewer
-lines than from the last run resumes from the base instead: the base's
-walk is shared, and its aggregates are restored as one C-level copy per
-dict and set.  So the first check of each sampled cascade, one deletion
-away from the whole program, costs the span of that deletion too.
+The first run is kept as a read-only base, and ``Analysis.restart`` goes
+back to it: the base's walk is shared, and its aggregates are restored as
+one C-level copy per dict and set.  So when every cascade's first run keeps
+every line, each later cascade starts from that whole-program walk, and its
+first check costs the span of its first deletion too.
 """
 
 from __future__ import annotations
@@ -768,26 +768,26 @@ def _copied(aggregates: tuple) -> tuple:
 
 
 class Analysis:
-    """Scan cache, last ``flow`` run and whole-program base for one source.
+    """Scan cache, kept lines, last ``flow`` run and base for one source.
 
-    The last run keeps the kept indices, the walk state before each
-    position (immutable and comparable: brackets and indentation levels
-    are linked tuples, scopes are interned by kind, header index and
-    parent), each position's events, and the aggregates built from them:
-    structural finding counts, sorted def positions per (scope, name),
-    star-import scopes, uses by name and the unresolved uses.  Positions
-    are source indices, so a line's events do not depend on deletions
-    elsewhere.  A call walks only the lines whose walk state changed and
-    updates the aggregates by their events alone.
+    A fresh Analysis keeps every line and has walked none of them.  The last
+    run keeps the walk state before each kept position (immutable and
+    comparable: brackets and indentation levels are linked tuples, scopes
+    are interned by kind, header index and parent), each position's events,
+    and the aggregates built from them: structural finding counts, sorted
+    def positions per (scope, name), star-import scopes, uses by name and
+    the unresolved uses.  Positions are source indices, so a line's events
+    do not depend on deletions elsewhere.  A call walks only the lines whose
+    walk state changed and updates the aggregates by their events alone.
 
-    The first run that keeps every line is also kept as the base.  Each
-    call replaces the kept indices, states and events rather than mutating
-    them, so the base shares them; the aggregates that ``_absorb`` mutates
-    in place are copied into the base and copied out of it on a restore.
+    The first run is also kept as the base, which ``restart`` restores.
+    Calls replace the kept indices, states and events rather than mutate
+    them, so the base shares them; the aggregates, which ``_absorb``
+    mutates, are copied into the base and out of it on a restart.
     """
 
     __slots__ = (
-        "lines", "_scans", "_scopes", "_kept", "_kept_set", "_states", "_events",
+        "lines", "_scans", "_scopes", "_kept", "_states", "_events",
         "_findings", "_defs", "_stars", "_uses", "_unresolved", "_base",
     )
 
@@ -795,10 +795,10 @@ class Analysis:
         self.lines = list(lines)
         self._scans: dict[tuple[int, str], LineScan] = {}
         self._scopes: dict[tuple, _Scope] = {}
-        self._kept: list[int] = []
-        self._kept_set: set[int] = set()
+        self._kept: list[int] = list(range(len(self.lines)))
         # (sstate, string_open, brackets, levels, scope, opener,
-        #  pending_scope, pending_mode, logical) before each position
+        #  pending_scope, pending_mode, logical) before each walked position
+        # and after the last; a fresh Analysis has walked no position
         self._states: list[tuple] = [
             ("", 0, None, (0, False, None), _Scope("module", None), None, None, None, None)
         ]
@@ -808,7 +808,7 @@ class Analysis:
         self._stars: dict[_Scope, int] = {}
         self._uses: defaultdict[str, set[tuple]] = defaultdict(set)
         self._unresolved: set[tuple] = set()
-        # (kept, kept_set, states, events, aggregates) of the whole-program run
+        # (kept, states, events, aggregates) of the first run
         self._base: tuple | None = None
 
     def scan(self, idx: int, entry: str) -> LineScan:
@@ -843,14 +843,9 @@ class Analysis:
             s = s.parent
         return False
 
-    def _keep_base(self) -> None:
-        """Keep the last run, which holds every line, as the base."""
-        aggregates = (self._findings, self._defs, self._stars, self._uses, self._unresolved)
-        self._base = (self._kept, self._kept_set, self._states, self._events, _copied(aggregates))
-
-    def _restore_base(self) -> None:
-        """Make the base the last run, with aggregates of its own."""
-        self._kept, self._kept_set, self._states, self._events, aggregates = self._base
+    def restart(self) -> None:
+        """Make the base the last run again, with aggregates of its own; after a first call."""
+        self._kept, self._states, self._events, aggregates = self._base
         (self._findings, self._defs, self._stars, self._uses, self._unresolved) = _copied(aggregates)
 
     def _absorb(self, removed: list[tuple], added: list[tuple]) -> None:
@@ -941,63 +936,60 @@ class Analysis:
                 unresolved.add(use)
 
 
-def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
-    """Check the program formed by the given source-line indices.
+def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str, str]]:
+    """Delete the given source indices from the kept lines and check the rest.
 
-    ``kept`` must be strictly increasing.  Returns sorted (line, code,
-    message) findings; line numbers are 1-based positions within the
-    checked subset.
+    Each deleted index must be kept; otherwise ``ValueError`` is raised and
+    the run is left as it was.  Returns sorted (line, code, message)
+    findings; line numbers are 1-based positions within the kept lines.
 
-    The walk resumes from the previous call on the same ``analysis``, or
-    from the base, the first call that kept every line, when ``kept``
-    differs from every line by fewer lines than from the previous call.
-    At a line the resumed run also kept, entered in the same walk state,
-    that run's walk holds up to the next line kept by only one of the two,
-    so its states and events are reused; every other line is walked.
+    The walk resumes from the last run on the same ``analysis``.  At a kept
+    line entered in the same walk state as in that run, the run's walk
+    holds up to the next deleted line, so its states and events are reused;
+    every other line is walked.  The first call on a fresh Analysis walks
+    every line it keeps and becomes the base.
     """
     a = analysis
-    kept = list(kept)
-    kept_set = set(kept)
-    n = len(kept)
-    if len(kept_set) != n or kept != sorted(kept):
-        raise ValueError("kept indices must be strictly increasing")
-    diff = kept_set.symmetric_difference(a._kept_set)
-    if a._base is not None and len(a.lines) - n < len(diff):
-        a._restore_base()
-        diff = kept_set.symmetric_difference(a._kept_set)
-    changes = sorted(diff)
     old, old_states, old_events = a._kept, a._states, a._events
-    n_old = len(old)
+    n_old, n_walked = len(old), len(old_events)
+    cuts: list[int] = []  # positions in ``old`` of the deleted lines, then its end
+    for idx in sorted(deleted):
+        p = bisect_left(old, idx)
+        if p == n_old or old[p] != idx or (cuts and cuts[-1] == p):
+            raise ValueError(f"source line {idx} is not kept")
+        cuts.append(p)
+    cuts.append(n_old)
+    kept: list[int] = []
     states: list[tuple] = []
     events: list[tuple] = []
     added: list[tuple] = []
     removed: list[tuple] = []
-    j = i = done = 0
+    k = p = done = 0
     st = old_states[0]
     while True:
         (
             sstate, string_open, brackets, levels, scope,
             opener, pending_scope, pending_mode, logical,
         ) = st
-        if j == n:
+        while p == cuts[k] < n_old:
+            p += 1
+            k += 1
+        if p == n_old:
             break
-        idx = kept[j]
-        i = bisect_left(old, idx, i)
-        if i < n_old and old[i] == idx and st == old_states[i]:
-            # the old walk holds from here up to the next changed line
-            k = bisect_left(changes, idx)
-            if k == len(changes):
-                j, end = n, n_old
-            else:
-                j, end = bisect_left(kept, changes[k], j), bisect_left(old, changes[k], i)
-            states += old_states[i:end]
-            events += old_events[i:end]
-            removed += old_events[done:i]
-            done = i = end
-            st = old_states[i]
+        if p < n_walked and st == old_states[p]:
+            # the last run's walk holds from here up to the next deleted line
+            end = cuts[k]
+            kept += old[p:end]
+            states += old_states[p:end]
+            events += old_events[p:end]
+            removed += old_events[done:p]
+            done = p = end
+            st = old_states[p]
             continue
+        idx = old[p]
+        kept.append(idx)
         states.append(st)
-        j += 1
+        p += 1
 
         entry = sstate
         f = a.scan(idx, entry)
@@ -1093,10 +1085,11 @@ def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
     states.append(st)
     removed += old_events[done:]
 
-    a._kept, a._kept_set, a._states, a._events = kept, kept_set, states, events
+    a._kept, a._states, a._events = kept, states, events
     a._absorb(removed, added)
-    if a._base is None and n == len(a.lines) and kept == list(range(n)):
-        a._keep_base()
+    if a._base is None:
+        aggregates = (a._findings, a._defs, a._stars, a._uses, a._unresolved)
+        a._base = (kept, states, events, _copied(aggregates))
 
     out = set(a._findings)
     if opener is not None:
@@ -1112,4 +1105,4 @@ def flow(analysis: Analysis, kept: Iterable[int]) -> list[tuple[int, str, str]]:
 
 
 def check_lines(lines: Sequence[str]) -> list[tuple[int, str, str]]:
-    return flow(Analysis(lines), range(len(lines)))
+    return flow(Analysis(lines))

@@ -110,20 +110,21 @@ def backward_sample(
     """Sample one linter-guided deletion trajectory, returned forward.
 
     The engine keeps the setup of the last program it saw, so repeated
-    samples of one program share its scan cache and baseline findings, and
-    consecutive cascade checks reuse the previous walk: each re-walks only
-    the lines whose walk state the last deletions changed.  A sample's
-    first check resumes from the whole-program walk made for the baseline.
+    samples of one program share its scan cache and baseline findings.
+    Each cascade check passes the engine only the source indices deleted
+    since the last one, and re-walks only the lines whose walk state those
+    deletions changed; a sample's first check resumes from the
+    whole-program walk made for the baseline.
     """
     rng = rng or random.Random()
     engine = get_linter(linter or LinterSpec())
-    lines, analysis, baseline = engine.setup(program)
+    lines, subset, baseline = engine.setup(program)
     kept = list(range(len(lines)))
     trajectory = [tuple(kept)]
     while kept:
-        del kept[rng.randrange(len(kept))]
+        deleted = [kept.pop(rng.randrange(len(kept)))]
         while kept:
-            extras = extra_findings(engine.check_subset(analysis, kept), baseline)
+            extras = extra_findings(engine.check_subset(subset, deleted), baseline)
             if not extras:
                 break
             doomed = sorted({line - 1 for line, _, _ in extras if 0 < line <= len(kept)})
@@ -131,8 +132,7 @@ def backward_sample(
                 # only reachable with a checker that reports lines outside
                 # the candidate; without a removal the loop cannot stabilize
                 raise SamplerError("finding lines fall outside the candidate; cannot stabilize")
-            for pos in reversed(doomed):
-                del kept[pos]
+            deleted = [kept.pop(pos) for pos in reversed(doomed)]
         trajectory.append(tuple(kept))
     return _states_from_trajectory(lines, trajectory)
 

@@ -13,6 +13,7 @@ from lintseq.editcodec import (
     split_serialized,
 )
 from lintseq.lint import LinterSpec, extra_findings, get_linter
+from lintseq.pycheck import check_lines, flow
 
 
 def diff(before: str, after: str) -> EditDiff:
@@ -67,6 +68,21 @@ def is_error_free_relative(candidate: str, baseline, linter=None) -> bool:
     ``findings``.
     """
     return not extra_findings(findings(candidate, linter), baseline)
+
+
+def flow_checked(analysis, kept: list[int], deleted=()) -> list[tuple[int, str, str]]:
+    """``flow`` on ``analysis``, asserted equal to ``check_lines`` on the candidate.
+
+    ``kept`` is the caller's own list of the source indices the Analysis
+    keeps: the deleted ones are taken out of it in place, and the findings
+    must be those of a cold check of the lines left.
+    """
+    deleted = list(deleted)
+    got = flow(analysis, deleted)
+    gone = set(deleted)
+    kept[:] = [i for i in kept if i not in gone]
+    assert got == check_lines([analysis.lines[i] for i in kept]), (deleted, kept)
+    return got
 
 
 def resolve_record(record) -> str:

@@ -206,8 +206,8 @@ def test_external_linter_sorts_findings(tmp_path):
     # the cascade gets the same order, so the later copy of a
     # message the baseline allows once is the one reported as new
     engine = get_linter(spec)
-    lines, _, _ = engine.setup("a = 1\nb = 2\n")
-    found = engine.check_subset(lines, [1])
+    _, subset, _ = engine.setup("a = 1\nb = 2\n")
+    found = engine.check_subset(subset, [0])
     assert [line for line, _, _ in found] == [1, 2, 5, 5]
     allowed_once = [(9, "E1", "same"), (9, "Ea", "first"), (9, "Eb", "later")]
     assert extra_findings(found, allowed_once) == [(5, "E1", "same")]
@@ -230,8 +230,8 @@ def test_external_linter_cache_keeps_last_program_only(tmp_path):
     spec = LinterSpec(kind="external", command_template=f"python3 {script} {{path}}")
     engine = get_linter(spec)
     first, second = "a = 1\nb = 2\n", "c = 3\n"
-    lines, _, _ = engine.setup(first)
-    engine.check_subset(lines, [1])
+    _, subset, _ = engine.setup(first)
+    engine.check_subset(subset, [0])
     engine.setup(first)
     assert runs.read_text().count("run") == 2  # the second setup hit the cache
     engine.setup(second)

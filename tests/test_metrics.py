@@ -155,6 +155,21 @@ def test_flops_model_validation():
         FlopsModel(n_params=1, n_layers=1, context=1, samples_per_problem=0)
 
 
+def test_flops_reject_non_finite_tokens_and_totals():
+    for tokens in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            FlopsModel(n_params=1, n_layers=1, context=1, avg_tokens_per_sample=tokens)
+    huge = FlopsModel(n_params=10**400, n_layers=1, context=1, avg_tokens_per_sample=1.5)
+    with pytest.raises(ValueError):
+        total_flops(huge)
+    big = FlopsModel(n_params=10**300, n_layers=1, context=1, avg_tokens_per_sample=1e10)
+    with pytest.raises(ValueError):
+        total_flops(big)
+    # an int token count keeps the total an exact int however large
+    exact = FlopsModel(n_params=10**400, n_layers=1, context=1, avg_tokens_per_sample=2)
+    assert total_flops(exact) == 2 * (10**400 + 2) * 2
+
+
 def test_lint_error_rate_counts_flagged():
     programs = ["x = 1\n", "print(ghost)\n", "y = 2\nprint(y)\n", "z = 3\n"]
     out = lint_error_rate(programs)

@@ -1,11 +1,14 @@
 import random
 from pathlib import Path
 
+import pytest
+
 import lintseq
-import lintseq.pycheck
 from lintseq.pycheck import Analysis, check_lines, flow
 from lintseq.diffkit import split_lines
+from lintseq.lint import BuiltinLinter
 from lintseq.sampler import backward_sample
+from tests.oracles import flow_checked
 from tests.progen import make_program
 
 
@@ -143,30 +146,28 @@ def test_import_alias_binds_alias():
 def test_flow_runs_on_subsets():
     lines = split_lines("import math\nr = math.floor(2.5)\nprint(r)\n")
     analysis = Analysis(lines)
-    assert flow(analysis, [0, 1, 2]) == []
+    assert flow(analysis) == []
     # drop the import: both users now reference an unknown name
-    out = flow(analysis, [1, 2])
+    out = flow(analysis, [0])
     assert [c for _, c, _ in out] == ["undefined-name"]
     # findings are numbered against the candidate, not the source
     assert [ln for ln, _, _ in out] == [1]
     # drop the middle line: print target vanishes
-    out2 = flow(analysis, [0, 2])
+    out2 = flow(Analysis(lines), [1])
     assert [(ln, c) for ln, c, _ in out2] == [(2, "undefined-name")]
 
 
 def test_flow_candidate_numbering():
     lines = split_lines("a = 1\nb = a + 1\nc = b + 1\n")
-    analysis = Analysis(lines)
     # keep only the last line: its finding is at candidate line 1
-    out = flow(analysis, [2])
+    out = flow(Analysis(lines), [0, 1])
     assert [(ln, c) for ln, c, _ in out] == [(1, "undefined-name")]
 
 
 def test_del_header_cascade_shape():
     # removing a def header leaves the body orphaned one line at a time
     lines = split_lines("def f(p):\n    t = p + 1\n    return t\nprint(f(2))\n")
-    analysis = Analysis(lines)
-    out = flow(analysis, [1, 2, 3])
+    out = flow(Analysis(lines), [0])
     assert (1, "unexpected-indent") in [(ln, c) for ln, c, _ in out]
     assert (3, "undefined-name") in [(ln, c) for ln, c, _ in out]
 
@@ -221,47 +222,50 @@ def test_walrus_in_if_header_binds():
 def test_shared_analysis_keeps_continuation_modes_apart():
     # line 2 continues a def header in one subset and an expression in the other
     analysis = Analysis(["def f(a,\n", "y = (\n", "      b)\n"])
-    assert flow(analysis, [0, 2]) == []
-    out = flow(analysis, [1, 2])
+    assert flow(analysis) == check_lines(analysis.lines)
+    assert flow(analysis, [1]) == []
+    analysis.restart()
+    out = flow(analysis, [0])
     assert out == [(2, "undefined-name", "undefined name 'b'")]
     assert out == check_lines(["y = (\n", "      b)\n"])
 
 
 def test_shared_analysis_matches_fresh_check_on_own_sources():
+    # deletion chains of every rate on each source, restarted now and then
     rng = random.Random(3)
     for path in sorted(Path(lintseq.__file__).parent.glob("*.py")):
-        lines = split_lines(path.read_text(encoding="utf-8"))
-        analysis = Analysis(lines)
+        analysis = Analysis(split_lines(path.read_text(encoding="utf-8")))
+        base = list(range(len(analysis.lines)))
+        kept = base[:]
+        flow_checked(analysis, kept)
         for _ in range(12):
-            keep = rng.random()
-            kept = [i for i in range(len(lines)) if rng.random() < keep]
-            assert flow(analysis, kept) == check_lines([lines[i] for i in kept]), (path, kept)
-
-
-def _cold(analysis, kept):
-    return flow(Analysis(analysis.lines), kept)
+            if rng.random() < 0.3:
+                analysis.restart()
+                kept = base[:]
+            rate = rng.random()
+            flow_checked(analysis, kept, [i for i in kept if rng.random() < rate])
 
 
 def test_incremental_flow_matches_cold_on_backward_sample_cascades(monkeypatch):
-    # every call a cascade makes on the shared Analysis equals a walk of
-    # every kept line by a fresh Analysis, which has no last run and no
-    # base; the fresh ones share one scan cache per program, since scans
-    # are context-free (re-scanning the whole program per call is slow)
+    # every check a cascade makes on the engine's shared Analysis equals a
+    # cold check of the candidate; setup hands out an Analysis keeping
+    # every line, so the test's own copy of the kept lines starts there
     calls = []
-    real_flow = lintseq.pycheck.flow
-    pair = [None, None]  # the shared Analysis and the scan cache of its references
+    mirrors = {}
+    real_setup, real_check = BuiltinLinter.setup, BuiltinLinter.check_subset
 
-    def checked(analysis, kept):
-        got = real_flow(analysis, kept)
-        if pair[0] is not analysis:
-            pair[:] = [analysis, Analysis(analysis.lines)._scans]
-        ref = Analysis(analysis.lines)
-        ref._scans = pair[1]
-        assert got == real_flow(ref, kept), kept
+    def setup(self, program):
+        out = real_setup(self, program)
+        mirrors[out[1]] = list(range(len(out[0])))
+        return out
+
+    def check_subset(self, analysis, deleted):
+        kept = mirrors.setdefault(analysis, list(range(len(analysis.lines))))
         calls.append(len(kept))
-        return got
+        return flow_checked(analysis, kept, deleted)
 
-    monkeypatch.setattr(lintseq.pycheck, "flow", checked)
+    monkeypatch.setattr(BuiltinLinter, "setup", setup)
+    monkeypatch.setattr(BuiltinLinter, "check_subset", check_subset)
     sources = sorted(Path(lintseq.__file__).parent.glob("*.py"))
     programs = [path.read_text(encoding="utf-8") for path in sources]
     gen = random.Random(5)
@@ -270,8 +274,8 @@ def test_incremental_flow_matches_cold_on_backward_sample_cascades(monkeypatch):
     for seed, program in enumerate(programs):
         backward_sample(program, rng=random.Random(seed))
         if seed % 3 == 0:
-            # later samples of a program start from the base; the third one
-            # sees whatever the second left in it
+            # later samples of a program restart from the base; the third
+            # one sees whatever the second left in it
             for sample in (1, 2):
                 backward_sample(program, rng=random.Random(1000 * sample + seed))
     assert len(calls) > 1000
@@ -279,43 +283,54 @@ def test_incremental_flow_matches_cold_on_backward_sample_cascades(monkeypatch):
 
 def test_incremental_flow_adversarial_call_orders():
     lines = split_lines((Path(lintseq.__file__).parent / "lint.py").read_text(encoding="utf-8"))
-    other = Analysis(split_lines("import os\nx = os.sep\ndef f(a):\n    return a + x\nf(y)\n"))
-    n = len(lines)
     rng = random.Random(11)
-    shared = Analysis(lines)
-    subset = sorted(rng.sample(range(n), n // 3))
-    superset = sorted(set(subset) | set(rng.sample(range(n), n // 3)))
-    unrelated = sorted(rng.sample(range(n), n // 2))
-
-    def without(*drop):
-        return [k for k in range(n) if k not in drop]
-
-    mid = n // 2
-    orders = [
-        range(n), subset, superset, unrelated, unrelated, [], range(n), [], subset,
-        range(n // 2, n), range(n // 2), list(range(0, n, 2)), list(range(1, n, 2)), superset,
-        # hops between the base, the whole program, and runs far from it
-        range(n), [], range(n - 1), without(mid), without(mid, mid + 1),
-        without(*range(mid - 3, mid + 4)), without(3), unrelated, without(n - 1), [],
-        without(0), without(0, 1), range(n), without(mid),
+    # (Analysis, the base's kept lines, the kept lines now) of two sources;
+    # the second one's first call deletes a line, so its base lacks that line
+    shared = (Analysis(lines), list(range(len(lines))), list(range(len(lines))))
+    other_lines = split_lines("import os\nx = os.sep\ndef f(a):\n    return a + x\nf(y)\n")
+    other = (Analysis(other_lines), [0, 2, 3, 4], list(range(5)))
+    flow_checked(shared[0], shared[2])
+    flow_checked(other[0], other[2], [1])
+    steps = {
+        "none": lambda kept: [],
+        "middle": lambda kept: kept[len(kept) // 2 : len(kept) // 2 + 1],
+        "first": lambda kept: kept[:1],
+        "last": lambda kept: kept[-1:],
+        "run": lambda kept: kept[len(kept) // 3 : len(kept) // 2],
+        "two apart": lambda kept: kept[1:2] + kept[-2:-1],
+        "third": lambda kept: rng.sample(kept, len(kept) // 3),
+        "every other": lambda kept: kept[::2],
+        "all": lambda kept: kept,
+    }
+    scripted = [
+        "middle", "middle", "none", "restart", "first", "last", "two apart", "run",
+        "restart", "restart", "all", "none", "restart", "third", "third", "every other",
+        "middle", "restart", "every other", "every other", "all", "restart", "last", "all",
     ]
-    for i, kept in enumerate(orders):
-        assert flow(shared, kept) == _cold(shared, kept), i
-        # a second Analysis in between must not disturb the first one's last run
-        other_kept = range(5) if i % 2 else [0, 2, 4]
-        assert flow(other, other_kept) == _cold(other, other_kept), i
+    names = [*steps, "restart"]
+    order = scripted + [rng.choice(names) for _ in range(60)]
+    for i, step in enumerate(order):
+        # each step on one Analysis is followed by a call on the other, which
+        # must not disturb the first one's last run
+        for analysis, base, kept in (shared, other) if i % 2 else (other, shared):
+            if step == "restart":
+                analysis.restart()
+                kept[:] = base
+            flow_checked(analysis, kept, [] if step == "restart" else steps[step](kept))
 
 
 def test_first_check_resumes_from_base(monkeypatch):
-    # a sample's first check follows the last sample's empty run; the
-    # whole-program run kept as the base is one line away from it
+    # a sample's first check follows the restart after the last sample
+    # deleted every line; the restart goes back to the whole-program run,
+    # which is one line away from it
     lines = split_lines((Path(lintseq.__file__).parent / "pycheck.py").read_text(encoding="utf-8"))
     n = len(lines)
     assert n >= 300
     a = Analysis(lines)
-    whole = flow(a, range(n))
-    assert whole == check_lines(lines)
-    assert flow(a, []) == []
+    kept = list(range(n))
+    whole = flow_checked(a, kept)
+    assert flow_checked(a, kept, kept[:]) == []
+    a.restart()
     scans = []
     real_scan = Analysis.scan
 
@@ -324,13 +339,13 @@ def test_first_check_resumes_from_base(monkeypatch):
         return real_scan(self, idx, entry)
 
     monkeypatch.setattr(Analysis, "scan", counted)
-    got = flow(a, range(n - 1))
+    got = flow(a, [n - 1])
     assert len(scans) <= 1
     monkeypatch.undo()
-    assert got == _cold(a, range(n - 1))
-    # the base is left as it was: back at the whole program, nothing changed
-    assert flow(a, []) == []
-    assert flow(a, range(n)) == whole
+    assert got == check_lines(lines[:-1])
+    # the base is left as it was: after a restart, nothing changed
+    a.restart()
+    assert flow(a) == whole
 
 
 # headers, a star import, a global, a docstring, brackets across lines and a
@@ -372,22 +387,27 @@ def test_incremental_flow_after_edits_that_change_walk_state():
     lines = split_lines(_STATEFUL)
     n = len(lines)
     shared = Analysis(lines)
-    assert flow(shared, range(n)) == check_lines(lines)
+    assert flow(shared) == check_lines(lines)
     for i in range(n):
         for j in range(i, n):
-            kept = [k for k in range(n) if k != i and k != j]
-            assert flow(shared, kept) == _cold(shared, kept), (i, j)
-        # back to a superset of every subset walked above
-        assert flow(shared, range(i, n)) == _cold(shared, range(i, n)), i
+            shared.restart()
+            flow_checked(shared, list(range(n)), {i, j})
+        # then delete the lines before i, and the rest one at a time from the end
+        shared.restart()
+        kept = list(range(n))
+        flow_checked(shared, kept, range(i))
+        while kept:
+            flow_checked(shared, kept, kept[-1:])
 
 
-def test_flow_rejects_unordered_kept():
+def test_flow_rejects_deleting_a_line_not_kept():
     analysis = Analysis(["x = 1\n", "y = x\n", "print(y)\n"])
-    for kept in ([1, 0], [0, 2, 2], [0, 2, 1]):
-        try:
-            flow(analysis, kept)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError(kept)
-        assert flow(analysis, [0, 1, 2]) == []
+    kept = [0, 1, 2]
+    assert flow_checked(analysis, kept, [1]) == [(2, "undefined-name", "undefined name 'y'")]
+    # deleted before, twice in one call, out of range
+    for deleted in ([1], [0, 0], [2, 0, 2], [3], [-1], [0, 3]):
+        with pytest.raises(ValueError):
+            flow(analysis, deleted)
+        # the rejected call left the run as it was
+        assert flow_checked(analysis, kept) == [(2, "undefined-name", "undefined name 'y'")]
+    assert flow_checked(analysis, kept, [2]) == []

@@ -149,6 +149,31 @@ def test_backward_sample_external_linter_matches_builtin(tmp_path):
         assert external.signature() == builtin.signature()
 
 
+def test_backward_sample_external_linter_repeats_with_one_seed(tmp_path):
+    # each setup hands out a subset of its own, so a second sample of the
+    # program starts from every line again, as the first one did
+    script = tmp_path / "uselint.py"
+    script.write_text(textwrap.dedent("""\
+        import sys
+        path = sys.argv[1]
+        defined = set()
+        with open(path, encoding="utf-8") as fh:
+            for n, line in enumerate(fh.read().splitlines(), 1):
+                target, _, value = line.partition(" = ")
+                for name in value.split(" + "):
+                    if name.isidentifier() and name not in defined:
+                        print(f"{path}:{n}:1: E1 undefined {name}")
+                defined.add(target)
+        """))
+    spec = LinterSpec(kind="external", command_template=f"{sys.executable} {script} {{path}}")
+    program = "a = 1\nb = a + 1\nc = b + a\nd = c + 1\ne = 2\n"
+    first, second = (backward_sample(program, spec, random.Random(3)) for _ in range(2))
+    assert first.signature() == second.signature()
+    # the linter steered it: some step deleted more than the one random line
+    kept = [len(s) for s in first.signature()]
+    assert any(later - earlier > 1 for earlier, later in zip(kept, kept[1:]))
+
+
 def test_backward_sample_skips_findings_outside_candidate(tmp_path):
     # a finding on a line the candidate lacks deletes nothing, so the
     # cascade stops with a skip instead of looping
