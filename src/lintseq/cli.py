@@ -25,6 +25,7 @@ from .corpus import (
     CorpusError,
     EditSequenceRecord,
     SourceExample,
+    _parse_json,
     atomic_output,
     deduplicate,
     dump_records,
@@ -76,7 +77,7 @@ def _load_config(path: str | None) -> dict:
         text = fh.read().strip()
     if not text:
         return {}
-    obj = json.loads(text)
+    obj = _parse_json(text)
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a single JSON object")
     for key, value in obj.items():
@@ -110,13 +111,18 @@ def _linter_spec(ns: argparse.Namespace, config: dict) -> LinterSpec:
     )
 
 
-def _read_examples(path: str) -> Iterator[SourceExample]:
-    """The corpus's examples, lazily; each malformed line is reported as it is read."""
+def _read_examples(path: str, skipped: list[int]) -> Iterator[SourceExample]:
+    """The corpus's examples, lazily.
+
+    Each malformed line is reported as it is read, and its number appended
+    to ``skipped``.
+    """
     for item in load_corpus(path):
         if isinstance(item, SourceExample):
             yield item
         else:
             lineno, reason = item
+            skipped.append(lineno)
             _progress(f"input line {lineno} skipped: {reason}")
 
 
@@ -131,10 +137,11 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     started = time.monotonic()
 
     loaded = 0
+    bad_lines: list[int] = []
 
     def counted() -> Iterator[SourceExample]:
         nonlocal loaded
-        for example in _read_examples(input_path):
+        for example in _read_examples(input_path, bad_lines):
             loaded += 1
             yield example
 
@@ -196,7 +203,7 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         f"{seq_count} sequences, {skipped} skipped, "
         f"mean edits {mean_edits:.2f}, {elapsed:.1f}s"
     )
-    return 2 if skipped else 0
+    return 2 if skipped or bad_lines else 0
 
 
 def cmd_resolve(ns: argparse.Namespace) -> int:
@@ -299,7 +306,10 @@ def cmd_flops(ns: argparse.Namespace) -> int:
         tokens = stats.mean_chars_per_training_text / ratio
     if tokens is None:
         tokens = 1.0
-    tokens = float(tokens)
+    try:
+        tokens = float(tokens)
+    except OverflowError:  # an int too large to convert to float
+        raise ValueError("--tokens must be a finite positive number") from None
     if tokens.is_integer():
         tokens = int(tokens)
     model = FlopsModel(
@@ -329,17 +339,19 @@ def cmd_lintcheck(ns: argparse.Namespace) -> int:
     config = _load_config(ns.config)
     input_path = _require(_opt(ns, config, "input", None), "--input")
     spec = _linter_spec(ns, config)
-    report = lint_error_rate((ex.program for ex in _read_examples(input_path)), spec)
+    bad_lines: list[int] = []
+    report = lint_error_rate((ex.program for ex in _read_examples(input_path, bad_lines)), spec)
+    status = 2 if bad_lines else 0
     if _opt(ns, config, "json", False):
         print(json.dumps(report.to_dict(), ensure_ascii=False, separators=(",", ":")))
-        return 0
+        return status
     print(
         f"checked {report.checked} programs: {report.flagged} with findings "
         f"({report.rate:.1%}), {report.failures} linter failures"
     )
     for code, count in report.per_code.items():
         print(f"  {code}  {count}")
-    return 0
+    return status
 
 
 def _add_io_flags(p: argparse.ArgumentParser, output: bool = True) -> None:

@@ -86,7 +86,7 @@ class EditSequenceRecord:
 
     @staticmethod
     def from_json(line: str) -> "EditSequenceRecord":
-        obj = json.loads(line)
+        obj = _parse_json(line)
         if not isinstance(obj, dict):
             raise CorpusError("record line is not a JSON object")
         missing = [k for k in RECORD_KEYS if k not in obj]
@@ -118,6 +118,14 @@ class EditSequenceRecord:
         )
 
 
+def _parse_json(text: str):
+    """``json.loads``, raising ``JSONDecodeError`` also for nesting too deep to decode."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nesting too deep", text, 0) from None
+
+
 def jsonl_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
     """Each non-blank line of a JSONL file, newline stripped, with its 1-based number.
 
@@ -143,7 +151,7 @@ def load_corpus(path: str | os.PathLike) -> Iterator[SourceExample | tuple[int, 
     accepted = 0
     for lineno, raw in jsonl_lines(path):
         try:
-            obj = json.loads(raw)
+            obj = _parse_json(raw)
         except json.JSONDecodeError as exc:
             yield lineno, f"invalid JSON: {exc.msg}"
             continue

@@ -16,9 +16,10 @@ sampling cascade (``setup``, ``check_subset``, ``extra_findings``) and in
 ``check_text`` alike.
 In the cascade, ``setup`` hands out a subset keeping every line, and each
 ``check_subset`` names only the source indices deleted since the last one.
-The built-in engine keeps the last program's setup, whose Analysis keeps
-the last walk and the whole-program walk, so a check re-walks only the
-lines a deletion changed; the external one caches findings by content hash.
+The built-in engine keeps the last program's setup, whose Analysis edits
+one walk in place and restarts each sample from a copy of the
+whole-program walk, so a check re-walks only the lines a deletion changed;
+the external one caches findings by content hash.
 """
 
 from __future__ import annotations

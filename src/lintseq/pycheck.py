@@ -20,19 +20,19 @@ semicolon chains use intra-line token order) keep the pass linear.
 ``Analysis`` caches per-line scans keyed by the string state a line is
 entered in, and each ``LineScan`` caches its name facts, both as a fresh
 statement and per continuation mode.  The ``Analysis`` also owns the kept
-lines and the last flow run over them: the walk state before each kept line
-and the events the line produced, positioned by source index.  A call names
-only the lines it deletes.  It reuses every kept line entered in the same
-state as before, walks only the lines whose walk state the deletion changed,
-and resolves again only the uses that a changed definition or star import
-can affect, so each check of a deletion cascade costs about the span the
+lines and one flow run over them, edited in place: by source index, the
+walk state each kept line was entered in and the events the line produced.
+A call names only the lines it deletes.  It walks on from each deleted
+line until a kept line is entered in the same state as before, and
+resolves again only the uses that a changed definition or star import can
+affect, so each check of a deletion cascade costs about the span the
 deletion changed.
 
-The first run is kept as a read-only base, and ``Analysis.restart`` goes
-back to it: the base's walk is shared, and its aggregates are restored as
-one C-level copy per dict and set.  So when every cascade's first run keeps
-every line, each later cascade starts from that whole-program walk, and its
-first check costs the span of its first deletion too.
+The first run is copied as the base, and ``Analysis.restart`` makes a copy
+of it the run again, one C-level copy per list, dict and set.  So when
+every cascade's first run keeps every line, each later cascade starts from
+that whole-program walk, and its first check costs the span of its first
+deletion too.
 """
 
 from __future__ import annotations
@@ -748,46 +748,33 @@ def _missing_body(line: int, word: str) -> tuple[int, str, str]:
     return (line, "missing-block-body", f"expected an indented block after '{word}'")
 
 
-# A walk position's events: (structural findings, defs, uses, star-import
+# A source line's events: (structural findings, defs, uses, star-import
 # scope or None).  Defs and uses are (scope, name, source index, sub-position)
 # records; (index, sub) orders them as in the source.
 _NO_EVENTS: tuple = ((), (), (), None)
 
 
-def _copied(aggregates: tuple) -> tuple:
-    """(findings, defs, stars, uses, unresolved), sharing no mutable container.
-
-    Def positions are tuples and the other values immutable, so one
-    C-level copy per dict and per set of uses suffices.
-    """
-    findings, defs, stars, uses, unresolved = aggregates
-    return (
-        dict(findings), dict(defs), dict(stars),
-        defaultdict(set, zip(uses, map(set.copy, uses.values()))), set(unresolved),
-    )
-
-
 class Analysis:
-    """Scan cache, kept lines, last ``flow`` run and base for one source.
+    """Scan cache, kept lines, one ``flow`` run and its base for one source.
 
-    A fresh Analysis keeps every line and has walked none of them.  The last
-    run keeps the walk state before each kept position (immutable and
-    comparable: brackets and indentation levels are linked tuples, scopes
-    are interned by kind, header index and parent), each position's events,
-    and the aggregates built from them: structural finding counts, sorted
-    def positions per (scope, name), star-import scopes, uses by name and
-    the unresolved uses.  Positions are source indices, so a line's events
-    do not depend on deletions elsewhere.  A call walks only the lines whose
-    walk state changed and updates the aggregates by their events alone.
+    A fresh Analysis keeps every line and has walked none of them.  The run
+    holds, by source index, the walk state each kept line was entered in
+    (immutable and comparable: brackets and indentation levels are linked
+    tuples, scopes are interned by kind, header index and parent) and the
+    events it produced; slot ``len(lines)`` of the states is the state after
+    the last kept line.  It also holds the aggregates built from the events:
+    structural finding counts, sorted def positions per (scope, name),
+    star-import scopes, uses by name and the unresolved uses.  Positions are
+    source indices, so a line's events do not depend on deletions elsewhere,
+    and ``flow`` edits the run in place: it walks only the lines whose walk
+    state changed and updates the aggregates by their events alone.
 
-    The first run is also kept as the base, which ``restart`` restores.
-    Calls replace the kept indices, states and events rather than mutate
-    them, so the base shares them; the aggregates, which ``_absorb``
-    mutates, are copied into the base and out of it on a restart.
+    The first run is copied as the base, and ``restart`` makes a copy of the
+    base the run again.
     """
 
     __slots__ = (
-        "lines", "_scans", "_scopes", "_kept", "_states", "_events",
+        "lines", "_scans", "_scopes", "_start", "_kept", "_states", "_events",
         "_findings", "_defs", "_stars", "_uses", "_unresolved", "_base",
     )
 
@@ -795,21 +782,21 @@ class Analysis:
         self.lines = list(lines)
         self._scans: dict[tuple[int, str], LineScan] = {}
         self._scopes: dict[tuple, _Scope] = {}
-        self._kept: list[int] = list(range(len(self.lines)))
         # (sstate, string_open, brackets, levels, scope, opener,
-        #  pending_scope, pending_mode, logical) before each walked position
-        # and after the last; a fresh Analysis has walked no position
-        self._states: list[tuple] = [
-            ("", 0, None, (0, False, None), _Scope("module", None), None, None, None, None)
-        ]
-        self._events: list[tuple] = []
+        #  pending_scope, pending_mode, logical) before the first kept line
+        self._start = (
+            "", 0, None, (0, False, None), _Scope("module", None), None, None, None, None
+        )
+        self._kept: list[int] = list(range(len(self.lines)))
+        # no line walked yet: a stored state of None matches no walk state
+        self._states: list[tuple | None] = [None] * (len(self.lines) + 1)
+        self._events: list[tuple] = [_NO_EVENTS] * len(self.lines)
         self._findings: dict[tuple[int, str, str], int] = {}
         self._defs: dict[tuple[_Scope, str], tuple[tuple[int, int], ...]] = {}
         self._stars: dict[_Scope, int] = {}
         self._uses: defaultdict[str, set[tuple]] = defaultdict(set)
         self._unresolved: set[tuple] = set()
-        # (kept, states, events, aggregates) of the first run
-        self._base: tuple | None = None
+        self._base: tuple | None = None  # a snapshot of the first run
 
     def scan(self, idx: int, entry: str) -> LineScan:
         key = (idx, entry)
@@ -843,10 +830,29 @@ class Analysis:
             s = s.parent
         return False
 
+    def _snapshot(self) -> tuple:
+        """A copy of the run that shares no container a call mutates.
+
+        Def positions are tuples, and states and events are never changed
+        in place, so one C-level copy per list, dict and set of uses suffices.
+        """
+        uses = self._uses
+        return (
+            self._kept[:], self._states[:], self._events[:], dict(self._findings),
+            dict(self._defs), dict(self._stars),
+            defaultdict(set, zip(uses, map(set.copy, uses.values()))), set(self._unresolved),
+        )
+
     def restart(self) -> None:
-        """Make the base the last run again, with aggregates of its own; after a first call."""
-        self._kept, self._states, self._events, aggregates = self._base
-        (self._findings, self._defs, self._stars, self._uses, self._unresolved) = _copied(aggregates)
+        """Make the base the run again; after a first call.
+
+        The base itself becomes the run, and a fresh snapshot of it the base.
+        """
+        (
+            self._kept, self._states, self._events, self._findings,
+            self._defs, self._stars, self._uses, self._unresolved,
+        ) = self._base
+        self._base = self._snapshot()
 
     def _absorb(self, removed: list[tuple], added: list[tuple]) -> None:
         """Swap the events of ``removed`` positions for ``added`` ones.
@@ -943,154 +949,145 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     the run is left as it was.  Returns sorted (line, code, message)
     findings; line numbers are 1-based positions within the kept lines.
 
-    The walk resumes from the last run on the same ``analysis``.  At a kept
-    line entered in the same walk state as in that run, the run's walk
-    holds up to the next deleted line, so its states and events are reused;
-    every other line is walked.  The first call on a fresh Analysis walks
-    every line it keeps and becomes the base.
+    The run on ``analysis`` is edited in place.  A walk starts at the first
+    kept line, in the start state, and after each deleted line, in the state
+    that line was entered in; it stops at the first kept line whose stored
+    entry state is equal, since the run holds from there up to the next
+    deleted line, or at the end.  A start at or before the point where the
+    previous walk stopped was walked already.  The first call on a fresh
+    Analysis walks every line it keeps, and its run is copied as the base.
     """
     a = analysis
-    old, old_states, old_events = a._kept, a._states, a._events
-    n_old, n_walked = len(old), len(old_events)
-    cuts: list[int] = []  # positions in ``old`` of the deleted lines, then its end
-    for idx in sorted(deleted):
-        p = bisect_left(old, idx)
-        if p == n_old or old[p] != idx or (cuts and cuts[-1] == p):
+    kept, states, events = a._kept, a._states, a._events
+    dels = sorted(deleted)
+    cuts: list[int] = []  # positions in ``kept`` of the deleted lines
+    for idx in dels:
+        p = bisect_left(kept, idx)
+        if p == len(kept) or kept[p] != idx or (cuts and cuts[-1] == p):
             raise ValueError(f"source line {idx} is not kept")
         cuts.append(p)
-    cuts.append(n_old)
-    kept: list[int] = []
-    states: list[tuple] = []
-    events: list[tuple] = []
+    for p in reversed(cuts):
+        del kept[p]
+    starts = [(0, a._start)]
+    starts += [(p - k, states[idx]) for k, (p, idx) in enumerate(zip(cuts, dels))]
+    removed = [events[idx] for idx in dels]
     added: list[tuple] = []
-    removed: list[tuple] = []
-    k = p = done = 0
-    st = old_states[0]
-    while True:
-        (
-            sstate, string_open, brackets, levels, scope,
-            opener, pending_scope, pending_mode, logical,
-        ) = st
-        while p == cuts[k] < n_old:
-            p += 1
-            k += 1
-        if p == n_old:
-            break
-        if p < n_walked and st == old_states[p]:
-            # the last run's walk holds from here up to the next deleted line
-            end = cuts[k]
-            kept += old[p:end]
-            states += old_states[p:end]
-            events += old_events[p:end]
-            removed += old_events[done:p]
-            done = p = end
-            st = old_states[p]
+    n = len(kept)
+    stop = -1
+    for p, st in starts:
+        if p <= stop:
             continue
-        idx = old[p]
-        kept.append(idx)
-        states.append(st)
-        p += 1
-
-        entry = sstate
-        f = a.scan(idx, entry)
-        sstate = f.exit_state
-        found = [(idx, fcode, fmsg) for fcode, fmsg in f.inline_findings]
-        if not sstate:
-            string_open = 0
-        elif not entry:
-            string_open = idx
-        if not f.has_content:
-            ev = (found, (), (), None) if found else _NO_EVENTS
-        else:
-            star = None
-            defs: list[tuple] = []
-            if logical is None:
-                nf = f.fresh_facts()
-                ind = f.indent
-                if opener is not None:
+        while p < n:
+            idx = kept[p]
+            if states[idx] == st:
+                break
+            states[idx] = st
+            p += 1
+            (
+                sstate, string_open, brackets, levels, scope,
+                opener, pending_scope, pending_mode, logical,
+            ) = st
+            entry = sstate
+            f = a.scan(idx, entry)
+            sstate = f.exit_state
+            found = [(idx, fcode, fmsg) for fcode, fmsg in f.inline_findings]
+            if not sstate:
+                string_open = 0
+            elif not entry:
+                string_open = idx
+            if not f.has_content:
+                ev = (found, (), (), None) if found else _NO_EVENTS
+            else:
+                star = None
+                defs: list[tuple] = []
+                if logical is None:
+                    nf = f.fresh_facts()
+                    ind = f.indent
+                    if opener is not None:
+                        if ind > levels[0]:
+                            levels = (ind, pending_scope is not None, levels)
+                            if pending_scope is not None:
+                                scope = pending_scope
+                        else:
+                            found.append(_missing_body(*opener))
+                        opener = pending_scope = None
                     if ind > levels[0]:
-                        levels = (ind, pending_scope is not None, levels)
-                        if pending_scope is not None:
-                            scope = pending_scope
-                    else:
-                        found.append(_missing_body(*opener))
-                    opener = pending_scope = None
-                if ind > levels[0]:
-                    found.append((idx, "unexpected-indent", "unexpected indent"))
-                    levels = (ind, False, levels)
-                elif ind < levels[0]:
-                    while ind < levels[0]:
-                        if levels[1] and scope.parent is not None:
-                            scope = scope.parent
-                        levels = levels[2]
-                    if ind != levels[0]:
-                        found.append(
-                            (
-                                idx,
-                                "inconsistent-dedent",
-                                "dedent does not match any outer indentation level",
-                            )
-                        )
+                        found.append((idx, "unexpected-indent", "unexpected indent"))
                         levels = (ind, False, levels)
-                cu, cd, target = nf.uses, nf.defs, scope
-                if nf.star_import:
-                    star = scope
-                if nf.scope_kind is not None:
-                    pending_scope = a.scope(nf.scope_kind, idx, scope)
-                    defs = [(pending_scope, name, idx, 0) for name in nf.scope_params]
-                pending_mode = nf.pending
-                start, first, last = idx, nf.first_word, ""
-            else:
-                cu, cd = f.cont_facts(pending_mode)
-                # a def header's parameters bind in the function's own scope
-                target = pending_scope if pending_mode == "def" else scope
-                start, first, last = logical
-            if cd:
-                defs += [(target, name, idx, sub) for name, sub in cd]
-            uses = [(scope, name, idx, sub) for name, sub in cu if name not in _BUILTINS]
-
-            for ch in f.closes:
-                if brackets is None:
-                    found.append((idx, "unmatched-close", f"unmatched '{ch}'"))
-                else:
-                    op, _, brackets = brackets
-                    if _PAIR[op] != ch:
-                        found.append(
-                            (
-                                idx,
-                                "mismatched-bracket",
-                                f"closing '{ch}' does not match opening '{op}'",
+                    elif ind < levels[0]:
+                        while ind < levels[0]:
+                            if levels[1] and scope.parent is not None:
+                                scope = scope.parent
+                            levels = levels[2]
+                        if ind != levels[0]:
+                            found.append(
+                                (
+                                    idx,
+                                    "inconsistent-dedent",
+                                    "dedent does not match any outer indentation level",
+                                )
                             )
-                        )
-            for ch in f.opens:
-                brackets = (ch, idx, brackets)
+                            levels = (ind, False, levels)
+                    cu, cd, target = nf.uses, nf.defs, scope
+                    if nf.star_import:
+                        star = scope
+                    if nf.scope_kind is not None:
+                        pending_scope = a.scope(nf.scope_kind, idx, scope)
+                        defs = [(pending_scope, name, idx, 0) for name in nf.scope_params]
+                    pending_mode = nf.pending
+                    start, first, last = idx, nf.first_word, ""
+                else:
+                    cu, cd = f.cont_facts(pending_mode)
+                    # a def header's parameters bind in the function's own scope
+                    target = pending_scope if pending_mode == "def" else scope
+                    start, first, last = logical
+                if cd:
+                    defs += [(target, name, idx, sub) for name, sub in cd]
+                uses = [(scope, name, idx, sub) for name, sub in cu if name not in _BUILTINS]
 
-            if f.last_char:
-                last = f.last_char
-            if sstate == "" and not f.ends_backslash and brackets is None:
-                if last == ":":
-                    opener = (start, first or "statement")
-                if opener is None:
-                    pending_scope = None
-                pending_mode = logical = None
-            else:
-                logical = (start, first, last)
-            ev = (found, defs, uses, star)
-        events.append(ev)
-        added.append(ev)
-        st = (
-            sstate, string_open, brackets, levels, scope,
-            opener, pending_scope, pending_mode, logical,
-        )
-    states.append(st)
-    removed += old_events[done:]
+                for ch in f.closes:
+                    if brackets is None:
+                        found.append((idx, "unmatched-close", f"unmatched '{ch}'"))
+                    else:
+                        op, _, brackets = brackets
+                        if _PAIR[op] != ch:
+                            found.append(
+                                (
+                                    idx,
+                                    "mismatched-bracket",
+                                    f"closing '{ch}' does not match opening '{op}'",
+                                )
+                            )
+                for ch in f.opens:
+                    brackets = (ch, idx, brackets)
 
-    a._kept, a._states, a._events = kept, states, events
+                if f.last_char:
+                    last = f.last_char
+                if sstate == "" and not f.ends_backslash and brackets is None:
+                    if last == ":":
+                        opener = (start, first or "statement")
+                    if opener is None:
+                        pending_scope = None
+                    pending_mode = logical = None
+                else:
+                    logical = (start, first, last)
+                ev = (found, defs, uses, star)
+            removed.append(events[idx])
+            events[idx] = ev
+            added.append(ev)
+            st = (
+                sstate, string_open, brackets, levels, scope,
+                opener, pending_scope, pending_mode, logical,
+            )
+        else:
+            states[-1] = st
+        stop = p
+
     a._absorb(removed, added)
     if a._base is None:
-        aggregates = (a._findings, a._defs, a._stars, a._uses, a._unresolved)
-        a._base = (kept, states, events, _copied(aggregates))
+        a._base = a._snapshot()
 
+    sstate, string_open, brackets, _, _, opener, _, _, _ = states[-1]
     out = set(a._findings)
     if opener is not None:
         out.add(_missing_body(*opener))

@@ -459,6 +459,57 @@ def write_mixed_records(tmp_path, bad):
     return mixed
 
 
+# nested past any recursion limit: json.loads raises RecursionError on it
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["generate", "lintcheck"])
+def test_corpus_line_nested_too_deep_is_skipped(tmp_path, capsys, command):
+    corpus = write_corpus(tmp_path, CLEAN)
+    with open(corpus, "a") as fh:
+        fh.write(DEEP + "\n")
+    argv = [command, "--input", str(corpus)]
+    if command == "generate":
+        argv += ["--samples", "1", "--output", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 2
+    assert "input line 4 skipped: invalid JSON: nesting too deep\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["resolve", "stats", "flops"])
+def test_record_nested_too_deep(tmp_path, capsys, command):
+    _, records = run_generate(tmp_path, CLEAN, "--samples", "1")
+    lines = records.read_text().splitlines()
+    lines.insert(1, DEEP)
+    records.write_text("".join(l + "\n" for l in lines))
+    capsys.readouterr()
+    argv = [command, "--input", str(records)]
+    if command == "flops":
+        argv += FLOPS_SHAPE
+    if command == "resolve":
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        rows = {r["line"]: r for r in map(json.loads, captured.out.splitlines())}
+        assert rows[2]["error"]["kind"] == "MalformedRecord"
+        assert "nesting too deep" in rows[2]["error"]["message"]
+        assert all(rows[n]["ok"] and rows[n]["matches_source"] for n in (1, 3, 4))
+    else:
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["kind"] == "CorpusError"
+        assert f"{records}:2: bad record: nesting too deep" in err["error"]
+
+
+def test_config_nested_too_deep_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(DEEP)
+    assert main(["flops", *FLOPS_SHAPE, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["kind"] == "JSONDecodeError"  # a ValueError, as for any malformed config
+    assert err["error"].startswith("nesting too deep")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("bad", BAD_FIELDS)
 def test_resolve_counts_badly_typed_records(tmp_path, capsys, bad):
     mixed = write_mixed_records(tmp_path, bad)
@@ -561,8 +612,9 @@ def test_flops_rejects_chars_per_token_not_finite_positive(tmp_path, capsys, fla
         (["--n-params", "10", "--tokens", "inf"], None),
         (["--n-params", "10"], '{"tokens": Infinity}'),
         (["--n-params", "1" + "0" * 400, "--tokens", "1.5"], None),
+        (["--n-params", "10"], '{"tokens": %s}' % ("1" * 400)),
     ],
-    ids=["tokens-inf", "config-Infinity", "overflow"],
+    ids=["tokens-inf", "config-Infinity", "overflow", "config-tokens-overflow"],
 )
 def test_flops_rejects_non_finite_totals(tmp_path, capsys, argv, config):
     # a total that is not a finite number has no JSON form
@@ -644,10 +696,14 @@ def test_usage_error_exits_2():
 
 
 def test_console_script_smoke():
+    # the child imports the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(sampler.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lintseq.cli", "passk", "10", "3", "5"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "pass@5 = 0.9167\n"

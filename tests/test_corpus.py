@@ -65,11 +65,16 @@ def test_load_corpus_basic(tmp_path):
     assert examples[1].instruction == "two"
 
 
+# nested past any recursion limit: json.loads raises RecursionError on it
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def test_load_corpus_skips_with_diagnostics(tmp_path):
     path = corpus_file(
         tmp_path,
         [
             "{not json",
+            DEEP,
             json.dumps(["a", "list"]),
             json.dumps({"instruction": "no program"}),
             json.dumps({"program": 7}),
@@ -82,12 +87,13 @@ def test_load_corpus_skips_with_diagnostics(tmp_path):
     assert len(examples) == 1
     assert examples[0].program == "kept = 1\n"
     linenos = [line for line, _ in skipped]
-    assert linenos == [1, 2, 3, 4, 5, 6]
+    assert linenos == [1, 2, 3, 4, 5, 6, 7]
     reasons = [reason for _, reason in skipped]
     assert any("invalid JSON" in r for r in reasons)
+    assert reasons[1] == "invalid JSON: nesting too deep"
     assert any("not a JSON object" in r for r in reasons)
     assert sum("'program'" in r for r in reasons) == 2
-    assert len(skipped) == 6
+    assert len(skipped) == 7
 
 
 def test_load_corpus_rejects_non_utf8(tmp_path):
@@ -215,3 +221,6 @@ def test_read_records_reports_position(tmp_path):
     with pytest.raises(CorpusError) as exc:
         list(read_records(out))
     assert ":2:" in str(exc.value)
+    out.write_text(sample_record().to_json() + "\n" + DEEP + "\n")
+    with pytest.raises(CorpusError, match=":2: bad record: nesting too deep"):
+        list(read_records(out))
