@@ -8,7 +8,8 @@ run that finished but skipped examples or hit per-record conflicts.
 Options resolve as flags > ``--config`` file > built-in defaults.  The
 config file is a single JSON object using the flag names with
 underscores (``{"samples": 3, "skip_dirty": true}``) and each flag's JSON
-type: a switch is ``true`` or ``false``, a count an integer.
+type: a switch is ``true`` or ``false``, a count an integer.  A key that
+names no flag is an error.
 """
 
 from __future__ import annotations
@@ -81,7 +82,9 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a single JSON object")
     for key, value in obj.items():
-        if type(value) not in _CONFIG_TYPES.get(key, (type(value),)):
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"unknown config key {key!r}")
+        if type(value) not in _CONFIG_TYPES[key]:
             want = " or ".join(t.__name__ for t in _CONFIG_TYPES[key])
             raise ValueError(f"config key {key!r} must be {want}, not {json.dumps(value)}")
     return obj
@@ -166,23 +169,32 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         for result in results:
             total += 1
             example = result.example
-            if result.skip_reason is not None:
-                skipped += 1
-                _progress(f"skip {example.id}: {result.skip_reason}")
-                if result.traceback is not None:
-                    _progress(result.traceback.rstrip("\n"))
+            reason = result.skip_reason
+            # every record of the example is built before any is written
+            records = []
             for sample_index, sequence in enumerate(result.sequences):
                 rendered = tuple(d.rendered for d in diff_states(sequence))
-                record = EditSequenceRecord(
+                try:
+                    training_text = serialize(rendered, separator)
+                except ValueError as exc:  # the separator is an edit body line
+                    reason, records = str(exc), []
+                    break
+                records.append(EditSequenceRecord(
                     source_id=example.id,
                     sample_index=sample_index,
                     instruction=example.instruction,
                     program=example.program,
                     edits=rendered,
-                    training_text=serialize(rendered, separator),
+                    training_text=training_text,
                     num_edits=len(rendered),
                     seed_path=(seed, result.example_index, sample_index),
-                )
+                ))
+            if reason is not None:
+                skipped += 1
+                _progress(f"skip {example.id}: {reason}")
+                if result.traceback is not None:
+                    _progress(result.traceback.rstrip("\n"))
+            for record in records:
                 seq_count += 1
                 edit_total += record.num_edits
                 yield record

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -118,12 +119,23 @@ class EditSequenceRecord:
         )
 
 
+# a \uD800-\uDFFF escape: half of a surrogate pair, or a lone surrogate
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def _parse_json(text: str):
-    """``json.loads``, raising ``JSONDecodeError`` also for nesting too deep to decode."""
+    """``json.loads``, raising ``JSONDecodeError`` also for nesting too deep to
+    decode and for a lone surrogate, which no UTF-8 output can hold."""
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nesting too deep", text, 0) from None
+    if _SURROGATE_ESCAPE.search(text):
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise json.JSONDecodeError("lone surrogate", text, 0) from None
+    return obj
 
 
 def jsonl_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:

@@ -22,10 +22,13 @@ entered in, and each ``LineScan`` caches its name facts, both as a fresh
 statement and per continuation mode.  The ``Analysis`` also owns the kept
 lines and one flow run over them, edited in place: by source index, the
 walk state each kept line was entered in and the events the line produced.
-A call names only the lines it deletes.  It walks on from each deleted
-line until a kept line is entered in the same state as before, and
-resolves again only the uses that a changed definition or star import can
-affect, so each check of a deletion cascade costs about the span the
+A walk state holds each fact once: the scope in effect is that of the
+innermost indentation level, and a header's opened scope travels with its
+logical line and then with the header that waits for a body.  A call names
+only the lines it deletes.  It walks on from each deleted line until a kept
+line is entered in the same state as before, and resolves again only the
+uses that a changed definition can affect (a star import is a definition
+of ``*``), so each check of a deletion cascade costs about the span the
 deletion changed.
 
 The first run is copied as the base, and ``Analysis.restart`` makes a copy
@@ -139,7 +142,6 @@ class NameFacts:
         "pending",
         "scope_kind",
         "scope_params",
-        "star_import",
         "first_word",
     )
 
@@ -149,7 +151,6 @@ class NameFacts:
         self.pending: str | None = None
         self.scope_kind: str | None = None
         self.scope_params: tuple[str, ...] = ()
-        self.star_import = False
         self.first_word = ""
 
 
@@ -478,12 +479,13 @@ def _parse_from_import(toks: list[tuple[str, int]], facts: NameFacts) -> None:
     while i < len(toks):
         t = toks[i][0]
         if t == "*":
-            facts.star_import = True
+            facts.defs.append(("*", i))  # binds every name of the scope
         elif t == "(":
             facts.pending = "import"
         elif t == "as":
             if i + 1 < len(toks) and _is_name(toks[i + 1][0]):
-                if facts.defs and facts.defs[-1][1] == i - 1:
+                # the alias replaces the name before it; a star stays
+                if facts.defs and facts.defs[-1][1] == i - 1 and toks[i - 1][0] != "*":
                     facts.defs.pop()
                 facts.defs.append((toks[i + 1][0], i + 1))
                 i += 1
@@ -735,7 +737,7 @@ def _classify_fresh(code: str, fstrings: Sequence[tuple[int, str]]) -> NameFacts
 
 
 class _Scope:
-    """A def or class body, or the module; interned per Analysis by kind, header and parent."""
+    """A def or class body, interned per Analysis by kind, header and parent, or the module."""
 
     __slots__ = ("kind", "parent")
 
@@ -744,14 +746,24 @@ class _Scope:
         self.parent = parent
 
 
-def _missing_body(line: int, word: str) -> tuple[int, str, str]:
+def _missing_body(opener: tuple) -> tuple[int, str, str]:
+    line, word, _ = opener
     return (line, "missing-block-body", f"expected an indented block after '{word}'")
 
 
-# A source line's events: (structural findings, defs, uses, star-import
-# scope or None).  Defs and uses are (scope, name, source index, sub-position)
-# records; (index, sub) orders them as in the source.
-_NO_EVENTS: tuple = ((), (), (), None)
+# The walk state a line is entered in:
+#   (sstate, string_open, brackets, levels, opener, logical)
+# ``levels`` links one (indent, scope inside the block, outer levels) per
+# open block, so ``levels[1]`` is the current scope.  ``opener`` is the
+# (line, word, opened scope or None) of a header still waiting for its
+# body, ``logical`` the (start, first word, last char, opened scope or None,
+# continuation mode) of a statement that continues on the next line.
+_START = ("", 0, None, (0, _Scope("module", None), None), None, None)
+
+# A source line's events: (structural findings, defs, uses).  Defs and uses
+# are (scope, name, source index, sub-position) records; (index, sub) orders
+# them as in the source.  A star import is a def of ``*``.
+_NO_EVENTS: tuple = ((), (), ())
 
 
 class Analysis:
@@ -763,37 +775,31 @@ class Analysis:
     tuples, scopes are interned by kind, header index and parent) and the
     events it produced; slot ``len(lines)`` of the states is the state after
     the last kept line.  It also holds the aggregates built from the events:
-    structural finding counts, sorted def positions per (scope, name),
-    star-import scopes, uses by name and the unresolved uses.  Positions are
-    source indices, so a line's events do not depend on deletions elsewhere,
-    and ``flow`` edits the run in place: it walks only the lines whose walk
-    state changed and updates the aggregates by their events alone.
+    structural finding counts, sorted def positions per (scope, name), uses
+    by name and the unresolved uses.  Positions are source indices, so a
+    line's events do not depend on deletions elsewhere, and ``flow`` edits
+    the run in place: it walks only the lines whose walk state changed and
+    updates the aggregates by their events alone.
 
     The first run is copied as the base, and ``restart`` makes a copy of the
     base the run again.
     """
 
     __slots__ = (
-        "lines", "_scans", "_scopes", "_start", "_kept", "_states", "_events",
-        "_findings", "_defs", "_stars", "_uses", "_unresolved", "_base",
+        "lines", "_scans", "_scopes", "_kept", "_states", "_events",
+        "_findings", "_defs", "_uses", "_unresolved", "_base",
     )
 
     def __init__(self, lines: Sequence[str]) -> None:
         self.lines = list(lines)
         self._scans: dict[tuple[int, str], LineScan] = {}
         self._scopes: dict[tuple, _Scope] = {}
-        # (sstate, string_open, brackets, levels, scope, opener,
-        #  pending_scope, pending_mode, logical) before the first kept line
-        self._start = (
-            "", 0, None, (0, False, None), _Scope("module", None), None, None, None, None
-        )
         self._kept: list[int] = list(range(len(self.lines)))
         # no line walked yet: a stored state of None matches no walk state
         self._states: list[tuple | None] = [None] * (len(self.lines) + 1)
         self._events: list[tuple] = [_NO_EVENTS] * len(self.lines)
         self._findings: dict[tuple[int, str, str], int] = {}
         self._defs: dict[tuple[_Scope, str], tuple[tuple[int, int], ...]] = {}
-        self._stars: dict[_Scope, int] = {}
         self._uses: defaultdict[str, set[tuple]] = defaultdict(set)
         self._unresolved: set[tuple] = set()
         self._base: tuple | None = None  # a snapshot of the first run
@@ -820,7 +826,7 @@ class Analysis:
             if s.kind == "class" and s is not scope:
                 s = s.parent
                 continue
-            if s in self._stars:
+            if (s, "*") in self._defs:
                 return True
             dps = self._defs.get((s, name))
             if dps and (passed_function or dps[0] < (idx, sub)):
@@ -839,8 +845,8 @@ class Analysis:
         uses = self._uses
         return (
             self._kept[:], self._states[:], self._events[:], dict(self._findings),
-            dict(self._defs), dict(self._stars),
-            defaultdict(set, zip(uses, map(set.copy, uses.values()))), set(self._unresolved),
+            dict(self._defs), defaultdict(set, zip(uses, map(set.copy, uses.values()))),
+            set(self._unresolved),
         )
 
     def restart(self) -> None:
@@ -850,7 +856,7 @@ class Analysis:
         """
         (
             self._kept, self._states, self._events, self._findings,
-            self._defs, self._stars, self._uses, self._unresolved,
+            self._defs, self._uses, self._unresolved,
         ) = self._base
         self._base = self._snapshot()
 
@@ -858,14 +864,13 @@ class Analysis:
         """Swap the events of ``removed`` positions for ``added`` ones.
 
         Only the new uses, and the uses of each name whose earliest def in
-        some scope moved, are resolved again; every use is when the set of
-        star-import scopes changed.
+        some scope moved, are resolved again; every use is when the earliest
+        def of ``*`` (a star import) in some scope moved.
         """
         counts = self._findings
         old_d: set = set()
         old_u: set = set()
-        old_s: list = []
-        for found, defs, uses, star in removed:
+        for found, defs, uses in removed:
             for fd in found:
                 c = counts[fd] - 1
                 if c:
@@ -874,18 +879,13 @@ class Analysis:
                     del counts[fd]
             old_d.update(defs)
             old_u.update(uses)
-            if star is not None:
-                old_s.append(star)
         new_d: set = set()
         new_u: set = set()
-        new_s: list = []
-        for found, defs, uses, star in added:
+        for found, defs, uses in added:
             for fd in found:
                 counts[fd] = counts.get(fd, 0) + 1
             new_d.update(defs)
             new_u.update(uses)
-            if star is not None:
-                new_s.append(star)
 
         all_defs = self._defs
         firsts: dict[tuple[_Scope, str], tuple[int, int] | None] = {}
@@ -909,18 +909,6 @@ class Analysis:
             if (dps[0] if dps else None) != first:
                 moved.add(key[1])
 
-        stars_moved = False
-        if old_s or new_s:
-            stars = self._stars
-            before = set(stars)
-            for sc in old_s:
-                stars[sc] -= 1
-                if not stars[sc]:
-                    del stars[sc]
-            for sc in new_s:
-                stars[sc] = stars.get(sc, 0) + 1
-            stars_moved = before != set(stars)
-
         uses_by_name = self._uses
         unresolved = self._unresolved
         for use in old_u - new_u:
@@ -929,7 +917,7 @@ class Analysis:
         came = new_u - old_u
         for use in came:
             uses_by_name[use[1]].add(use)
-        if stars_moved:
+        if "*" in moved:
             recheck: Iterable[tuple] = [u for group in uses_by_name.values() for u in group]
         else:
             recheck = list(came)
@@ -950,7 +938,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     findings; line numbers are 1-based positions within the kept lines.
 
     The run on ``analysis`` is edited in place.  A walk starts at the first
-    kept line, in the start state, and after each deleted line, in the state
+    kept line, in ``_START``, and after each deleted line, in the state
     that line was entered in; it stops at the first kept line whose stored
     entry state is equal, since the run holds from there up to the next
     deleted line, or at the end.  A start at or before the point where the
@@ -968,7 +956,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
         cuts.append(p)
     for p in reversed(cuts):
         del kept[p]
-    starts = [(0, a._start)]
+    starts = [(0, _START)]
     starts += [(p - k, states[idx]) for k, (p, idx) in enumerate(zip(cuts, dels))]
     removed = [events[idx] for idx in dels]
     added: list[tuple] = []
@@ -983,10 +971,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                 break
             states[idx] = st
             p += 1
-            (
-                sstate, string_open, brackets, levels, scope,
-                opener, pending_scope, pending_mode, logical,
-            ) = st
+            sstate, string_open, brackets, levels, opener, logical = st
             entry = sstate
             f = a.scan(idx, entry)
             sstate = f.exit_state
@@ -996,28 +981,24 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
             elif not entry:
                 string_open = idx
             if not f.has_content:
-                ev = (found, (), (), None) if found else _NO_EVENTS
+                ev = (found, (), ()) if found else _NO_EVENTS
             else:
-                star = None
                 defs: list[tuple] = []
                 if logical is None:
                     nf = f.fresh_facts()
                     ind = f.indent
                     if opener is not None:
                         if ind > levels[0]:
-                            levels = (ind, pending_scope is not None, levels)
-                            if pending_scope is not None:
-                                scope = pending_scope
+                            # a def or class header's block is its opened scope
+                            levels = (ind, opener[2] or levels[1], levels)
                         else:
-                            found.append(_missing_body(*opener))
-                        opener = pending_scope = None
+                            found.append(_missing_body(opener))
+                        opener = None
                     if ind > levels[0]:
                         found.append((idx, "unexpected-indent", "unexpected indent"))
-                        levels = (ind, False, levels)
+                        levels = (ind, levels[1], levels)
                     elif ind < levels[0]:
                         while ind < levels[0]:
-                            if levels[1] and scope.parent is not None:
-                                scope = scope.parent
                             levels = levels[2]
                         if ind != levels[0]:
                             found.append(
@@ -1027,20 +1008,20 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                                     "dedent does not match any outer indentation level",
                                 )
                             )
-                            levels = (ind, False, levels)
-                    cu, cd, target = nf.uses, nf.defs, scope
-                    if nf.star_import:
-                        star = scope
+                            levels = (ind, levels[1], levels)
+                    scope = target = levels[1]
+                    cu, cd = nf.uses, nf.defs
+                    opened = None
                     if nf.scope_kind is not None:
-                        pending_scope = a.scope(nf.scope_kind, idx, scope)
-                        defs = [(pending_scope, name, idx, 0) for name in nf.scope_params]
-                    pending_mode = nf.pending
-                    start, first, last = idx, nf.first_word, ""
+                        opened = a.scope(nf.scope_kind, idx, scope)
+                        defs = [(opened, name, idx, 0) for name in nf.scope_params]
+                    start, first, last, mode = idx, nf.first_word, "", nf.pending
                 else:
-                    cu, cd = f.cont_facts(pending_mode)
+                    start, first, last, opened, mode = logical
+                    cu, cd = f.cont_facts(mode)
+                    scope = levels[1]
                     # a def header's parameters bind in the function's own scope
-                    target = pending_scope if pending_mode == "def" else scope
-                    start, first, last = logical
+                    target = opened if mode == "def" else scope
                 if cd:
                     defs += [(target, name, idx, sub) for name, sub in cd]
                 uses = [(scope, name, idx, sub) for name, sub in cu if name not in _BUILTINS]
@@ -1065,20 +1046,15 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                     last = f.last_char
                 if sstate == "" and not f.ends_backslash and brackets is None:
                     if last == ":":
-                        opener = (start, first or "statement")
-                    if opener is None:
-                        pending_scope = None
-                    pending_mode = logical = None
+                        opener = (start, first or "statement", opened)
+                    logical = None
                 else:
-                    logical = (start, first, last)
-                ev = (found, defs, uses, star)
+                    logical = (start, first, last, opened, mode)
+                ev = (found, defs, uses)
             removed.append(events[idx])
             events[idx] = ev
             added.append(ev)
-            st = (
-                sstate, string_open, brackets, levels, scope,
-                opener, pending_scope, pending_mode, logical,
-            )
+            st = (sstate, string_open, brackets, levels, opener, logical)
         else:
             states[-1] = st
         stop = p
@@ -1087,10 +1063,10 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     if a._base is None:
         a._base = a._snapshot()
 
-    sstate, string_open, brackets, _, _, opener, _, _, _ = states[-1]
+    sstate, string_open, brackets, _, opener, _ = states[-1]
     out = set(a._findings)
     if opener is not None:
-        out.add(_missing_body(*opener))
+        out.add(_missing_body(opener))
     if sstate:
         out.add((string_open, "unterminated-string", "unterminated triple-quoted string"))
     while brackets is not None:

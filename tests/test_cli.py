@@ -307,6 +307,7 @@ FLOPS_SHAPE = ["--n-params", "10", "--n-layers", "2", "--context", "8"]
         ("stats", {"json": "true"}),
         ("flops", {"n_params": 10.0}),
         ("flops", {"tokens": False}),
+        ("generate", {"sampels": 3}),
     ],
 )
 def test_config_value_of_wrong_type_exit_1(tmp_path, capsys, command, config):
@@ -461,53 +462,87 @@ def write_mixed_records(tmp_path, bad):
 
 # nested past any recursion limit: json.loads raises RecursionError on it
 DEEP = "[" * 100_000 + "]" * 100_000
+# valid JSON whose string no UTF-8 output can hold
+LONE = json.dumps({"id": "b", "program": "y = \"\ud800\"\n"})
+
+# lines json.loads accepts that are malformed all the same, with the reason given
+UNDECODABLE = [(DEEP, "nesting too deep"), (LONE, "lone surrogate")]
 
 
 @pytest.mark.parametrize("command", ["generate", "lintcheck"])
 def test_corpus_line_nested_too_deep_is_skipped(tmp_path, capsys, command):
+    for line, reason in UNDECODABLE:
+        corpus = write_corpus(tmp_path, CLEAN)
+        with open(corpus, "a") as fh:
+            fh.write(line + "\n")
+        argv = [command, "--input", str(corpus)]
+        if command == "generate":
+            argv += ["--samples", "1", "--output", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 2
+        assert f"input line 4 skipped: invalid JSON: {reason}\n" in capsys.readouterr().err
+        if command == "generate":
+            assert len(list(read_records(tmp_path / "out.jsonl"))) == 3
+
+
+def test_lintcheck_external_skips_a_lone_surrogate(tmp_path, capsys):
     corpus = write_corpus(tmp_path, CLEAN)
     with open(corpus, "a") as fh:
-        fh.write(DEEP + "\n")
-    argv = [command, "--input", str(corpus)]
-    if command == "generate":
-        argv += ["--samples", "1", "--output", str(tmp_path / "out.jsonl")]
+        fh.write(LONE + "\n")
+    argv = ["lintcheck", "--input", str(corpus), "--linter", "external",
+            "--linter-cmd", f"{sys.executable} -c pass {{path}}"]
     assert main(argv) == 2
-    assert "input line 4 skipped: invalid JSON: nesting too deep\n" in capsys.readouterr().err
+    assert "input line 4 skipped: invalid JSON: lone surrogate\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["resolve", "stats", "flops"])
 def test_record_nested_too_deep(tmp_path, capsys, command):
     _, records = run_generate(tmp_path, CLEAN, "--samples", "1")
-    lines = records.read_text().splitlines()
-    lines.insert(1, DEEP)
-    records.write_text("".join(l + "\n" for l in lines))
-    capsys.readouterr()
-    argv = [command, "--input", str(records)]
-    if command == "flops":
-        argv += FLOPS_SHAPE
-    if command == "resolve":
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        rows = {r["line"]: r for r in map(json.loads, captured.out.splitlines())}
-        assert rows[2]["error"]["kind"] == "MalformedRecord"
-        assert "nesting too deep" in rows[2]["error"]["message"]
-        assert all(rows[n]["ok"] and rows[n]["matches_source"] for n in (1, 3, 4))
-    else:
-        assert main(argv) == 1
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["kind"] == "CorpusError"
-        assert f"{records}:2: bad record: nesting too deep" in err["error"]
+    good = records.read_text().splitlines()
+    lone_id = json.dumps({**json.loads(good[0]), "source_id": "\ud800"})
+    for line, reason in [(DEEP, "nesting too deep"), (lone_id, "lone surrogate")]:
+        records.write_text("".join(l + "\n" for l in [good[0], line, *good[1:]]))
+        capsys.readouterr()
+        argv = [command, "--input", str(records)]
+        if command == "flops":
+            argv += FLOPS_SHAPE
+        if command == "resolve":
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            rows = {r["line"]: r for r in map(json.loads, captured.out.splitlines())}
+            assert rows[2]["error"]["kind"] == "MalformedRecord"
+            assert reason in rows[2]["error"]["message"]
+            assert all(rows[n]["ok"] and rows[n]["matches_source"] for n in (1, 3, 4))
+        else:
+            assert main(argv) == 1
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err["kind"] == "CorpusError"
+            assert f"{records}:2: bad record: {reason}" in err["error"]
 
 
 def test_config_nested_too_deep_exit_1(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(DEEP)
-    assert main(["flops", *FLOPS_SHAPE, "--config", str(cfg)]) == 1
-    captured = capsys.readouterr()
-    err = json.loads(captured.err.strip().splitlines()[-1])
-    assert err["kind"] == "JSONDecodeError"  # a ValueError, as for any malformed config
-    assert err["error"].startswith("nesting too deep")
-    assert captured.out == ""
+    for text, reason in [(DEEP, "nesting too deep"), ('{"linter": "\\ud800"}', "lone surrogate")]:
+        cfg.write_text(text)
+        assert main(["flops", *FLOPS_SHAPE, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["kind"] == "JSONDecodeError"  # a ValueError, as for any malformed config
+        assert err["error"].startswith(reason)
+        assert captured.out == ""
+
+
+def test_separator_collision_skips_the_example(tmp_path, capsys):
+    rows = [CLEAN[0], {"id": "px", "program": "x\n"}, CLEAN[2]]
+    outputs = []
+    for workers in ("1", "2"):
+        code, out = run_generate(tmp_path, rows, "--mode", "randseq", "--samples", "1",
+                                 "--separator", "+x", "--workers", workers, name=f"w{workers}.jsonl")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "skip px: separator token collides with an edit body line\n" in err
+        assert [r.source_id for r in read_records(out)] == ["p0", "p2"]
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("bad", BAD_FIELDS)

@@ -67,6 +67,10 @@ def test_load_corpus_basic(tmp_path):
 
 # nested past any recursion limit: json.loads raises RecursionError on it
 DEEP = "[" * 100_000 + "]" * 100_000
+# valid JSON whose strings no UTF-8 output can hold: a lone surrogate in a
+# value, and one in a key
+LONE = json.dumps({"program": "y = '\ud800'\n"})
+LONE_KEY = json.dumps({"program": "z = 1\n", "\udfff": 1})
 
 
 def test_load_corpus_skips_with_diagnostics(tmp_path):
@@ -80,20 +84,24 @@ def test_load_corpus_skips_with_diagnostics(tmp_path):
             json.dumps({"program": 7}),
             json.dumps({"program": "ok = 1\n", "instruction": 3}),
             json.dumps({"program": "ok = 1\n", "id": 9}),
+            LONE,
+            LONE_KEY,
             json.dumps({"program": "kept = 1\n"}),
+            # an escaped surrogate pair is one character
+            json.dumps({"program": "pair = '\U0001f600'\n"}),
         ],
     )
     examples, skipped = load(path)
-    assert len(examples) == 1
-    assert examples[0].program == "kept = 1\n"
+    assert [ex.program for ex in examples] == ["kept = 1\n", "pair = '\U0001f600'\n"]
     linenos = [line for line, _ in skipped]
-    assert linenos == [1, 2, 3, 4, 5, 6, 7]
+    assert linenos == [1, 2, 3, 4, 5, 6, 7, 8, 9]
     reasons = [reason for _, reason in skipped]
     assert any("invalid JSON" in r for r in reasons)
     assert reasons[1] == "invalid JSON: nesting too deep"
+    assert reasons[7:] == ["invalid JSON: lone surrogate"] * 2
     assert any("not a JSON object" in r for r in reasons)
     assert sum("'program'" in r for r in reasons) == 2
-    assert len(skipped) == 7
+    assert len(skipped) == 9
 
 
 def test_load_corpus_rejects_non_utf8(tmp_path):
@@ -223,4 +231,8 @@ def test_read_records_reports_position(tmp_path):
     assert ":2:" in str(exc.value)
     out.write_text(sample_record().to_json() + "\n" + DEEP + "\n")
     with pytest.raises(CorpusError, match=":2: bad record: nesting too deep"):
+        list(read_records(out))
+    lone = json.dumps({**json.loads(sample_record().to_json()), "instruction": "\ud800"})
+    out.write_text(sample_record().to_json() + "\n" + lone + "\n")
+    with pytest.raises(CorpusError, match=":2: bad record: lone surrogate"):
         list(read_records(out))

@@ -411,3 +411,83 @@ def test_flow_rejects_deleting_a_line_not_kept():
         # the rejected call left the run as it was
         assert flow_checked(analysis, kept) == [(2, "undefined-name", "undefined name 'y'")]
     assert flow_checked(analysis, kept, [2]) == []
+
+
+def test_star_import_resolves_every_name_of_its_scope():
+    # at module scope every name resolves, before the import too
+    assert findings("print(q)\nfrom m import *\nprint(r)\ndef f():\n    return s\n") == []
+    # at class scope only the class body's own uses, not a method's
+    prog = "class K:\n    from m import *\n    a = q\n    def m(self):\n        return r\nprint(s)\n"
+    assert findings(prog) == [
+        (5, "undefined-name", "undefined name 'r'"),
+        (6, "undefined-name", "undefined name 's'"),
+    ]
+    # at function scope its own and nested functions' uses
+    prog = "def f():\n    from m import *\n    def g():\n        return q\n    return g, r\nprint(s)\n"
+    assert findings(prog) == [(6, "undefined-name", "undefined name 's'")]
+
+
+def test_star_import_with_alias_still_binds_every_name():
+    assert findings("from k import * as z\nprint(q, z)\n") == []
+    assert findings("from k import a as b, *\nprint(q, a, b)\n") == []
+
+
+@pytest.mark.parametrize(
+    "prog, lines_of_q_and_r",
+    [
+        ("from a import *\nx = q\nfrom b import *\ny = r\n", (1, 2)),
+        (
+            "def f():\n    from a import *\n    x = q\n    from b import *\n    return r\nprint(f)\n",
+            (2, 3),
+        ),
+    ],
+)
+def test_deleting_star_imports_one_at_a_time(prog, lines_of_q_and_r):
+    lines = split_lines(prog)
+    stars = [i for i, line in enumerate(lines) if "import *" in line]
+    analysis = Analysis(lines)
+    kept = list(range(len(lines)))
+    assert flow_checked(analysis, kept) == []
+    # the first star import goes, and the second still binds every name
+    assert flow_checked(analysis, kept, stars[:1]) == []
+    q, r = lines_of_q_and_r
+    assert flow_checked(analysis, kept, stars[1:]) == [
+        (q, "undefined-name", "undefined name 'q'"),
+        (r, "undefined-name", "undefined name 'r'"),
+    ]
+
+
+def test_multiline_def_header_binds_parameters_in_its_own_scope():
+    prog = "def f(a,\n      b,\n      c=b):\n    return a + b + c\nprint(a, b, c)\n"
+    assert findings(prog) == [
+        (3, "undefined-name", "undefined name 'b'"),
+        (5, "undefined-name", "undefined name 'a'"),
+        (5, "undefined-name", "undefined name 'b'"),
+        (5, "undefined-name", "undefined name 'c'"),
+    ]
+
+
+def test_dedent_of_several_levels_at_once():
+    prog = (
+        "def f(x):\n"
+        "    class C:\n"
+        "        def g(self):\n"
+        "            if x:\n"
+        "                z = w\n"
+        "    w = 1\n"
+        "    return C, g, z\n"
+        "k = w\n"
+        "print(g, C)\n"
+    )
+    assert findings(prog) == [
+        (7, "undefined-name", "undefined name 'g'"),
+        (7, "undefined-name", "undefined name 'z'"),
+        (8, "undefined-name", "undefined name 'w'"),
+        (9, "undefined-name", "undefined name 'C'"),
+        (9, "undefined-name", "undefined name 'g'"),
+    ]
+    # a dedent between levels lands in the scope of the level it passed to
+    assert findings("def f():\n    if 1:\n        a = 1\n  b = a\nprint(b)\n") == [
+        (4, "inconsistent-dedent", "dedent does not match any outer indentation level"),
+        (4, "undefined-name", "undefined name 'a'"),
+    ]
