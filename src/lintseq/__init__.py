@@ -53,7 +53,6 @@ from .metrics import (
 )
 from .sampler import (
     ExampleResult,
-    ProgramState,
     SamplerError,
     StateSequence,
     backward_sample,
@@ -81,7 +80,6 @@ __all__ = [
     "LinterSpec",
     "LinterTimeout",
     "MalformedDecorator",
-    "ProgramState",
     "ResolveError",
     "ResolveOutcome",
     "SamplerError",

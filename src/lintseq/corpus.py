@@ -211,7 +211,13 @@ def atomic_output(path: str | os.PathLike) -> Iterator[IO[str]]:
     It gets the mode a new file would; on any exception it is removed.
     """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".lintseq-", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(path) or ".", prefix=".lintseq-", suffix=".tmp"
+        )
+    except OSError as exc:
+        # name the file the caller asked for, not the temp file beside it
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         umask = os.umask(0)
         os.umask(umask)

@@ -1,8 +1,8 @@
 """Zero-context line diffs: construction, rendering, parsing.
 
-Diffs are built by ``diff_states``, which reads each edit of a sampled
-``StateSequence`` off its states' kept-index provenance, so every hunk is
-a pure insertion.  ``parse_diff`` reads any rendered diff back, including
+Diffs are built by ``diff_states``, which places each edit of a sampled
+``StateSequence`` by the source indices it inserts, so every hunk is a
+pure insertion.  ``parse_diff`` reads any rendered diff back, including
 the deletions and replacements that raw model output may carry.
 
 The canonical rendering is the unified hunk format without file headers:
@@ -21,7 +21,7 @@ care about trailing-newline bytes restore them separately.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -127,16 +127,17 @@ class EditDiff:
 def diff_states(seq: "StateSequence") -> list[EditDiff]:
     """Diff consecutive states of a backward-sampled sequence.
 
-    Uses the states' kept-index provenance instead of a matcher: a line of
-    the later state is inserted exactly when its source index is absent
-    from the earlier state, so duplicate line texts can never confuse the
-    alignment.  Every hunk is a pure insertion by construction.
+    Walks the edits with one growing list of kept source indices instead
+    of a matcher: a run of an edit's indices at adjacent places in the list
+    is one hunk, so duplicate line texts can never confuse the alignment.
+    Every hunk is a pure insertion by construction.
     """
     lines = seq.lines
+    kept: list[int] = []
     diffs = []
-    for prev, cur in zip(seq.states, seq.states[1:]):
-        kept = cur.kept_indices
-        inserted = sorted(set(kept).difference(prev.kept_indices))
+    for inserted in seq.inserted:
+        for index in inserted:
+            insort(kept, index)
         hunks = []
         i = 0
         while i < len(inserted):

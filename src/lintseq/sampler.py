@@ -1,15 +1,15 @@
 """Backward sampling of edit trajectories.
 
 One trajectory is built by repeatedly deleting lines from the full
-program until nothing is left, recording the stabilized program after
-each step.  A step deletes one line chosen uniformly at random over the
+program until nothing is left, recording the source lines each step
+deleted.  A step deletes one line chosen uniformly at random over the
 current lines (blank and comment lines included), then repeatedly checks
 the result and removes every line carrying a finding not present in the
 original program's report, until no new findings remain.  A step can
 therefore erase many lines at once; cascading all the way to the empty
 program just means the trajectory start was reached.  Read in reverse,
-the recorded states grow monotonically from empty to the full program,
-and every state lints clean relative to the source.
+each step's lines are the insertions of one edit, growing the program
+from empty to full, and every state lints clean relative to the source.
 
 The ablation variant skips the checker entirely: a step deletes a
 uniformly sized uniform subset of the current lines.
@@ -25,7 +25,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import operator
+import os
 import random
+from bisect import insort
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from .diffkit import split_lines
 from .lint import LintError, LinterSpec, LinterTimeout, extra_findings, get_linter
 
 DEFAULT_MAX_LINES = 2048
-#: retries per sample for a signature not yet seen, with unique_sequences
+#: retries per sample for a sequence not yet seen, with unique_sequences
 MAX_UNIQUE_ATTEMPTS = 8
 # A pool task samples a batch of consecutive examples, closed at this many
 # examples or once it holds this many source lines: instruction-sized
@@ -53,29 +55,34 @@ class SamplerError(Exception):
 
 
 @dataclass(frozen=True)
-class ProgramState:
-    """One recorded program, as the indices of the source lines it keeps."""
-
-    kept_indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        k = self.kept_indices
-        if not all(map(operator.lt, k, k[1:])):
-            raise ValueError("kept_indices must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class StateSequence:
-    """States over the source ``lines``, ordered from empty to full.
+    """A trajectory over the source ``lines``, as its insertion edits.
 
-    Each later state keeps a strict superset of the earlier one's lines.
+    ``inserted[k]`` holds the strictly increasing source indices that edit
+    ``k + 1`` inserts; the edits together insert every line exactly once,
+    growing the program from empty to the full source.
     """
 
     lines: tuple[str, ...]
-    states: tuple[ProgramState, ...]
+    inserted: tuple[tuple[int, ...], ...]
 
-    def signature(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(s.kept_indices for s in self.states)
+    def __post_init__(self) -> None:
+        for step in self.inserted:
+            if not step or not all(map(operator.lt, step, step[1:])):
+                raise ValueError("each edit inserts a non-empty, strictly increasing index run")
+        if sorted(itertools.chain.from_iterable(self.inserted)) != list(range(len(self.lines))):
+            raise ValueError("the edits must insert every source line exactly once")
+
+    @property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        """Kept source indices of every state, from the empty program to the full one."""
+        kept: list[int] = []
+        states = [()]
+        for step in self.inserted:
+            for index in step:
+                insort(kept, index)
+            states.append(tuple(kept))
+        return tuple(states)
 
 
 def derive_seed(
@@ -95,13 +102,6 @@ def derive_seed(
     return int.from_bytes(hashlib.sha256(tag.encode("ascii")).digest(), "big")
 
 
-def _states_from_trajectory(
-    lines: tuple[str, ...], trajectory: list[tuple[int, ...]]
-) -> StateSequence:
-    # trajectory holds kept-index tuples from full to empty; emit forward order
-    return StateSequence(lines, tuple(ProgramState(kept) for kept in reversed(trajectory)))
-
-
 def backward_sample(
     program: str,
     linter: LinterSpec | None = None,
@@ -109,6 +109,7 @@ def backward_sample(
 ) -> StateSequence:
     """Sample one linter-guided deletion trajectory, returned forward.
 
+    Each step's deleted source indices become one edit, last step first.
     The engine keeps the setup of the last program it saw, so repeated
     samples of one program share its scan cache and baseline findings.
     Each cascade check passes the engine only the source indices deleted
@@ -120,9 +121,10 @@ def backward_sample(
     engine = get_linter(linter or LinterSpec())
     lines, subset, baseline = engine.setup(program)
     kept = list(range(len(lines)))
-    trajectory = [tuple(kept)]
+    steps = []
     while kept:
         deleted = [kept.pop(rng.randrange(len(kept)))]
+        step = list(deleted)
         while kept:
             extras = extra_findings(engine.check_subset(subset, deleted), baseline)
             if not extras:
@@ -133,8 +135,9 @@ def backward_sample(
                 # the candidate; without a removal the loop cannot stabilize
                 raise SamplerError("finding lines fall outside the candidate; cannot stabilize")
             deleted = [kept.pop(pos) for pos in reversed(doomed)]
-        trajectory.append(tuple(kept))
-    return _states_from_trajectory(lines, trajectory)
+            step += deleted
+        steps.append(tuple(sorted(step)))
+    return StateSequence(lines, tuple(reversed(steps)))
 
 
 def random_sample(program: str, rng: random.Random | None = None) -> StateSequence:
@@ -142,14 +145,12 @@ def random_sample(program: str, rng: random.Random | None = None) -> StateSequen
     rng = rng or random.Random()
     lines = tuple(split_lines(program))
     kept = list(range(len(lines)))
-    trajectory = [tuple(kept)]
+    steps = []
     while kept:
         k = rng.randint(1, len(kept))
         doomed = sorted(rng.sample(range(len(kept)), k), reverse=True)
-        for pos in doomed:
-            del kept[pos]
-        trajectory.append(tuple(kept))
-    return _states_from_trajectory(lines, trajectory)
+        steps.append(tuple(sorted([kept.pop(pos) for pos in doomed])))
+    return StateSequence(lines, tuple(reversed(steps)))
 
 
 @dataclass(frozen=True)
@@ -192,19 +193,16 @@ def _sample_example(
         if skip_dirty and mode == "lintseq" and get_linter(spec).check_text(program):
             return ExampleResult(example_index, example, skip_reason="source has findings")
         for sample_index in range(samples):
-            attempt = 0
-            while True:
+            for attempt in range(MAX_UNIQUE_ATTEMPTS + 1):
                 rng = random.Random(derive_seed(seed, example_index, sample_index, attempt))
                 if mode == "lintseq":
                     seq = backward_sample(program, spec, rng)
                 else:
                     seq = random_sample(program, rng)
-                sig = seq.signature()
-                if not unique_sequences or sig not in seen or attempt >= MAX_UNIQUE_ATTEMPTS:
-                    seen.add(sig)
-                    sequences.append(seq)
+                if not unique_sequences or seq.inserted not in seen:
                     break
-                attempt += 1
+            seen.add(seq.inserted)
+            sequences.append(seq)
     except LinterTimeout as exc:
         return ExampleResult(example_index, example, skip_reason=f"linter timeout: {exc}")
     except SamplerError as exc:
@@ -239,9 +237,10 @@ def sample_corpus(
     Tasks are independent and individually seeded, so any worker count
     produces identical output.  With ``workers`` above 1 a process pool
     runs one task per batch of consecutive examples (see ``BATCH_EXAMPLES``
-    and ``BATCH_LINES``); at most ``2 * workers`` submitted tasks are
-    waiting to be yielded, so examples are pulled from ``examples`` only
-    as results are consumed.
+    and ``BATCH_LINES``).  The first task starts every process at once, so
+    the pool has ``min(workers, os.cpu_count())`` of them, and at most twice
+    that many submitted tasks are waiting to be yielded: examples are pulled
+    from ``examples`` only as results are consumed.
     """
     if mode not in ("lintseq", "randseq"):
         raise ValueError(f"unknown sampling mode: {mode!r}")
@@ -264,6 +263,7 @@ def sample_corpus(
     if workers <= 1:
         yield from map(task, itertools.count(), examples)
         return
+    workers = min(workers, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers)
     window: deque[Future[list[ExampleResult]]] = deque()
     try:

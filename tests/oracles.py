@@ -50,8 +50,16 @@ def reference_render(before: str, after: str) -> str:
 
 
 def state_texts(seq) -> list[str]:
-    """Program text of every state of a StateSequence, from its kept indices."""
-    return [join_lines(seq.lines[i] for i in s.kept_indices) for s in seq.states]
+    """Program text of every state of a StateSequence, from empty to full.
+
+    Built from the edits' inserted indices alone, apart from ``seq.states``.
+    """
+    kept: set[int] = set()
+    texts = [""]
+    for step in seq.inserted:
+        kept.update(step)
+        texts.append(join_lines(seq.lines[i] for i in sorted(kept)))
+    return texts
 
 
 def findings(program: str, linter=None) -> tuple[tuple[int, str, str], ...]:

@@ -427,6 +427,20 @@ def test_resolve_fatal_error_keeps_existing_output(tmp_path, capsys, records, fl
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["generate", "resolve"])
+def test_unwritable_output_error_names_the_output(tmp_path, capsys, command):
+    run_generate(tmp_path, CLEAN, "--samples", "1")  # writes corpus.jsonl and out.jsonl
+    source = tmp_path / ("corpus.jsonl" if command == "generate" else "out.jsonl")
+    out = tmp_path / "missing" / "x.jsonl"
+    capsys.readouterr()
+    assert main([command, "--input", str(source), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {
+        "error": f"[Errno 2] No such file or directory: {str(out)!r}",
+        "kind": "FileNotFoundError",
+    }
+
+
 def test_resolve_empty_separator_exit_1_on_empty_records(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

@@ -1,9 +1,14 @@
 import ast
 import importlib
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import lintseq
+from lintseq import parse_diff
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -65,3 +70,36 @@ def test_bench_trace_targets_resolve():
             unresolved.append(name)
     assert len(targets) > 20
     assert unresolved == []
+
+
+def test_bench_trace_observes_generate_and_resolve(tmp_path):
+    # the tracer's observers read results, diffs and records through the
+    # package's API; run them on a tiny corpus and check what they counted
+    programs = ["a = 1\nb = 2\n", "a = 1\nb = a + 1\nprint(b)\n", "def f(x):\n    return x\nf(1)\n"]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"p{i}", "instruction": "", "program": p}) + "\n"
+        for i, p in enumerate(programs)
+    ))
+    records, resolved = tmp_path / "records.jsonl", tmp_path / "resolved.jsonl"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    headers = []
+    for args in (["generate", "--input", corpus, "--output", records, "--seed", "3"],
+                 ["resolve", "--input", records, "--output", resolved]):
+        spans = tmp_path / f"spans-{args[0]}.tsv"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "tracing.py"), str(spans), *map(str, args)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(spans, encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+        assert header["missing"] == []
+        assert header["exit_code"] == 0
+        headers.append(header)
+    rows = [json.loads(line) for line in records.read_text(encoding="utf-8").splitlines()]
+    counters = headers[0]["counters"]
+    assert counters["sequences"] == len(rows) == 5 * len(programs)
+    assert counters["edits"] == sum(row["num_edits"] for row in rows)
+    assert counters["hunks"] == sum(len(parse_diff(e).hunks) for row in rows for e in row["edits"])
+    assert headers[1]["examples"] == ["p0", "p1", "p2"]

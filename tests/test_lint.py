@@ -103,7 +103,7 @@ def test_check_is_the_baseline_and_leaves_sampling_unchanged(monkeypatch):
     assert found == findings(src)
 
     def signatures():
-        return [backward_sample(src, rng=random.Random(i)).signature() for i in range(6)]
+        return [backward_sample(src, rng=random.Random(i)).inserted for i in range(6)]
 
     # the engine now holds src's setup from check(); a fresh one builds it anew
     after_check = signatures()

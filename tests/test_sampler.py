@@ -1,18 +1,22 @@
 import os
+import pickle
 import random
 import sys
 import textwrap
 from collections import Counter
+from concurrent.futures import Future
 
 import pytest
 
 import lintseq
+from lintseq import sampler
 from lintseq.corpus import SourceExample
+from lintseq.diffkit import join_lines
 from lintseq.lint import LinterSpec
 from lintseq.sampler import (
     BATCH_EXAMPLES,
     BATCH_LINES,
-    ProgramState,
+    MAX_UNIQUE_ATTEMPTS,
     StateSequence,
     _batches,
     backward_sample,
@@ -32,18 +36,25 @@ def examples(*programs):
     ]
 
 
-def test_program_state_requires_increasing_indices():
-    ProgramState((0, 2, 5))
-    with pytest.raises(ValueError):
-        ProgramState((0, 2, 2))
-    with pytest.raises(ValueError):
-        ProgramState((3, 1))
+def test_state_sequence_requires_edits_covering_every_line_once():
+    StateSequence(("a", "b", "c"), ((1,), (0, 2)))
+    StateSequence((), ())
+    for inserted in [
+        ((1,), (0,)),  # a missing index
+        ((1,), (0, 1, 2)),  # a repeated index
+        ((1,), (), (0, 2)),  # an empty edit
+        ((1,), (2, 0)),  # an unsorted edit
+        ((1,), (0, 2, 2)),  # a repeated index within an edit
+        ((0, 1, 2, 3),),  # an index past the last line
+    ]:
+        with pytest.raises(ValueError):
+            StateSequence(("a", "b", "c"), inserted)
 
 
 def test_sequence_counts_edits():
-    seq = StateSequence(("a",), (ProgramState(()), ProgramState((0,))))
+    seq = StateSequence(("a",), ((0,),))
     assert len(seq.states) - 1 == 1
-    assert seq.signature() == ((), (0,))
+    assert seq.states == ((), (0,))
 
 
 def test_derive_seed_frozen_values():
@@ -62,11 +73,12 @@ def test_derive_seed_frozen_values():
 
 def check_shape(seq, program):
     texts = state_texts(seq)
-    assert seq.states[0].kept_indices == ()
+    assert seq.states[0] == ()
     assert texts[0] == ""
     assert texts[-1] == program
+    assert [join_lines(seq.lines[i] for i in kept) for kept in seq.states] == texts
     for a, b in zip(seq.states, seq.states[1:]):
-        assert set(a.kept_indices) < set(b.kept_indices)
+        assert set(a) < set(b)
 
 
 def test_backward_sample_independent_lines():
@@ -74,7 +86,7 @@ def test_backward_sample_independent_lines():
     seq = backward_sample(FLAT, rng=random.Random(0))
     check_shape(seq, FLAT)
     assert len(seq.states) - 1 == 3
-    sizes = [len(s.kept_indices) for s in seq.states]
+    sizes = [len(s) for s in seq.states]
     assert sizes == [0, 1, 2, 3]
 
 
@@ -82,7 +94,7 @@ def test_backward_sample_first_deletion_uniform():
     counts = Counter()
     for trial in range(600):
         seq = backward_sample(FLAT, rng=random.Random(trial))
-        missing = set(range(3)) - set(seq.states[-2].kept_indices)
+        missing = set(range(3)) - set(seq.states[-2])
         counts[missing.pop()] += 1
     assert set(counts) == {0, 1, 2}
     for n in counts.values():
@@ -146,7 +158,7 @@ def test_backward_sample_external_linter_matches_builtin(tmp_path):
     for seed in (0, 1):
         external = backward_sample(program, spec, random.Random(seed))
         builtin = backward_sample(program, rng=random.Random(seed))
-        assert external.signature() == builtin.signature()
+        assert external.inserted == builtin.inserted
 
 
 def test_backward_sample_external_linter_repeats_with_one_seed(tmp_path):
@@ -168,10 +180,9 @@ def test_backward_sample_external_linter_repeats_with_one_seed(tmp_path):
     spec = LinterSpec(kind="external", command_template=f"{sys.executable} {script} {{path}}")
     program = "a = 1\nb = a + 1\nc = b + a\nd = c + 1\ne = 2\n"
     first, second = (backward_sample(program, spec, random.Random(3)) for _ in range(2))
-    assert first.signature() == second.signature()
+    assert first.inserted == second.inserted
     # the linter steered it: some step deleted more than the one random line
-    kept = [len(s) for s in first.signature()]
-    assert any(later - earlier > 1 for earlier, later in zip(kept, kept[1:]))
+    assert any(len(step) > 1 for step in first.inserted)
 
 
 def test_backward_sample_skips_findings_outside_candidate(tmp_path):
@@ -187,6 +198,15 @@ def test_backward_sample_skips_findings_outside_candidate(tmp_path):
     spec = LinterSpec(kind="external", command_template=f"{sys.executable} {script} {{path}}")
     (r,) = sample_corpus(examples(FLAT), spec, samples_per_example=1)
     assert r.skip_reason == "finding lines fall outside the candidate; cannot stabilize"
+
+
+def test_sampled_sequence_pickle_grows_with_lines_not_edits():
+    # 400 independent lines take 400 one-line edits; a sequence holds each
+    # source index once, not a kept-index snapshot per state
+    program = "".join(f"v{i} = {i}\n" for i in range(400))
+    seq = backward_sample(program, rng=random.Random(0))
+    assert len(seq.states) - 1 == 400
+    assert len(pickle.dumps(seq)) - len(pickle.dumps(seq.lines)) < 8 * 400
 
 
 def test_random_sample_shape():
@@ -238,13 +258,12 @@ def test_sample_corpus_deterministic_across_workers():
         results = list(
             sample_corpus(exs, samples_per_example=4, seed=9, workers=workers)
         )
-        runs.append([[s.signature() for s in r.sequences] for r in results])
+        runs.append([[s.inserted for s in r.sequences] for r in results])
     assert runs[0] == runs[1]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sample_corpus_pulls_a_bounded_window(workers):
-    exs = examples(*[FLAT, CHAIN] * 32)
+def most_pulled_ahead(exs, workers):
+    """Run sample_corpus; the most examples pulled but not yet yielded."""
     pulled = received = most_ahead = 0
 
     def source():
@@ -258,8 +277,39 @@ def test_sample_corpus_pulls_a_bounded_window(workers):
         assert result.example_index == received
         received += 1
     assert received == len(exs)
+    return most_ahead
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_corpus_pulls_a_bounded_window(workers):
+    most_ahead = most_pulled_ahead(examples(*[FLAT, CHAIN] * 32), workers)
     # a pool keeps 2 * workers batches queued, plus the one being filled
     assert most_ahead == (1 if workers == 1 else (2 * workers + 1) * BATCH_EXAMPLES)
+
+
+@pytest.mark.parametrize("cores, size", [(3, 3), (None, 1)])
+def test_sample_corpus_caps_the_pool_at_the_cores(monkeypatch, cores, size):
+    # the first submit starts every worker, so a huge count must never
+    # reach the executor; a fake one records its size and runs tasks inline
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(sampler, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    most_ahead = most_pulled_ahead(examples(*[FLAT] * 10 * BATCH_EXAMPLES), 100_000)
+    assert sizes == [size]
+    assert most_ahead == (2 * size + 1) * BATCH_EXAMPLES
 
 
 def test_batches_close_at_examples_or_lines():
@@ -279,8 +329,18 @@ def test_sample_corpus_unique_sequences_retries():
         (r,) = sample_corpus(
             exs, samples_per_example=2, seed=seed, unique_sequences=True
         )
-        sigs = [s.signature() for s in r.sequences]
+        sigs = [s.inserted for s in r.sequences]
         assert sigs[0] != sigs[1]
+
+
+def test_sample_corpus_unique_sequences_keeps_the_last_attempt():
+    # a third sample of a 2-line program can only repeat an order; after
+    # the last retry its draw is kept
+    program = "a = 1\nb = 2\n"
+    (r,) = sample_corpus(examples(program), samples_per_example=3, seed=1, unique_sequences=True)
+    last = backward_sample(program, rng=random.Random(derive_seed(1, 0, 2, MAX_UNIQUE_ATTEMPTS)))
+    assert r.sequences[2].inserted == last.inserted
+    assert len({s.inserted for s in r.sequences}) == 2
 
 
 def test_sample_corpus_randseq_mode_skips_linting():
