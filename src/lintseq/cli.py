@@ -5,11 +5,13 @@ records go to stderr so outputs stay pipeable.  Exit status: 0 success,
 1 fatal error (with a single-line JSON error record on stderr), 2 for a
 run that finished but skipped examples or hit per-record conflicts.
 
-Options resolve as flags > ``--config`` file > built-in defaults.  The
-config file is a single JSON object using the flag names with
-underscores (``{"samples": 3, "skip_dirty": true}``) and each flag's JSON
-type: a switch is ``true`` or ``false``, a count an integer.  A key that
-names no flag is an error.
+Each option is declared once, in ``build_parser``: its flag, type and
+built-in default.  A ``--config`` file's values become the chosen
+command's parser defaults, so argparse itself resolves flags > config
+file > built-in defaults.  The config file is a single JSON object using
+the flag names with underscores (``{"samples": 3, "skip_dirty": true}``)
+and each flag's JSON type: a switch is ``true`` or ``false``, a count an
+integer.  A key that names no flag of any command is an error.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import sys
 import time
 from contextlib import nullcontext
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus import (
     CorpusError,
@@ -59,21 +61,20 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-#: the JSON types a config value may take, by key; type() matches exactly,
-#: so a bool is neither an integer nor a number
-_CONFIG_TYPES = {
-    **dict.fromkeys(("dedup", "skip_dirty", "unique_sequences", "json"), (bool,)),
-    **dict.fromkeys(("seed", "samples", "workers", "max_lines", "n_params", "n_layers", "context",
-                     "samples_per_problem", "problems"), (int,)),
-    **dict.fromkeys(("tokens", "chars_per_token", "linter_timeout"), (int, float)),
-    **dict.fromkeys(("input", "output", "separator", "mode", "linter", "linter_cmd",
-                     "linter_pattern"), (str,)),
-}
+def _load_config(path: str, commands: Iterable[argparse.ArgumentParser]) -> dict:
+    """The config file's object, each key checked against a flag of any command.
 
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+    A switch takes a bool, a ``type=int`` flag an int, a ``type=float`` flag
+    an int or float, any other flag a string.  ``type()`` matches exactly, so
+    a bool is neither an integer nor a number; and as argparse runs ``type``
+    on string defaults only, it converts no config value.
+    """
+    kinds = {
+        a.dest: (bool,) if a.nargs == 0 else {int: (int,), float: (int, float)}.get(a.type, (str,))
+        for command in commands
+        for a in command._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
     with open(path, encoding="utf-8") as fh:
         text = fh.read().strip()
     if not text:
@@ -82,21 +83,12 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a single JSON object")
     for key, value in obj.items():
-        if key not in _CONFIG_TYPES:
+        if key not in kinds:
             raise ValueError(f"unknown config key {key!r}")
-        if type(value) not in _CONFIG_TYPES[key]:
-            want = " or ".join(t.__name__ for t in _CONFIG_TYPES[key])
+        if type(value) not in kinds[key]:
+            want = " or ".join(t.__name__ for t in kinds[key])
             raise ValueError(f"config key {key!r} must be {want}, not {json.dumps(value)}")
     return obj
-
-
-def _opt(ns: argparse.Namespace, config: dict, key: str, default):
-    value = getattr(ns, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
 
 
 def _require(value, flag: str):
@@ -105,12 +97,12 @@ def _require(value, flag: str):
     return value
 
 
-def _linter_spec(ns: argparse.Namespace, config: dict) -> LinterSpec:
+def _linter_spec(ns: argparse.Namespace) -> LinterSpec:
     return LinterSpec(
-        kind=_opt(ns, config, "linter", "builtin"),
-        command_template=_opt(ns, config, "linter_cmd", ""),
-        finding_pattern=_opt(ns, config, "linter_pattern", DEFAULT_FINDING_PATTERN),
-        timeout=config.get("linter_timeout", LinterSpec.timeout),
+        kind=ns.linter,
+        command_template=ns.linter_cmd,
+        finding_pattern=ns.linter_pattern,
+        timeout=ns.linter_timeout,
     )
 
 
@@ -130,13 +122,9 @@ def _read_examples(path: str, skipped: list[int]) -> Iterator[SourceExample]:
 
 
 def cmd_generate(ns: argparse.Namespace) -> int:
-    config = _load_config(ns.config)
-    input_path = _require(_opt(ns, config, "input", None), "--input")
-    output = _opt(ns, config, "output", None)
-    seed = _opt(ns, config, "seed", 0)
-    separator = _opt(ns, config, "separator", DEFAULT_SEPARATOR)
+    input_path = _require(ns.input, "--input")
+    seed, separator = ns.seed, ns.separator
     check_separator(separator)
-    dedup = _opt(ns, config, "dedup", False)
     started = time.monotonic()
 
     loaded = 0
@@ -151,15 +139,15 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     # lazy: the sampler checks its options on the first step, which emit()
     # takes even for an empty corpus
     results = sample_corpus(
-        deduplicate(counted()) if dedup else counted(),
-        _linter_spec(ns, config),
-        mode=_opt(ns, config, "mode", "lintseq"),
-        samples_per_example=_opt(ns, config, "samples", 5),
+        deduplicate(counted()) if ns.dedup else counted(),
+        _linter_spec(ns),
+        mode=ns.mode,
+        samples_per_example=ns.samples,
         seed=seed,
-        workers=_opt(ns, config, "workers", 1),
-        unique_sequences=_opt(ns, config, "unique_sequences", False),
-        skip_dirty=_opt(ns, config, "skip_dirty", False),
-        max_lines=_opt(ns, config, "max_lines", DEFAULT_MAX_LINES),
+        workers=ns.workers,
+        unique_sequences=ns.unique_sequences,
+        skip_dirty=ns.skip_dirty,
+        max_lines=ns.max_lines,
     )
 
     total = skipped = seq_count = edit_total = 0
@@ -201,12 +189,12 @@ def cmd_generate(ns: argparse.Namespace) -> int:
             if total % 200 == 0:
                 _progress(f"processed {total} examples")
 
-    if output:
-        write_records(emit(), output)
+    if ns.output:
+        write_records(emit(), ns.output)
     else:
         dump_records(emit(), sys.stdout)
 
-    if dedup and loaded > total:
+    if ns.dedup and loaded > total:
         _progress(f"dropped {loaded - total} duplicate examples")
     elapsed = time.monotonic() - started
     mean_edits = edit_total / seq_count if seq_count else 0.0
@@ -219,10 +207,8 @@ def cmd_generate(ns: argparse.Namespace) -> int:
 
 
 def cmd_resolve(ns: argparse.Namespace) -> int:
-    config = _load_config(ns.config)
-    input_path = _require(_opt(ns, config, "input", None), "--input")
-    output = _opt(ns, config, "output", None)
-    separator = _opt(ns, config, "separator", DEFAULT_SEPARATOR)
+    input_path = _require(ns.input, "--input")
+    separator = ns.separator
     check_separator(separator)
 
     total = malformed = conflicts = mismatches = 0
@@ -264,7 +250,7 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
                     mismatches += 1
             yield row
 
-    with atomic_output(output) if output else nullcontext(sys.stdout) as fh:
+    with atomic_output(ns.output) if ns.output else nullcontext(sys.stdout) as fh:
         for row in rows():
             fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
@@ -277,10 +263,8 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
 
 
 def cmd_stats(ns: argparse.Namespace) -> int:
-    config = _load_config(ns.config)
-    input_path = _require(_opt(ns, config, "input", None), "--input")
-    stats = dataset_stats(read_records(input_path))
-    if _opt(ns, config, "json", False):
+    stats = dataset_stats(read_records(_require(ns.input, "--input")))
+    if ns.json:
         print(json.dumps(stats.to_dict(), ensure_ascii=False, separators=(",", ":")))
         return 0
     print(f"examples                 {stats.example_count}")
@@ -307,14 +291,11 @@ def cmd_passk(ns: argparse.Namespace) -> int:
 
 
 def cmd_flops(ns: argparse.Namespace) -> int:
-    config = _load_config(ns.config)
-    tokens = _opt(ns, config, "tokens", None)
-    input_path = _opt(ns, config, "input", None)
-    ratio = _opt(ns, config, "chars_per_token", 4.0)
+    tokens, ratio = ns.tokens, ns.chars_per_token
     if not (math.isfinite(ratio) and ratio > 0):
         raise ValueError(f"--chars-per-token must be a finite positive number, not {ratio!r}")
-    if tokens is None and input_path:
-        stats = dataset_stats(read_records(input_path))
+    if tokens is None and ns.input:
+        stats = dataset_stats(read_records(ns.input))
         tokens = stats.mean_chars_per_training_text / ratio
     if tokens is None:
         tokens = 1.0
@@ -325,16 +306,16 @@ def cmd_flops(ns: argparse.Namespace) -> int:
     if tokens.is_integer():
         tokens = int(tokens)
     model = FlopsModel(
-        n_params=_require(_opt(ns, config, "n_params", None), "--n-params"),
-        n_layers=_require(_opt(ns, config, "n_layers", None), "--n-layers"),
-        context=_require(_opt(ns, config, "context", None), "--context"),
+        n_params=_require(ns.n_params, "--n-params"),
+        n_layers=_require(ns.n_layers, "--n-layers"),
+        context=_require(ns.context, "--context"),
         avg_tokens_per_sample=tokens,
-        samples_per_problem=_opt(ns, config, "samples_per_problem", 1),
-        problems=_opt(ns, config, "problems", 1),
+        samples_per_problem=ns.samples_per_problem,
+        problems=ns.problems,
     )
     per_token = flops_per_token(model)
     total = total_flops(model)
-    if _opt(ns, config, "json", False):
+    if ns.json:
         print(
             json.dumps(
                 {"flops_per_token": per_token, "total_flops": total},
@@ -348,13 +329,13 @@ def cmd_flops(ns: argparse.Namespace) -> int:
 
 
 def cmd_lintcheck(ns: argparse.Namespace) -> int:
-    config = _load_config(ns.config)
-    input_path = _require(_opt(ns, config, "input", None), "--input")
-    spec = _linter_spec(ns, config)
+    input_path = _require(ns.input, "--input")
     bad_lines: list[int] = []
-    report = lint_error_rate((ex.program for ex in _read_examples(input_path, bad_lines)), spec)
+    report = lint_error_rate(
+        (ex.program for ex in _read_examples(input_path, bad_lines)), _linter_spec(ns)
+    )
     status = 2 if bad_lines else 0
-    if _opt(ns, config, "json", False):
+    if ns.json:
         print(json.dumps(report.to_dict(), ensure_ascii=False, separators=(",", ":")))
         return status
     print(
@@ -374,9 +355,18 @@ def _add_io_flags(p: argparse.ArgumentParser, output: bool = True) -> None:
 
 
 def _add_linter_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--linter", choices=("builtin", "external"))
-    p.add_argument("--linter-cmd", dest="linter_cmd", help="external command with {path}")
-    p.add_argument("--linter-pattern", dest="linter_pattern", help="finding regex")
+    p.add_argument("--linter", choices=("builtin", "external"), default="builtin")
+    p.add_argument(
+        "--linter-cmd", dest="linter_cmd", default="", help="external command with {path}"
+    )
+    p.add_argument(
+        "--linter-pattern", dest="linter_pattern", default=DEFAULT_FINDING_PATTERN,
+        help="finding regex",
+    )
+    p.add_argument(
+        "--linter-timeout", dest="linter_timeout", type=float, default=LinterSpec.timeout,
+        help="seconds an external linter may run on one state",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,33 +378,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="sample edit sequences from a corpus")
     _add_io_flags(p)
-    p.add_argument("--mode", choices=("lintseq", "randseq"))
-    p.add_argument("--samples", "-s", type=int, help="sequences per example")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--mode", choices=("lintseq", "randseq"), default="lintseq")
+    p.add_argument("--samples", "-s", type=int, default=5, help="sequences per example")
+    p.add_argument("--seed", type=int, default=0)
     _add_linter_flags(p)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--separator")
-    p.add_argument("--dedup", action="store_true", default=None)
-    p.add_argument("--unique-sequences", dest="unique_sequences", action="store_true", default=None)
-    p.add_argument("--skip-dirty", dest="skip_dirty", action="store_true", default=None)
-    p.add_argument("--max-lines", dest="max_lines", type=int)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--separator", default=DEFAULT_SEPARATOR)
+    p.add_argument("--dedup", action="store_true")
+    p.add_argument("--unique-sequences", dest="unique_sequences", action="store_true")
+    p.add_argument("--skip-dirty", dest="skip_dirty", action="store_true")
+    p.add_argument("--max-lines", dest="max_lines", type=int, default=DEFAULT_MAX_LINES)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("resolve", help="re-materialize programs from records")
     _add_io_flags(p)
-    p.add_argument("--separator")
+    p.add_argument("--separator", default=DEFAULT_SEPARATOR)
     p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("stats", help="dataset statistics for a records file")
     _add_io_flags(p, output=False)
-    p.add_argument("--json", action="store_true", default=None)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("passk", help="unbiased pass@k from n samples with c correct")
     p.add_argument("n", type=int)
     p.add_argument("c", type=int)
     p.add_argument("k", type=int, nargs="+")
-    p.add_argument("--json", action="store_true", default=False)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_passk)
 
     p = sub.add_parser("flops", help="inference cost from model shape and sampling plan")
@@ -427,25 +417,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--chars-per-token",
         dest="chars_per_token",
         type=float,
+        default=4.0,
         help="with --input: derive tokens from training-text chars",
     )
-    p.add_argument("--samples-per-problem", dest="samples_per_problem", type=int)
-    p.add_argument("--problems", type=int)
-    p.add_argument("--json", action="store_true", default=None)
+    p.add_argument("--samples-per-problem", dest="samples_per_problem", type=int, default=1)
+    p.add_argument("--problems", type=int, default=1)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_flops)
 
     p = sub.add_parser("lintcheck", help="lint error rate over a program set")
     _add_io_flags(p, output=False)
     _add_linter_flags(p)
-    p.add_argument("--json", action="store_true", default=None)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lintcheck)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
     try:
+        if getattr(ns, "config", None):
+            # a config value becomes the command's default, so a flag beats it
+            commands = next(a.choices for a in parser._actions if a.dest == "command")
+            config = _load_config(ns.config, commands.values())
+            commands[ns.command].set_defaults(**config)
+            ns = parser.parse_args(argv)
         return ns.func(ns)
     except (CorpusError, DiffError, LintError, OSError, ValueError) as exc:
         record = {"error": str(exc), "kind": type(exc).__name__}

@@ -12,6 +12,7 @@ identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -211,6 +212,8 @@ def atomic_output(path: str | os.PathLike) -> Iterator[IO[str]]:
     It gets the mode a new file would; on any exception it is removed.
     """
     path = os.fspath(path)
+    if os.path.isdir(path):  # os.replace would refuse it only after the block
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         fd, tmp = tempfile.mkstemp(
             dir=os.path.dirname(path) or ".", prefix=".lintseq-", suffix=".tmp"

@@ -161,13 +161,12 @@ class ExternalLinter:
         return found
 
     def _run(self, text: str) -> tuple[Finding, ...]:
-        tmpdir = os.environ.get("LINTSEQ_TMPDIR") or None
         path = None
         try:
             # an input file that cannot be written, like a linter that cannot
             # start, fails every example alike: LintError, not a per-example skip
             try:
-                fd, path = tempfile.mkstemp(suffix=".py", dir=tmpdir)
+                fd, path = tempfile.mkstemp(suffix=".py")
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
                     fh.write(text)
                 argv = [part.replace("{path}", path) for part in self._argv]

@@ -5,20 +5,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from statistics import fmean
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .corpus import EditSequenceRecord
 from .diffkit import split_lines
 from .lint import LintError, LinterSpec, check
 
 
-def _histogram(values: Sequence[int]) -> dict[int, int]:
-    return dict(sorted(Counter(values).items()))
-
-
-def _mean(values: Sequence[int]) -> float:
-    return fmean(values) if values else 0.0
+def _histogram_mean(hist: dict[int, int]) -> float:
+    # exact integer sums: the same float as fmean over the counted values below 2**53
+    count = sum(hist.values())
+    return sum(value * n for value, n in hist.items()) / count if count else 0.0
 
 
 @dataclass(frozen=True)
@@ -30,29 +27,32 @@ class DatasetStats:
     lines_per_example: dict[int, int]
     edits_per_sequence: dict[int, int]
     chars_per_training_text: dict[int, int]
-    mean_lines_per_example: float
-    mean_edits_per_sequence: float
-    mean_chars_per_training_text: float
+
+    @property
+    def mean_lines_per_example(self) -> float:
+        return _histogram_mean(self.lines_per_example)
+
+    @property
+    def mean_edits_per_sequence(self) -> float:
+        return _histogram_mean(self.edits_per_sequence)
+
+    @property
+    def mean_chars_per_training_text(self) -> float:
+        return _histogram_mean(self.chars_per_training_text)
 
     def to_dict(self) -> dict:
-        def block(hist: dict[int, int], mean: float) -> dict:
+        def block(hist: dict[int, int]) -> dict:
             return {
-                "mean": mean,
+                "mean": _histogram_mean(hist),
                 "histogram": {str(k): v for k, v in hist.items()},
             }
 
         return {
             "example_count": self.example_count,
             "sequence_count": self.sequence_count,
-            "lines_per_example": block(
-                self.lines_per_example, self.mean_lines_per_example
-            ),
-            "edits_per_sequence": block(
-                self.edits_per_sequence, self.mean_edits_per_sequence
-            ),
-            "chars_per_training_text": block(
-                self.chars_per_training_text, self.mean_chars_per_training_text
-            ),
+            "lines_per_example": block(self.lines_per_example),
+            "edits_per_sequence": block(self.edits_per_sequence),
+            "chars_per_training_text": block(self.chars_per_training_text),
         }
 
 
@@ -62,25 +62,22 @@ def dataset_stats(records: Iterable[EditSequenceRecord]) -> DatasetStats:
     Lines are counted once per distinct source example; edits and
     training-text sizes are counted once per sequence.
     """
-    lines: list[int] = []
-    edits: list[int] = []
-    chars: list[int] = []
+    lines: Counter[int] = Counter()
+    edits: Counter[int] = Counter()
+    chars: Counter[int] = Counter()
     seen: set[str] = set()
     for rec in records:
         if rec.source_id not in seen:
             seen.add(rec.source_id)
-            lines.append(len(split_lines(rec.program)))
-        edits.append(rec.num_edits)
-        chars.append(len(rec.training_text))
+            lines[len(split_lines(rec.program))] += 1
+        edits[rec.num_edits] += 1
+        chars[len(rec.training_text)] += 1
     return DatasetStats(
         example_count=len(seen),
-        sequence_count=len(edits),
-        lines_per_example=_histogram(lines),
-        edits_per_sequence=_histogram(edits),
-        chars_per_training_text=_histogram(chars),
-        mean_lines_per_example=_mean(lines),
-        mean_edits_per_sequence=_mean(edits),
-        mean_chars_per_training_text=_mean(chars),
+        sequence_count=edits.total(),
+        lines_per_example=dict(sorted(lines.items())),
+        edits_per_sequence=dict(sorted(edits.items())),
+        chars_per_training_text=dict(sorted(chars.items())),
     )
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
@@ -153,7 +154,8 @@ def test_generate_linter_that_cannot_run_exit_1(tmp_path, capsys, workers, comma
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_generate_missing_linter_tmpdir_exit_1(tmp_path, capsys, monkeypatch, workers):
-    monkeypatch.setenv("LINTSEQ_TMPDIR", str(tmp_path / "missing"))
+    # the linter's input goes to the standard temp dir; forked workers inherit it
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
     out = tmp_path / "out.jsonl"
     out.write_text("keep me\n")
     code = main(["generate", "--input", str(write_corpus(tmp_path, CLEAN)), "--output", str(out),
@@ -349,6 +351,68 @@ def test_generate_rejects_non_finite_linter_timeout(tmp_path, capsys, timeout):
     assert out.read_text() == "keep me\n"
 
 
+#: the config contract, apart from the parser it is read from: each key and
+#: the JSON kinds its value may take, in the order the error message names them
+CONFIG_KINDS = {
+    **dict.fromkeys(["dedup", "skip_dirty", "unique_sequences", "json"], "bool"),
+    **dict.fromkeys(["seed", "samples", "workers", "max_lines", "n_params", "n_layers", "context",
+                     "samples_per_problem", "problems"], "int"),
+    **dict.fromkeys(["tokens", "chars_per_token", "linter_timeout"], "int or float"),
+    **dict.fromkeys(["input", "output", "separator", "mode", "linter", "linter_cmd",
+                     "linter_pattern"], "str"),
+}
+JSON_SAMPLES = {"bool": True, "int": 3, "float": 2.5, "str": "x", "NoneType": None, "list": []}
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KINDS))
+def test_config_key_takes_exactly_its_kinds(tmp_path, capsys, key):
+    # any command's key is accepted by every command; stats reads no input first
+    cfg = tmp_path / "run.json"
+    kinds = CONFIG_KINDS[key].split(" or ")
+    for kind, value in JSON_SAMPLES.items():
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["stats", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+        if kind in kinds:
+            assert not err.startswith("config key"), err
+        else:
+            assert err == f"config key {key!r} must be {CONFIG_KINDS[key]}, not {json.dumps(value)}"
+
+
+def test_config_has_no_other_key(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    for key in ("config", "help", "command", "func", "n", "k"):
+        cfg.write_text(json.dumps({key: 1}))
+        assert main(["stats", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": f"unknown config key {key!r}", "kind": "ValueError"}
+
+
+def test_linter_timeout_flag_beats_config(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"linter_timeout": -1}))
+    corpus = write_corpus(tmp_path, CLEAN[:1])
+    out = tmp_path / "out.jsonl"
+    argv = ["generate", "--input", str(corpus), "--output", str(out), "--samples", "1",
+            "--config", str(cfg)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "timeout must be a finite positive number, not -1"
+    assert not out.exists()
+    assert main(argv + ["--linter-timeout", "5"]) == 0
+    assert len(list(read_records(out))) == 1
+
+
+@pytest.mark.parametrize("command", ["generate", "lintcheck"])
+def test_linter_timeout_flag_not_finite_exit_1(tmp_path, capsys, command):
+    corpus = write_corpus(tmp_path, CLEAN)
+    assert main([command, "--input", str(corpus), "--linter-timeout", "nan"]) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err == {"error": "timeout must be a finite positive number, not nan", "kind": "ValueError"}
+    assert captured.out == ""
+
+
 def test_config_values_of_their_json_type_run(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"dedup": False, "samples": 1, "seed": 3, "linter_timeout": 5}))
@@ -439,6 +503,27 @@ def test_unwritable_output_error_names_the_output(tmp_path, capsys, command):
         "error": f"[Errno 2] No such file or directory: {str(out)!r}",
         "kind": "FileNotFoundError",
     }
+
+
+@pytest.mark.parametrize("command", ["generate", "resolve"])
+def test_output_that_is_a_directory_exit_1_before_reading(tmp_path, capsys, command):
+    _, records = run_generate(tmp_path, CLEAN, "--samples", "1", name="records.jsonl")
+    # a malformed first line would be reported as soon as the input is read
+    corpus = tmp_path / "bad.jsonl"
+    corpus.write_text("{\n" + "".join(json.dumps(r) + "\n" for r in CLEAN), encoding="utf-8")
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    source = corpus if command == "generate" else records
+    capsys.readouterr()
+    assert main([command, "--input", str(source), "--output", str(adir)]) == 1
+    err = capsys.readouterr().err
+    assert "skipped" not in err
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"[Errno 21] Is a directory: {str(adir)!r}",
+        "kind": "IsADirectoryError",
+    }
+    assert list(adir.iterdir()) == []
+    assert not list(tmp_path.glob(".lintseq-*.tmp"))
 
 
 def test_resolve_empty_separator_exit_1_on_empty_records(tmp_path, capsys):

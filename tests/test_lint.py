@@ -1,6 +1,7 @@
 import os
 import random
 import stat
+import tempfile
 import textwrap
 from collections import Counter
 
@@ -271,7 +272,7 @@ def test_external_linter_timeout(tmp_path):
 def test_external_linter_respects_tmpdir(tmp_path, monkeypatch):
     workdir = tmp_path / "scratch"
     workdir.mkdir()
-    monkeypatch.setenv("LINTSEQ_TMPDIR", str(workdir))
+    monkeypatch.setattr(tempfile, "tempdir", str(workdir))
     script = tmp_path / "pathlint.py"
     _write_script(
         script,

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -54,6 +55,25 @@ def test_dataset_stats_single_line_corpus_mean_edits():
         sample_record(source_id=str(i), program="x = 1\n") for i in range(5)
     ]
     assert dataset_stats(records).mean_edits_per_sequence == 1.0
+
+
+def test_dataset_stats_memory_flat_in_record_count():
+    # many sequences of one source fill a few histogram buckets and hold
+    # nothing per record
+    records = [sample_record(sample_index=i, num_edits=1 + i % 2,
+                             edits=("@@ -0,0 +1 @@\n+x = 1",) * (1 + i % 2)) for i in range(4)]
+    peaks = []
+    for count in (1000, 100_000):
+        tracemalloc.start()
+        try:
+            stats = dataset_stats(itertools.islice(itertools.cycle(records), count))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (stats.example_count, stats.sequence_count) == (1, count)
+        assert stats.edits_per_sequence == {1: count // 2, 2: count // 2}
+    # 99,000 more records, about the same peak: under a byte held per record
+    assert peaks[1] - peaks[0] < 99_000, peaks
 
 
 def test_pass_at_k_boundaries():
