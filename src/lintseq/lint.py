@@ -14,12 +14,14 @@ its stdout with a configurable pattern.  A finding is one sorted
 ``(line, code, message)`` triple, as ``pycheck.flow`` returns it, in the
 sampling cascade (``setup``, ``check_subset``, ``extra_findings``) and in
 ``check_text`` alike.
-In the cascade, ``setup`` hands out a subset keeping every line, and each
-``check_subset`` names only the source indices deleted since the last one.
+In the cascade a line number is a source line.  ``setup`` returns the
+engine's own list of kept source indices, and each ``check_subset``
+deletes the indices it names from that list and checks the lines left.
 The built-in engine keeps the last program's setup, whose Analysis edits
 one walk in place and restarts each sample from a copy of the
-whole-program walk, so a check re-walks only the lines a deletion changed;
-the external one caches findings by content hash.
+whole-program walk, so a check re-walks only the lines a deletion changed.
+The external one caches findings by content hash as the tool numbered the
+candidate's lines, and is the one place that maps them to source lines.
 """
 
 from __future__ import annotations
@@ -95,35 +97,35 @@ class LinterSpec:
 class BuiltinLinter:
     def __init__(self, spec: LinterSpec) -> None:
         self.spec = spec
-        # (program, lines, analysis, baseline) of the last program set up
-        self._last: tuple[str, tuple[str, ...], pycheck.Analysis, tuple[Finding, ...]] | None = None
+        # the last program set up, its Analysis and its baseline findings
+        self._program: str | None = None
+        self._analysis: pycheck.Analysis | None = None
+        self._baseline: tuple[Finding, ...] = ()
 
-    def setup(self, program: str) -> tuple[tuple[str, ...], pycheck.Analysis, tuple[Finding, ...]]:
-        """The program's lines, its Analysis keeping every line, and baseline findings.
+    def setup(self, program: str) -> tuple[tuple[str, ...], list[int], tuple[Finding, ...]]:
+        """The program's lines, the Analysis's kept list, and baseline findings.
 
         The last program's setup is kept, so every sample of one example
         shares one scan cache and one baseline.  The Analysis is restarted
         from the whole-program walk its first check made here for the
-        baseline, so each sample's cascade resumes from that walk.  The
-        baseline is the sorted ``(line, code, message)`` triples of the
-        whole program, a tuple, so no caller of ``check`` can change what
-        later samples of the program are judged against.
+        baseline, so it keeps every line again and each sample's cascade
+        resumes from that walk.  The baseline is a tuple, so no caller of
+        ``check`` can change what later samples are judged against.
         """
-        last = self._last
-        if last is None or last[0] != program:
-            lines = tuple(split_lines(program))
-            analysis = pycheck.Analysis(lines)
-            baseline = tuple(self.check_subset(analysis, ()))
-            last = self._last = (program, lines, analysis, baseline)
+        if program != self._program:
+            self._program = None  # a baseline check that raises leaves no setup to restart
+            self._analysis = pycheck.Analysis(split_lines(program))
+            self._baseline = tuple(self.check_subset(()))
+            self._program = program
         else:
-            last[2].restart()
-        return last[1:]
+            self._analysis.restart()
+        return self._analysis.lines, self._analysis.kept, self._baseline
 
     def check_text(self, text: str) -> tuple[Finding, ...]:
         return self.setup(text)[2]
 
-    def check_subset(self, analysis: pycheck.Analysis, deleted: Iterable[int]) -> list[Finding]:
-        return pycheck.flow(analysis, deleted)
+    def check_subset(self, deleted: Iterable[int]) -> list[Finding]:
+        return pycheck.flow(self._analysis, deleted)
 
 
 class ExternalLinter:
@@ -132,26 +134,39 @@ class ExternalLinter:
         # findings by content hash, for texts of the last program set up only
         self._program: str | None = None
         self._cache: dict[bytes, tuple[Finding, ...]] = {}
+        self._lines: tuple[str, ...] = ()
+        self._kept: list[int] = []
         self._pattern = re.compile(spec.finding_pattern)
         self._argv = shlex.split(spec.command_template)
 
-    def setup(self, program: str) -> tuple[tuple[str, ...], dict[int, str], tuple[Finding, ...]]:
-        """As BuiltinLinter.setup; the subset is a fresh dict of every line by index.
+    def setup(self, program: str) -> tuple[tuple[str, ...], list[int], tuple[Finding, ...]]:
+        """As BuiltinLinter.setup; each setup starts a fresh kept list.
 
         A program other than the last one set up starts a fresh cache.
         """
         if program != self._program:
             self._program, self._cache = program, {}
-        lines = tuple(split_lines(program))
-        return lines, dict(enumerate(lines)), self._findings(program)
+        self._lines = tuple(split_lines(program))
+        self._kept = list(range(len(self._lines)))
+        return self._lines, self._kept, self._findings(program)
 
     def check_text(self, text: str) -> tuple[Finding, ...]:
         return self.setup(text)[2]
 
-    def check_subset(self, subset: dict[int, str], deleted: Iterable[int]) -> tuple[Finding, ...]:
+    def check_subset(self, deleted: Iterable[int]) -> tuple[Finding, ...]:
+        kept, lines = self._kept, self._lines
         for idx in deleted:
-            del subset[idx]
-        return self._findings(join_lines(subset.values()))
+            kept.remove(idx)
+        if not kept:
+            return ()  # the empty program: no findings, and the tool does not run
+        # candidate line L is source line kept[L - 1] + 1, mapped after the cache
+        # since equal texts can keep different lines; a line before the candidate
+        # maps to 0, one past its end as far past the source's, so order holds
+        n, past = len(kept), len(lines) - len(kept)
+        return tuple(
+            (kept[line - 1] + 1 if 0 < line <= n else line + past if line > n else 0, code, message)
+            for line, code, message in self._findings(join_lines(lines[i] for i in kept))
+        )
 
     def _findings(self, text: str) -> tuple[Finding, ...]:
         key = hashlib.sha1(text.encode("utf-8", "surrogatepass")).digest()

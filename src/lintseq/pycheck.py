@@ -736,16 +736,6 @@ def _classify_fresh(code: str, fstrings: Sequence[tuple[int, str]]) -> NameFacts
     return facts
 
 
-class _Scope:
-    """A def or class body, interned per Analysis by kind, header and parent, or the module."""
-
-    __slots__ = ("kind", "parent")
-
-    def __init__(self, kind: str, parent: "_Scope | None") -> None:
-        self.kind = kind
-        self.parent = parent
-
-
 def _missing_body(opener: tuple) -> tuple[int, str, str]:
     line, word, _ = opener
     return (line, "missing-block-body", f"expected an indented block after '{word}'")
@@ -753,12 +743,13 @@ def _missing_body(opener: tuple) -> tuple[int, str, str]:
 
 # The walk state a line is entered in:
 #   (sstate, string_open, brackets, levels, opener, logical)
-# ``levels`` links one (indent, scope inside the block, outer levels) per
-# open block, so ``levels[1]`` is the current scope.  ``opener`` is the
-# (line, word, opened scope or None) of a header still waiting for its
-# body, ``logical`` the (start, first word, last char, opened scope or None,
-# continuation mode) of a statement that continues on the next line.
-_START = ("", 0, None, (0, _Scope("module", None), None), None, None)
+# A scope is (kind, header index, parent scope), the module ("module", -1,
+# None).  ``levels`` links one (indent, scope inside the block, outer
+# levels) per open block, so ``levels[1]`` is the current scope.  ``opener``
+# is the (line, word, opened scope or None) of a header still waiting for
+# its body, ``logical`` the (start, first word, last char, opened scope or
+# None, continuation mode) of a statement that continues on the next line.
+_START = ("", 0, None, (0, ("module", -1, None), None), None, None)
 
 # A source line's events: (structural findings, defs, uses).  Defs and uses
 # are (scope, name, source index, sub-position) records; (index, sub) orders
@@ -769,37 +760,37 @@ _NO_EVENTS: tuple = ((), (), ())
 class Analysis:
     """Scan cache, kept lines, one ``flow`` run and its base for one source.
 
-    A fresh Analysis keeps every line and has walked none of them.  The run
-    holds, by source index, the walk state each kept line was entered in
-    (immutable and comparable: brackets and indentation levels are linked
-    tuples, scopes are interned by kind, header index and parent) and the
-    events it produced; slot ``len(lines)`` of the states is the state after
-    the last kept line.  It also holds the aggregates built from the events:
-    structural finding counts, sorted def positions per (scope, name), uses
-    by name and the unresolved uses.  Positions are source indices, so a
-    line's events do not depend on deletions elsewhere, and ``flow`` edits
-    the run in place: it walks only the lines whose walk state changed and
-    updates the aggregates by their events alone.
+    A fresh Analysis keeps every line and has walked none of them.  ``kept``
+    is the sorted list of kept source indices; callers read it, and only
+    ``flow`` and ``restart`` change it.  The run holds, by source index, the
+    walk state each kept line was entered in (a plain value of nested
+    tuples, so equal states compare equal across Analyses of one source) and
+    the events it produced; slot ``len(lines)`` of the states is the state
+    after the last kept line.  It also holds the aggregates built from the
+    events: structural finding counts, sorted def positions per (scope,
+    name), uses by name and the unresolved uses.  Positions are source
+    indices, so a line's events do not depend on deletions elsewhere, and
+    ``flow`` edits the run in place: it walks only the lines whose walk
+    state changed and updates the aggregates by their events alone.
 
     The first run is copied as the base, and ``restart`` makes a copy of the
     base the run again.
     """
 
     __slots__ = (
-        "lines", "_scans", "_scopes", "_kept", "_states", "_events",
+        "lines", "kept", "_scans", "_states", "_events",
         "_findings", "_defs", "_uses", "_unresolved", "_base",
     )
 
     def __init__(self, lines: Sequence[str]) -> None:
-        self.lines = list(lines)
+        self.lines = tuple(lines)
+        self.kept: list[int] = list(range(len(self.lines)))
         self._scans: dict[tuple[int, str], LineScan] = {}
-        self._scopes: dict[tuple, _Scope] = {}
-        self._kept: list[int] = list(range(len(self.lines)))
         # no line walked yet: a stored state of None matches no walk state
         self._states: list[tuple | None] = [None] * (len(self.lines) + 1)
         self._events: list[tuple] = [_NO_EVENTS] * len(self.lines)
         self._findings: dict[tuple[int, str, str], int] = {}
-        self._defs: dict[tuple[_Scope, str], tuple[tuple[int, int], ...]] = {}
+        self._defs: dict[tuple[tuple, str], tuple[tuple[int, int], ...]] = {}
         self._uses: defaultdict[str, set[tuple]] = defaultdict(set)
         self._unresolved: set[tuple] = set()
         self._base: tuple | None = None  # a snapshot of the first run
@@ -812,28 +803,21 @@ class Analysis:
             self._scans[key] = f
         return f
 
-    def scope(self, kind: str, header: int, parent: _Scope) -> _Scope:
-        key = (kind, header, parent)
-        s = self._scopes.get(key)
-        if s is None:
-            s = self._scopes[key] = _Scope(kind, parent)
-        return s
-
-    def _resolvable(self, scope: _Scope, name: str, idx: int, sub: int) -> bool:
-        s: _Scope | None = scope
+    def _resolvable(self, scope: tuple, name: str, idx: int, sub: int) -> bool:
+        s: tuple | None = scope
         passed_function = False
         while s is not None:
-            if s.kind == "class" and s is not scope:
-                s = s.parent
+            if s[0] == "class" and s is not scope:
+                s = s[2]
                 continue
             if (s, "*") in self._defs:
                 return True
             dps = self._defs.get((s, name))
             if dps and (passed_function or dps[0] < (idx, sub)):
                 return True
-            if s.kind == "function":
+            if s[0] == "function":
                 passed_function = True
-            s = s.parent
+            s = s[2]
         return False
 
     def _snapshot(self) -> tuple:
@@ -844,7 +828,7 @@ class Analysis:
         """
         uses = self._uses
         return (
-            self._kept[:], self._states[:], self._events[:], dict(self._findings),
+            self.kept[:], self._states[:], self._events[:], dict(self._findings),
             dict(self._defs), defaultdict(set, zip(uses, map(set.copy, uses.values()))),
             set(self._unresolved),
         )
@@ -855,7 +839,7 @@ class Analysis:
         The base itself becomes the run, and a fresh snapshot of it the base.
         """
         (
-            self._kept, self._states, self._events, self._findings,
+            self.kept, self._states, self._events, self._findings,
             self._defs, self._uses, self._unresolved,
         ) = self._base
         self._base = self._snapshot()
@@ -888,7 +872,7 @@ class Analysis:
             new_u.update(uses)
 
         all_defs = self._defs
-        firsts: dict[tuple[_Scope, str], tuple[int, int] | None] = {}
+        firsts: dict[tuple[tuple, str], tuple[int, int] | None] = {}
         for sc, name, idx, sub in old_d - new_d:
             key = (sc, name)
             dps = all_defs[key]
@@ -935,7 +919,8 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
 
     Each deleted index must be kept; otherwise ``ValueError`` is raised and
     the run is left as it was.  Returns sorted (line, code, message)
-    findings; line numbers are 1-based positions within the kept lines.
+    findings; a line number is a kept line's source index plus one, so on
+    an Analysis that keeps every line it is the line's 1-based position.
 
     The run on ``analysis`` is edited in place.  A walk starts at the first
     kept line, in ``_START``, and after each deleted line, in the state
@@ -946,7 +931,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     Analysis walks every line it keeps, and its run is copied as the base.
     """
     a = analysis
-    kept, states, events = a._kept, a._states, a._events
+    kept, states, events = a.kept, a._states, a._events
     dels = sorted(deleted)
     cuts: list[int] = []  # positions in ``kept`` of the deleted lines
     for idx in dels:
@@ -1013,7 +998,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                     cu, cd = nf.uses, nf.defs
                     opened = None
                     if nf.scope_kind is not None:
-                        opened = a.scope(nf.scope_kind, idx, scope)
+                        opened = (nf.scope_kind, idx, scope)
                         defs = [(opened, name, idx, 0) for name in nf.scope_params]
                     start, first, last, mode = idx, nf.first_word, "", nf.pending
                 else:
@@ -1074,7 +1059,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
         out.add((line, "unclosed-bracket", f"unclosed '{ch}'"))
     for _, name, line, _ in a._unresolved:
         out.add((line, "undefined-name", f"undefined name '{name}'"))
-    return [(bisect_left(kept, line) + 1, code, msg) for line, code, msg in sorted(out)]
+    return [(line + 1, code, msg) for line, code, msg in sorted(out)]
 
 
 def check_lines(lines: Sequence[str]) -> list[tuple[int, str, str]]:

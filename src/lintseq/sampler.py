@@ -112,29 +112,28 @@ def backward_sample(
     Each step's deleted source indices become one edit, last step first.
     The engine keeps the setup of the last program it saw, so repeated
     samples of one program share its scan cache and baseline findings.
-    Each cascade check passes the engine only the source indices deleted
-    since the last one, and re-walks only the lines whose walk state those
-    deletions changed; a sample's first check resumes from the
-    whole-program walk made for the baseline.
+    Steps draw from the engine's own kept list, and each check names only
+    the source indices deleted since the last one; findings name source
+    lines, so new ones doom their lines as they are.  The built-in engine
+    re-walks only the lines whose walk state those deletions changed; a
+    sample's first check resumes from the whole-program walk.
     """
     rng = rng or random.Random()
     engine = get_linter(linter or LinterSpec())
-    lines, subset, baseline = engine.setup(program)
-    kept = list(range(len(lines)))
+    lines, kept, baseline = engine.setup(program)
     steps = []
     while kept:
-        deleted = [kept.pop(rng.randrange(len(kept)))]
+        deleted = [kept[rng.randrange(len(kept))]]
         step = list(deleted)
-        while kept:
-            extras = extra_findings(engine.check_subset(subset, deleted), baseline)
+        while True:
+            extras = extra_findings(engine.check_subset(deleted), baseline)
             if not extras:
                 break
-            doomed = sorted({line - 1 for line, _, _ in extras if 0 < line <= len(kept)})
-            if not doomed:
+            deleted = sorted({line - 1 for line, _, _ in extras if 0 < line <= len(lines)})
+            if not deleted:
                 # only reachable with a checker that reports lines outside
                 # the candidate; without a removal the loop cannot stabilize
                 raise SamplerError("finding lines fall outside the candidate; cannot stabilize")
-            deleted = [kept.pop(pos) for pos in reversed(doomed)]
             step += deleted
         steps.append(tuple(sorted(step)))
     return StateSequence(lines, tuple(reversed(steps)))

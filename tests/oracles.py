@@ -82,14 +82,18 @@ def flow_checked(analysis, kept: list[int], deleted=()) -> list[tuple[int, str, 
     """``flow`` on ``analysis``, asserted equal to ``check_lines`` on the candidate.
 
     ``kept`` is the caller's own list of the source indices the Analysis
-    keeps: the deleted ones are taken out of it in place, and the findings
-    must be those of a cold check of the lines left.
+    keeps: the deleted ones are taken out of it in place, and it must equal
+    ``analysis.kept``.  The findings must be those of a cold check of the
+    lines left, each candidate line ``n`` mapped to source line
+    ``kept[n - 1] + 1``.
     """
     deleted = list(deleted)
     got = flow(analysis, deleted)
     gone = set(deleted)
     kept[:] = [i for i in kept if i not in gone]
-    assert got == check_lines([analysis.lines[i] for i in kept]), (deleted, kept)
+    assert analysis.kept == kept, (deleted, kept)
+    cold = check_lines([analysis.lines[i] for i in kept])
+    assert got == [(kept[n - 1] + 1, code, msg) for n, code, msg in cold], (deleted, kept)
     return got
 
 

@@ -205,13 +205,16 @@ def test_external_linter_sorts_findings(tmp_path):
     r = check("a = 1\n", spec)
     assert [(line, code) for line, code, _ in r] == [(1, "Ea"), (2, "E1"), (5, "E1"), (5, "Eb")]
     # the cascade gets the same order, so the later copy of a
-    # message the baseline allows once is the one reported as new
+    # message the baseline allows once is the one reported as new; the
+    # candidate's line 1 is source line 2, and lines past the candidate's
+    # end stay as far past the source's end
     engine = get_linter(spec)
-    _, subset, _ = engine.setup("a = 1\nb = 2\n")
-    found = engine.check_subset(subset, [0])
-    assert [line for line, _, _ in found] == [1, 2, 5, 5]
+    _, kept, _ = engine.setup("a = 1\nb = 2\n")
+    found = engine.check_subset([0])
+    assert kept == [1]
+    assert [line for line, _, _ in found] == [2, 3, 6, 6]
     allowed_once = [(9, "E1", "same"), (9, "Ea", "first"), (9, "Eb", "later")]
-    assert extra_findings(found, allowed_once) == [(5, "E1", "same")]
+    assert extra_findings(found, allowed_once) == [(6, "E1", "same")]
 
 
 def test_external_linter_cache_keeps_last_program_only(tmp_path):
@@ -231,8 +234,8 @@ def test_external_linter_cache_keeps_last_program_only(tmp_path):
     spec = LinterSpec(kind="external", command_template=f"python3 {script} {{path}}")
     engine = get_linter(spec)
     first, second = "a = 1\nb = 2\n", "c = 3\n"
-    _, subset, _ = engine.setup(first)
-    engine.check_subset(subset, [0])
+    engine.setup(first)
+    engine.check_subset([0])
     engine.setup(first)
     assert runs.read_text().count("run") == 2  # the second setup hit the cache
     engine.setup(second)
@@ -241,6 +244,33 @@ def test_external_linter_cache_keeps_last_program_only(tmp_path):
     assert [message for _, _, message in check(first, spec)] == ["a = 1"]
     assert list(engine._cache.values()) == [((1, "E1", "a = 1"),)]
     assert runs.read_text().count("run") == 4
+
+
+def test_external_linter_maps_cached_findings_through_kept_lines(tmp_path):
+    # two candidates with the same text can keep different source lines:
+    # the cache holds the tool's candidate numbering, and each check maps
+    # it through its own kept list
+    runs = tmp_path / "runs.log"
+    script = tmp_path / "firstlint.py"
+    _write_script(
+        script,
+        f"""
+        import sys
+        path = sys.argv[1]
+        with open({str(runs)!r}, "a") as log:
+            log.write("run\\n")
+        print(f"{{path}}:1:1: E1 first")
+        """,
+    )
+    spec = LinterSpec(kind="external", command_template=f"python3 {script} {{path}}")
+    engine = get_linter(spec)
+    program = "x = 1\nx = 1\ny = 2\n"
+    engine.setup(program)
+    assert engine.check_subset([0]) == ((2, "E1", "first"),)
+    engine.setup(program)
+    assert engine.check_subset([1]) == ((1, "E1", "first"),)
+    # the whole program and the one candidate text
+    assert runs.read_text().count("run") == 2
 
 
 def test_external_linter_includes_warnings_when_asked(tmp_path):

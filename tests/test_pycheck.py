@@ -150,26 +150,28 @@ def test_flow_runs_on_subsets():
     # drop the import: both users now reference an unknown name
     out = flow(analysis, [0])
     assert [c for _, c, _ in out] == ["undefined-name"]
-    # findings are numbered against the candidate, not the source
-    assert [ln for ln, _, _ in out] == [1]
+    # findings are numbered by source line, not by candidate position
+    assert [ln for ln, _, _ in out] == [2]
     # drop the middle line: print target vanishes
     out2 = flow(Analysis(lines), [1])
-    assert [(ln, c) for ln, c, _ in out2] == [(2, "undefined-name")]
+    assert [(ln, c) for ln, c, _ in out2] == [(3, "undefined-name")]
 
 
-def test_flow_candidate_numbering():
+def test_flow_numbers_findings_by_source_line():
     lines = split_lines("a = 1\nb = a + 1\nc = b + 1\n")
-    # keep only the last line: its finding is at candidate line 1
-    out = flow(Analysis(lines), [0, 1])
-    assert [(ln, c) for ln, c, _ in out] == [(1, "undefined-name")]
+    # keep only the last line: candidate line 1 is source line 3
+    analysis = Analysis(lines)
+    out = flow(analysis, [0, 1])
+    assert analysis.kept == [2]
+    assert [(ln, c) for ln, c, _ in out] == [(3, "undefined-name")]
 
 
 def test_del_header_cascade_shape():
     # removing a def header leaves the body orphaned one line at a time
     lines = split_lines("def f(p):\n    t = p + 1\n    return t\nprint(f(2))\n")
     out = flow(Analysis(lines), [0])
-    assert (1, "unexpected-indent") in [(ln, c) for ln, c, _ in out]
-    assert (3, "undefined-name") in [(ln, c) for ln, c, _ in out]
+    assert (2, "unexpected-indent") in [(ln, c) for ln, c, _ in out]
+    assert (4, "undefined-name") in [(ln, c) for ln, c, _ in out]
 
 
 def test_multiline_def_header_defaults_and_annotations():
@@ -226,8 +228,8 @@ def test_shared_analysis_keeps_continuation_modes_apart():
     assert flow(analysis, [1]) == []
     analysis.restart()
     out = flow(analysis, [0])
-    assert out == [(2, "undefined-name", "undefined name 'b'")]
-    assert out == check_lines(["y = (\n", "      b)\n"])
+    assert out == [(3, "undefined-name", "undefined name 'b'")]
+    assert check_lines(["y = (\n", "      b)\n"]) == [(2, "undefined-name", "undefined name 'b'")]
 
 
 def test_shared_analysis_matches_fresh_check_on_own_sources():
@@ -248,18 +250,21 @@ def test_shared_analysis_matches_fresh_check_on_own_sources():
 
 def test_incremental_flow_matches_cold_on_backward_sample_cascades(monkeypatch):
     # every check a cascade makes on the engine's shared Analysis equals a
-    # cold check of the candidate; setup hands out an Analysis keeping
-    # every line, so the test's own copy of the kept lines starts there
+    # cold check of the candidate, mapped to source lines; setup hands out
+    # the Analysis's kept list keeping every line, so the test's own copy
+    # of the kept lines starts there
     calls = []
     mirrors = {}
-    real_setup, real_check = BuiltinLinter.setup, BuiltinLinter.check_subset
+    real_setup = BuiltinLinter.setup
 
     def setup(self, program):
         out = real_setup(self, program)
-        mirrors[out[1]] = list(range(len(out[0])))
+        assert out[1] is self._analysis.kept
+        mirrors[self._analysis] = list(range(len(out[0])))
         return out
 
-    def check_subset(self, analysis, deleted):
+    def check_subset(self, deleted):
+        analysis = self._analysis
         kept = mirrors.setdefault(analysis, list(range(len(analysis.lines))))
         calls.append(len(kept))
         return flow_checked(analysis, kept, deleted)
@@ -400,16 +405,27 @@ def test_incremental_flow_after_edits_that_change_walk_state():
             flow_checked(shared, kept, kept[-1:])
 
 
+def test_walk_states_compare_equal_across_analyses_of_one_program():
+    # a scope is a plain value, so two Analyses of one source reach equal
+    # walk states, def and class scopes included, before and after deletions
+    lines = split_lines(_STATEFUL)
+    first, second = Analysis(lines), Analysis(lines)
+    assert flow(first) == flow(second)
+    assert first._states == second._states
+    assert flow(first, [5]) == flow(second, [5])
+    assert first._states == second._states
+
+
 def test_flow_rejects_deleting_a_line_not_kept():
     analysis = Analysis(["x = 1\n", "y = x\n", "print(y)\n"])
     kept = [0, 1, 2]
-    assert flow_checked(analysis, kept, [1]) == [(2, "undefined-name", "undefined name 'y'")]
+    assert flow_checked(analysis, kept, [1]) == [(3, "undefined-name", "undefined name 'y'")]
     # deleted before, twice in one call, out of range
     for deleted in ([1], [0, 0], [2, 0, 2], [3], [-1], [0, 3]):
         with pytest.raises(ValueError):
             flow(analysis, deleted)
         # the rejected call left the run as it was
-        assert flow_checked(analysis, kept) == [(2, "undefined-name", "undefined name 'y'")]
+        assert flow_checked(analysis, kept) == [(3, "undefined-name", "undefined name 'y'")]
     assert flow_checked(analysis, kept, [2]) == []
 
 
@@ -435,10 +451,10 @@ def test_star_import_with_alias_still_binds_every_name():
 @pytest.mark.parametrize(
     "prog, lines_of_q_and_r",
     [
-        ("from a import *\nx = q\nfrom b import *\ny = r\n", (1, 2)),
+        ("from a import *\nx = q\nfrom b import *\ny = r\n", (2, 4)),
         (
             "def f():\n    from a import *\n    x = q\n    from b import *\n    return r\nprint(f)\n",
-            (2, 3),
+            (3, 5),
         ),
     ],
 )

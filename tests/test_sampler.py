@@ -200,6 +200,43 @@ def test_backward_sample_skips_findings_outside_candidate(tmp_path):
     assert r.skip_reason == "finding lines fall outside the candidate; cannot stabilize"
 
 
+def test_backward_sample_excuses_the_earlier_copy_of_a_baseline_finding(tmp_path):
+    # the baseline has one "E1 m"; a candidate draws it at line 1 and again
+    # past its last line, and the later copy is the new one, which deletes
+    # nothing, so the cascade still stops with the skip
+    script = tmp_path / "twicelint.py"
+    script.write_text(textwrap.dedent("""\
+        import sys
+        path = sys.argv[1]
+        with open(path, encoding="utf-8") as fh:
+            n = len(fh.readlines())
+        print(f"{path}:1:1: E1 m")
+        if n < 3:
+            print(f"{path}:{n + 1}:1: E1 m")
+        """))
+    spec = LinterSpec(kind="external", command_template=f"{sys.executable} {script} {{path}}")
+    (r,) = sample_corpus(examples(FLAT), spec, samples_per_example=1)
+    assert r.skip_reason == "finding lines fall outside the candidate; cannot stabilize"
+
+
+def test_backward_sample_never_runs_the_external_linter_on_the_empty_program(tmp_path):
+    runs = tmp_path / "runs.log"
+    script = tmp_path / "sizelint.py"
+    script.write_text(textwrap.dedent(f"""\
+        import sys
+        with open(sys.argv[1], encoding="utf-8") as fh:
+            size = len(fh.read())
+        with open({str(runs)!r}, "a") as log:
+            log.write(f"{{size}}\\n")
+        """))
+    spec = LinterSpec(kind="external", command_template=f"{sys.executable} {script} {{path}}")
+    for seed in range(3):
+        seq = backward_sample(CHAIN, spec, random.Random(seed))
+        assert state_texts(seq)[-1] == CHAIN
+    sizes = [int(size) for size in runs.read_text().split()]
+    assert sizes and 0 not in sizes
+
+
 def test_sampled_sequence_pickle_grows_with_lines_not_edits():
     # 400 independent lines take 400 one-line edits; a sequence holds each
     # source index once, not a kept-index snapshot per state
