@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, insort
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     from .sampler import StateSequence
@@ -71,33 +72,40 @@ def _format_range(start: int, length: int) -> str:
     return f"{start},{length}"
 
 
-@dataclass(frozen=True)
-class Hunk:
+class Hunk(namedtuple("Hunk", "old_start old_len new_start new_len deletions insertions")):
     """One contiguous change.
 
     ``old_start`` is the 1-based first affected line of the pre-text; when
     ``old_len`` is 0 it is instead the line the insertion follows (0 means
     the insertion precedes everything).  The post-text side mirrors this.
+
+    A hunk is a tuple of its six fields, so it compares equal to a plain
+    tuple of the same values.  Building one checks the fields; ``parse_diff``
+    has made the same checks already and builds its hunks without them.
     """
 
-    old_start: int
-    old_len: int
-    new_start: int
-    new_len: int
-    deletions: tuple[str, ...] = ()
-    insertions: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.deletions) != self.old_len or len(self.insertions) != self.new_len:
+    def __new__(
+        cls,
+        old_start: int,
+        old_len: int,
+        new_start: int,
+        new_len: int,
+        deletions: tuple[str, ...] = (),
+        insertions: tuple[str, ...] = (),
+    ) -> "Hunk":
+        if len(deletions) != old_len or len(insertions) != new_len:
             raise ValueError("hunk body does not match declared lengths")
-        if self.old_len + self.new_len < 1:
+        if old_len + new_len < 1:
             raise ValueError("hunk must delete or insert at least one line")
-        if self.old_start < 0 or self.new_start < 0:
+        if old_start < 0 or new_start < 0:
             raise ValueError("hunk positions must be non-negative")
-        if self.old_len > 0 and self.old_start < 1:
+        if old_len > 0 and old_start < 1:
             raise ValueError("a non-empty old range starts at line 1 or later")
-        if self.new_len > 0 and self.new_start < 1:
+        if new_len > 0 and new_start < 1:
             raise ValueError("a non-empty new range starts at line 1 or later")
+        return tuple.__new__(cls, (old_start, old_len, new_start, new_len, deletions, insertions))
 
     @property
     def decorator(self) -> str:
@@ -162,63 +170,69 @@ def diff_states(seq: "StateSequence") -> list[EditDiff]:
     return diffs
 
 
+# ASCII digits only: ``int`` would also read other scripts' digits
 _DECORATOR_RE = re.compile(
-    r"^@@ -(?P<os>\d+)(?:,(?P<ol>\d+))? \+(?P<ns>\d+)(?:,(?P<nl>\d+))? @@(?: .*)?$"
+    r"@@ -([0-9]+)(?:,([0-9]+))? \+([0-9]+)(?:,([0-9]+))? @@(?: .*)?"
 )
 
+_new_hunk = tuple.__new__  # builds a Hunk without the checks parse_diff has made
 
-def parse_diff(text: str) -> EditDiff:
-    """Parse a rendered diff back into hunks.
+
+def parse_diff(diff: str | Sequence[str]) -> EditDiff:
+    """Parse a rendered diff, given as text or as its list of lines, back into hunks.
 
     Accepts the canonical rendering plus tolerant variants: an omitted
     ``,len`` (meaning 1), trailing annotation after the closing ``@@``, and
-    surrounding blank lines.  Raises MalformedDecorator, TruncatedHunk, or
-    BodyMismatch; an empty or blank text parses as a diff with no hunks.
+    blank lines around a text (a list of lines is read as it is).  Raises
+    MalformedDecorator, TruncatedHunk, or BodyMismatch; an empty or blank
+    text parses as a diff with no hunks.  Each hunk body is one slice of
+    the lines, checked and stripped of its prefixes whole.
     """
-    body = text.strip("\n")
-    if not body:
-        return EditDiff(())
-    lines = body.split("\n")
+    if isinstance(diff, str):
+        diff = diff.strip("\n")
+        lines = diff.split("\n") if diff else []
+    else:
+        lines = diff
+    n = len(lines)
     hunks = []
     i = 0
-    while i < len(lines):
-        m = _DECORATOR_RE.match(lines[i])
+    while i < n:
+        head = lines[i]
+        m = _DECORATOR_RE.fullmatch(head)
         if m is None:
-            raise MalformedDecorator(f"not a hunk decorator: {lines[i]!r}")
-        old_start = int(m["os"])
-        old_len = int(m["ol"]) if m["ol"] is not None else 1
-        new_start = int(m["ns"])
-        new_len = int(m["nl"]) if m["nl"] is not None else 1
+            raise MalformedDecorator(f"not a hunk decorator: {head!r}")
+        old_start, old_len, new_start, new_len = m.groups()
+        try:
+            old_start = int(old_start)
+            old_len = int(old_len) if old_len else 1
+            new_start = int(new_start)
+            new_len = int(new_len) if new_len else 1
+        except ValueError:  # more digits than ``int`` converts
+            raise MalformedDecorator(f"line number too long: {head!r}") from None
         if old_len + new_len == 0:
-            raise MalformedDecorator(f"hunk declares no content: {lines[i]!r}")
+            raise MalformedDecorator(f"hunk declares no content: {head!r}")
         if (old_len > 0 and old_start < 1) or (new_len > 0 and new_start < 1):
-            raise MalformedDecorator(f"non-empty range starting at 0: {lines[i]!r}")
-        i += 1
-        if i >= len(lines):
-            raise TruncatedHunk(f"stream ends after decorator {lines[i - 1]!r}")
-        deletions = []
-        insertions = []
-        for bucket, prefix, want in ((deletions, "-", old_len), (insertions, "+", new_len)):
-            for _ in range(want):
-                if i >= len(lines):
-                    raise BodyMismatch(
-                        f"hunk {lines[len(lines) - 1]!r}: body shorter than declared"
-                    )
-                line = lines[i]
-                if not line.startswith(prefix):
-                    raise BodyMismatch(
-                        f"expected a {prefix!r} body line, got {line!r}"
-                    )
-                bucket.append(line[1:])
-                i += 1
-        hunks.append(
-            Hunk(
-                old_start=old_start,
-                old_len=old_len,
-                new_start=new_start,
-                new_len=new_len,
-                deletions=tuple(deletions),
-                insertions=tuple(insertions),
-            )
-        )
+            raise MalformedDecorator(f"non-empty range starting at 0: {head!r}")
+        start = i + 1
+        if start >= n:
+            raise TruncatedHunk(f"stream ends after decorator {head!r}")
+        mid = start + old_len
+        i = mid + new_len
+        deletions = _body(lines, start, mid, "-") if old_len else ()
+        insertions = _body(lines, mid, i, "+") if new_len else ()
+        hunks.append(_new_hunk(Hunk, (old_start, old_len, new_start, new_len, deletions, insertions)))
     return EditDiff(tuple(hunks))
+
+
+def _body(lines: Sequence[str], start: int, stop: int, prefix: str) -> tuple[str, ...]:
+    """``lines[start:stop]`` without their ``prefix``, which each must carry."""
+    body = lines[start:stop]
+    text = "\n".join(body)
+    sep = "\n" + prefix
+    # a body of n lines holds n - 1 newlines, so all of them start a line
+    if body and (text[:1] != prefix or text.count(sep) != len(body) - 1):
+        bad = next(line for line in body if not line.startswith(prefix))
+        raise BodyMismatch(f"expected a {prefix!r} body line, got {bad!r}")
+    if stop > len(lines):
+        raise BodyMismatch(f"hunk {lines[-1]!r}: body shorter than declared")
+    return tuple(text[1:].split(sep))

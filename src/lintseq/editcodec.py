@@ -15,18 +15,21 @@ occupies a whole line.  Diff body lines always carry a ``+``/``-`` prefix
 and decorators start with ``@@``, so program text that happens to contain
 the token can never split an edit apart.
 
-Resolution folds ``apply`` over the edits, one line list from the empty
-program on; text is joined only where it is returned.  ``resolve`` is
-strict and raises on the first bad edit; ``resolve_stream`` applies the
-longest well-formed prefix and reports where the stream went wrong, which
-is the right behavior for raw model output.
+A record is read as one line list: the training text is split on
+newlines once, each edit is the slice between separator lines, and
+``parse_diff`` reads that slice.  Generated records and raw model output
+take this same path.  Resolution folds ``apply`` over the edits, editing
+one line list in place from the empty program on; text is joined only
+where it is returned.  ``resolve`` is strict and raises on the first bad
+edit; ``resolve_stream`` applies the longest well-formed prefix and
+reports where the stream went wrong, which is the right behavior for raw
+model output.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .diffkit import DiffError, EditDiff, join_lines, parse_diff
 
@@ -65,54 +68,77 @@ def serialize(edits: Sequence[EditDiff | str], separator: str = DEFAULT_SEPARATO
     return "\n".join(f"{separator}\n{r}" for r in rendered)
 
 
+def _parts(text: str, separator: str) -> Iterator[list[str]]:
+    """Each edit of a training string, as its list of lines.
+
+    The text is split into lines once.  A part is a run of lines between
+    separator lines (or the start or end of the text) without blank lines
+    at either end; a run of blank lines is no part.
+    """
+    check_separator(separator)
+    lines = text.split("\n")
+    lines.append(separator)  # so every part ends at a separator line
+    start = 0
+    while start < len(lines):
+        stop = lines.index(separator, start)
+        while start < stop and not lines[start]:
+            start += 1
+        end = stop
+        while end > start and not lines[end - 1]:
+            end -= 1
+        if start < end:
+            yield lines[start:end]
+        start = stop + 1
+
+
 def split_serialized(text: str, separator: str = DEFAULT_SEPARATOR) -> list[str]:
     """Split a training string into per-edit diff texts.
 
     Text before the first separator (including text with no separator at
     all) is kept as a leading raw diff, so bare diff streams resolve too.
-    Blank segments are dropped.
+    These are the parts the resolvers read, joined back into text: blank
+    lines at either end of a part, and blank parts, are dropped.
     """
-    check_separator(separator)
-    # lookbehind keeps the left newline unconsumed so that back-to-back
-    # separator lines each still begin at a line start
-    pattern = re.compile(rf"(?:^|(?<=\n)){re.escape(separator)}(?:\n|$)")
-    return [part.rstrip("\n") for part in pattern.split(text) if part.strip("\n")]
+    return ["\n".join(part) for part in _parts(text, separator)]
 
 
-def apply(lines: Sequence[str], edit: EditDiff) -> list[str]:
-    """Apply one edit to a program's lines; all hunks address the same lines.
+def apply(lines: list[str], edit: EditDiff) -> list[str]:
+    """Apply one edit to a program's lines in place; all hunks address the same lines.
 
-    Returns a new list, so a conflicting edit leaves ``lines`` as it was.
+    Every hunk is checked against ``lines`` before any is spliced in, so a
+    conflicting edit leaves ``lines`` as it was.  The hunks are then
+    spliced in last first, which keeps the earlier ones' line numbers
+    valid.  Returns ``lines``.
     """
-    out: list[str] = []
-    cursor = 0  # next pre-edit line not yet emitted
-    for hi, hunk in enumerate(edit.hunks):
-        anchor = hunk.old_start - 1 if hunk.old_len else hunk.old_start
+    cursor = 0  # first pre-edit line after the last hunk checked
+    for hi, (old_start, old_len, _, _, deletions, _) in enumerate(edit.hunks, 1):
+        anchor = old_start - 1 if old_len else old_start
         if anchor < cursor:
-            raise ApplyConflict(f"hunk {hi + 1} overlaps or precedes an earlier hunk")
-        if anchor + hunk.old_len > len(lines):
+            raise ApplyConflict(f"hunk {hi} overlaps or precedes an earlier hunk")
+        cursor = anchor + old_len
+        if cursor > len(lines):
             raise ApplyConflict(
-                f"hunk {hi + 1} falls outside the text "
-                f"(wants lines through {anchor + hunk.old_len} of {len(lines)})"
+                f"hunk {hi} falls outside the text "
+                f"(wants lines through {cursor} of {len(lines)})"
             )
-        out.extend(lines[cursor:anchor])
-        for k, expect in enumerate(hunk.deletions, anchor):
+        for k, expect in enumerate(deletions, anchor):
             if lines[k] != expect:
                 raise ApplyConflict(
-                    f"hunk {hi + 1}: deletion mismatch at line {k + 1}: "
+                    f"hunk {hi}: deletion mismatch at line {k + 1}: "
                     f"expected {expect!r}, found {lines[k]!r}"
                 )
-        cursor = anchor + hunk.old_len
-        out.extend(hunk.insertions)
-    out.extend(lines[cursor:])
-    return out
+    for old_start, old_len, _, _, _, insertions in reversed(edit.hunks):
+        anchor = old_start - 1 if old_len else old_start
+        lines[anchor:anchor + old_len] = insertions
+    return lines
 
 
-def _iter_states(parts: Iterable[str]) -> Iterator[list[str]]:
+def _iter_states(edit_text: str, separator: str) -> Iterator[list[str]]:
+    """The program's one line list after each edit; it changes in place."""
     lines: list[str] = []
-    for idx, part in enumerate(parts):
+    for idx, part in enumerate(_parts(edit_text, separator)):
         try:
-            lines = apply(lines, parse_diff(part))
+            apply(lines, parse_diff(part))
         except DiffError as exc:
             raise ResolveError(idx, exc) from exc
         yield lines
@@ -121,14 +147,14 @@ def _iter_states(parts: Iterable[str]) -> Iterator[list[str]]:
 def resolve(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> str:
     """Resolve a full edit stream to its final program (strict)."""
     lines: list[str] = []
-    for lines in _iter_states(split_serialized(edit_text, separator)):
+    for lines in _iter_states(edit_text, separator):
         pass
     return join_lines(lines)
 
 
 def resolve_prefixes(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> list[str]:
     """Program text after each edit; length equals the number of edits."""
-    return [join_lines(lines) for lines in _iter_states(split_serialized(edit_text, separator))]
+    return [join_lines(lines) for lines in _iter_states(edit_text, separator)]
 
 
 @dataclass(frozen=True)
@@ -156,7 +182,7 @@ def resolve_stream(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> Resolv
     failure = None
     try:
         # a failing edit leaves ``lines`` at the last state that applied
-        for lines in _iter_states(split_serialized(edit_text, separator)):
+        for lines in _iter_states(edit_text, separator):
             applied += 1
     except ResolveError as exc:
         failure = ResolveFailure(exc.edit_index, type(exc.cause).__name__, str(exc.cause))

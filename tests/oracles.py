@@ -1,16 +1,27 @@
 """Independent oracles the tests judge the package against."""
 
+import re
 from difflib import SequenceMatcher, unified_diff
 
-from lintseq.diffkit import DiffError, EditDiff, Hunk, join_lines, parse_diff, split_lines
+from lintseq.diffkit import (
+    BodyMismatch,
+    DiffError,
+    EditDiff,
+    Hunk,
+    MalformedDecorator,
+    TruncatedHunk,
+    join_lines,
+    split_lines,
+)
 from lintseq.editcodec import (
+    DEFAULT_SEPARATOR,
     ApplyConflict,
     ResolveError,
+    check_separator,
     resolve,
     resolve_prefixes,
     resolve_stream,
     restore_final_newline,
-    split_serialized,
 )
 from lintseq.lint import LinterSpec, extra_findings, get_linter
 from lintseq.pycheck import check_lines, flow
@@ -102,6 +113,87 @@ def resolve_record(record) -> str:
     return restore_final_newline(resolve(record.training_text), record.program)
 
 
+# The text-level reader the line-list one replaced: a regex split into part
+# texts, then a per-line walk of each part.  Frozen here so that the
+# resolvers are judged against it and not against themselves.
+
+
+def reference_split_serialized(text: str, separator: str = DEFAULT_SEPARATOR) -> list[str]:
+    """Split a training string into per-edit diff texts.
+
+    Text before the first separator (including text with no separator at
+    all) is kept as a leading raw diff, so bare diff streams resolve too.
+    Blank segments are dropped.
+    """
+    check_separator(separator)
+    # lookbehind keeps the left newline unconsumed so that back-to-back
+    # separator lines each still begin at a line start
+    pattern = re.compile(rf"(?:^|(?<=\n)){re.escape(separator)}(?:\n|$)")
+    return [part.rstrip("\n") for part in pattern.split(text) if part.strip("\n")]
+
+
+_DECORATOR_RE = re.compile(
+    r"^@@ -(?P<os>\d+)(?:,(?P<ol>\d+))? \+(?P<ns>\d+)(?:,(?P<nl>\d+))? @@(?: .*)?$"
+)
+
+
+def reference_parse_diff(text: str) -> EditDiff:
+    """Parse a rendered diff back into hunks.
+
+    Accepts the canonical rendering plus tolerant variants: an omitted
+    ``,len`` (meaning 1), trailing annotation after the closing ``@@``, and
+    surrounding blank lines.  Raises MalformedDecorator, TruncatedHunk, or
+    BodyMismatch; an empty or blank text parses as a diff with no hunks.
+    """
+    body = text.strip("\n")
+    if not body:
+        return EditDiff(())
+    lines = body.split("\n")
+    hunks = []
+    i = 0
+    while i < len(lines):
+        m = _DECORATOR_RE.match(lines[i])
+        if m is None:
+            raise MalformedDecorator(f"not a hunk decorator: {lines[i]!r}")
+        old_start = int(m["os"])
+        old_len = int(m["ol"]) if m["ol"] is not None else 1
+        new_start = int(m["ns"])
+        new_len = int(m["nl"]) if m["nl"] is not None else 1
+        if old_len + new_len == 0:
+            raise MalformedDecorator(f"hunk declares no content: {lines[i]!r}")
+        if (old_len > 0 and old_start < 1) or (new_len > 0 and new_start < 1):
+            raise MalformedDecorator(f"non-empty range starting at 0: {lines[i]!r}")
+        i += 1
+        if i >= len(lines):
+            raise TruncatedHunk(f"stream ends after decorator {lines[i - 1]!r}")
+        deletions = []
+        insertions = []
+        for bucket, prefix, want in ((deletions, "-", old_len), (insertions, "+", new_len)):
+            for _ in range(want):
+                if i >= len(lines):
+                    raise BodyMismatch(
+                        f"hunk {lines[len(lines) - 1]!r}: body shorter than declared"
+                    )
+                line = lines[i]
+                if not line.startswith(prefix):
+                    raise BodyMismatch(
+                        f"expected a {prefix!r} body line, got {line!r}"
+                    )
+                bucket.append(line[1:])
+                i += 1
+        hunks.append(
+            Hunk(
+                old_start=old_start,
+                old_len=old_len,
+                new_start=new_start,
+                new_len=new_len,
+                deletions=tuple(deletions),
+                insertions=tuple(insertions),
+            )
+        )
+    return EditDiff(tuple(hunks))
+
+
 def reference_apply(text: str, edit: EditDiff | str) -> str:
     """Apply one edit to program text, re-splitting and re-joining it whole.
 
@@ -109,7 +201,7 @@ def reference_apply(text: str, edit: EditDiff | str) -> str:
     output is newline-terminated, input may or may not be.
     """
     if isinstance(edit, str):
-        edit = parse_diff(edit)
+        edit = reference_parse_diff(edit)
     orig = split_lines(text)
     out: list[str] = []
     cursor = 0  # next orig line not yet emitted
@@ -138,14 +230,15 @@ def reference_apply(text: str, edit: EditDiff | str) -> str:
 
 
 def reference_fold(edit_text: str):
-    """Fold ``reference_apply`` over a stream's parts from the empty program.
+    """Fold ``reference_apply`` over a stream's ``reference_split_serialized``
+    parts from the empty program.
 
     Returns the text after each edit that applied and, if an edit failed,
     its ``(edit_index, kind, message)``; else None.
     """
     texts = []
     text = ""
-    for idx, part in enumerate(split_serialized(edit_text)):
+    for idx, part in enumerate(reference_split_serialized(edit_text)):
         try:
             text = reference_apply(text, part)
         except DiffError as exc:

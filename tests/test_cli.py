@@ -477,6 +477,25 @@ def test_resolve_flags_damage(tmp_path, capsys):
     assert by_line[4]["error"]["kind"] == "MalformedRecord"
 
 
+@pytest.mark.parametrize("number", ["1" * 5000, "\u0661"], ids=["too-long", "non-ascii"])
+def test_resolve_reports_a_bad_decorator_number(tmp_path, capsys, number):
+    # too many digits for int(), or a digit that is not ASCII: a malformed
+    # decorator in that record's row, not a fatal error
+    _, out = run_generate(tmp_path, CLEAN, "--samples", "1")
+    lines = out.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["training_text"] = rec["training_text"].replace("@@ -0,0 +1", f"@@ -0,0 +{number}", 1)
+    lines[0] = json.dumps(rec)
+    damaged = tmp_path / "damaged.jsonl"
+    damaged.write_text("".join(l + "\n" for l in lines))
+    assert main(["resolve", "--input", str(damaged)]) == 2
+    rows = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 3
+    assert rows[0]["error"]["kind"] == "MalformedDecorator"
+    assert rows[0]["error"]["edit_index"] == 0
+    assert all(r["ok"] and r["matches_source"] for r in rows[1:])
+
+
 @pytest.mark.parametrize(
     "records, flags", [("missing.jsonl", []), ("out.jsonl", ["--separator", ""])]
 )

@@ -119,6 +119,34 @@ def test_parse_malformed_decorator():
         parse_diff("@@ -0,1 +1 @@\n-x\n+y")
 
 
+def test_parse_decorator_number_too_long_is_malformed():
+    # int() converts at most 4,300 digits by default and raises ValueError past that
+    for head in ("@@ -0,0 +" + "1" * 5000 + " @@", "@@ -" + "9" * 5000 + ",0 +1 @@"):
+        with pytest.raises(MalformedDecorator, match="line number too long"):
+            parse_diff(head + "\n+x")
+
+
+def test_parse_decorator_takes_ascii_digits_only():
+    # U+0661 is ARABIC-INDIC DIGIT ONE, which int() reads as 1
+    for head in ("@@ -0,0 +\u0661 @@", "@@ -\u0660,0 +1 @@", "@@ -0,0 +1,\uff11 @@"):
+        with pytest.raises(MalformedDecorator, match="not a hunk decorator"):
+            parse_diff(head + "\n+x")
+
+
+def test_parse_takes_a_line_list():
+    text = "@@ -1,2 +1 @@\n-a\n-b\n+c\n@@ -4,0 +3,2 @@\n+d\n+e"
+    assert parse_diff(text.split("\n")) == parse_diff(text)
+    assert parse_diff([]) == EditDiff(())
+
+
+def test_hunk_is_a_tuple_of_its_fields():
+    h = parse_diff("@@ -2 +2 @@\n-b\n+B").hunks[0]
+    assert h == (2, 1, 2, 1, ("b",), ("B",))
+    assert h == Hunk(2, 1, 2, 1, ("b",), ("B",))
+    assert (h.old_start, h.old_len, h.new_start, h.new_len) == (2, 1, 2, 1)
+    assert repr(h) == "Hunk(old_start=2, old_len=1, new_start=2, new_len=1, deletions=('b',), insertions=('B',))"
+
+
 def test_parse_truncated_hunk():
     with pytest.raises(TruncatedHunk):
         parse_diff("@@ -1 +1 @@")
@@ -129,6 +157,13 @@ def test_parse_body_mismatch():
         parse_diff("@@ -1,2 +1 @@\n-x")
     with pytest.raises(BodyMismatch):
         parse_diff("@@ -1 +1 @@\n+y\n-x")  # insertions before deletions
+    # the first bad line of a body is named, before a body that runs short
+    with pytest.raises(BodyMismatch, match="expected a '\\+' body line, got 'x'"):
+        parse_diff("@@ -0,0 +1,3 @@\n+a\nx")
+    with pytest.raises(BodyMismatch, match="expected a '-' body line, got '\\+a'"):
+        parse_diff("@@ -1,2 +1 @@\n-a\n+a")
+    with pytest.raises(BodyMismatch, match="'\\+b': body shorter than declared"):
+        parse_diff("@@ -0,0 +1,3 @@\n+a\n+b")
 
 
 def test_diff_states_single_line():

@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from lintseq import editcodec
 from lintseq.corpus import EditSequenceRecord
-from lintseq.diffkit import DiffError, diff_states, join_lines, parse_diff, split_lines
+from lintseq.diffkit import DiffError, EditDiff, Hunk, diff_states, join_lines, parse_diff, split_lines
 from lintseq.editcodec import (
     DEFAULT_SEPARATOR,
     ApplyConflict,
@@ -18,7 +19,14 @@ from lintseq.editcodec import (
     split_serialized,
 )
 from lintseq.sampler import backward_sample
-from tests.oracles import assert_resolvers_match_reference, diff, reference_fold, state_texts
+from tests.oracles import (
+    assert_resolvers_match_reference,
+    diff,
+    reference_apply,
+    reference_fold,
+    reference_split_serialized,
+    state_texts,
+)
 
 SEP = DEFAULT_SEPARATOR
 
@@ -74,6 +82,19 @@ def test_split_ignores_token_inside_lines():
     assert split_serialized(f"{SEP}\n{body}") == [body]
 
 
+def test_split_matches_reference_up_to_leading_blank_lines():
+    # the frozen regex split keeps blank lines at the start of a part;
+    # parse_diff skipped them, and the line split drops them with the rest
+    rng = random.Random(8)
+    pieces = [SEP, "", "", "@@ -0,0 +1 @@", "+a", f"+{SEP}", f"{SEP} ", "x", "<edit>"]
+    for _ in range(2000):
+        text = "\n".join(rng.choice(pieces) for _ in range(rng.randrange(0, 9)))
+        text += rng.choice(["", "\n", "\n\n"])
+        for sep in (SEP, "<edit>"):
+            expected = [p.lstrip("\n") for p in reference_split_serialized(text, sep)]
+            assert split_serialized(text, sep) == expected, (text, sep)
+
+
 def test_program_line_equal_to_token_round_trips():
     program = f'x = "one"\nmarker = "{SEP}"\nprint(marker)\n'
     edits = diff_states(backward_sample(program, rng=random.Random(4)))
@@ -125,6 +146,91 @@ def test_apply_conflicts():
     with pytest.raises(ApplyConflict):
         apply(lines, parse_diff("@@ -1,0 +2 @@\n+m\n@@ -2 +2 @@\n-X\n+Y"))
     assert lines == ["a", "b"]
+
+
+def _edit_against(rng, lines, tag, conflict=None):
+    """A random edit of ``lines`` in 1-4 hunks: valid, or with hunk k conflicting.
+
+    ``conflict`` is None, "overlap", "range" or "mismatch".  Inserted lines
+    carry ``tag``, so every edit changes the text.  Returns the edit and k
+    (0 for a valid edit).
+    """
+    low = 2 if conflict == "overlap" else 1  # an overlap needs a hunk before it
+    n = rng.randrange(low, min(5, len(lines)))
+    # anchors from 1 on, so every hunk ends past line 0
+    anchors = sorted(rng.sample(range(1, len(lines)), n))
+    hunks = []
+    shift = 0
+    for i, anchor in enumerate(anchors):
+        room = (anchors[i + 1] if i + 1 < n else len(lines)) - anchor
+        old_len = rng.randrange(0, min(room, 3) + 1)
+        new_len = rng.randrange(0 if old_len else 1, 3)
+        hunks.append(Hunk(
+            anchor + 1 if old_len else anchor, old_len,
+            anchor + shift + 1 if new_len else anchor + shift, new_len,
+            tuple(lines[anchor:anchor + old_len]),
+            tuple(f"{tag}{i}.{j}" for j in range(new_len)),
+        ))
+        shift += new_len - old_len
+    if conflict is None:
+        return EditDiff(tuple(hunks)), 0
+    k = rng.randrange(low, n + 1)
+    anchor = anchors[k - 1]
+    if conflict == "overlap":  # inserts before the end of hunk k - 1
+        p = hunks[k - 2]
+        bad = Hunk(p.old_start + p.old_len - 2 if p.old_len else p.old_start - 1, 0, 1, 1, (), ("x",))
+    elif conflict == "range":  # deletes past the last line
+        bad = Hunk(len(lines) + rng.randrange(1, 3), 2, 1, 0, ("x", "y"), ())
+    else:  # deletes a line the text does not hold
+        bad = Hunk(anchor + 1, 1, 1, 0, ("not " + lines[anchor],), ())
+    hunks[k - 1] = bad
+    return EditDiff(tuple(hunks)), k
+
+
+def test_apply_in_place_leaves_lines_on_conflict():
+    # hunk k of n conflicts; the hunks before it fit, and apply checks every
+    # hunk before it splices any, so the caller's list never changes
+    rng = random.Random(31)
+    messages = {"overlap": "overlaps or precedes", "range": "falls outside", "mismatch": "deletion mismatch"}
+    seen = set()
+    for trial in range(600):
+        base = [f"line{i}" for i in range(rng.randrange(6, 14))]
+        conflict = ("overlap", "range", "mismatch")[trial % 3]
+        edit, k = _edit_against(rng, base, "t", conflict)
+        seen.add((conflict, k, len(edit.hunks)))
+        lines = list(base)
+        with pytest.raises(ApplyConflict, match=rf"^hunk {k}\b.*{messages[conflict]}"):
+            apply(lines, edit)
+        assert lines == base
+        # a valid edit is spliced into the very list it was given
+        valid, _ = _edit_against(rng, base, "v")
+        expected = split_lines(reference_apply(join_lines(base), valid))
+        assert apply(lines, valid) is lines
+        assert lines == expected
+    # every kind hit a later hunk of a several-hunk edit
+    assert {c for c, k, n in seen if 1 < k <= n} == {"overlap", "range", "mismatch"}
+
+
+def test_resolvers_on_in_place_states():
+    rng = random.Random(32)
+    for trial in range(200):
+        base = [f"line{i}" for i in range(rng.randrange(6, 14))]
+        create = EditDiff((Hunk(0, 0, 1, len(base), (), tuple(base)),))
+        first, _ = _edit_against(rng, base, "a")
+        state1 = reference_apply(join_lines(base), first)
+        second, _ = _edit_against(rng, split_lines(state1), "b")
+        state2 = reference_apply(state1, second)
+        # each prefix is its own text, not the final list joined three times
+        prefixes = resolve_prefixes(serialize([create, first, second]))
+        assert prefixes == [join_lines(base), state1, state2]
+        assert len(set(prefixes)) == 3
+        conflict = ("overlap", "range", "mismatch")[trial % 3]
+        bad, k = _edit_against(rng, split_lines(state1), "c", conflict)
+        outcome = resolve_stream(serialize([create, first, bad, second]))
+        assert outcome.program == state1
+        assert outcome.applied == 2
+        assert (outcome.failure.edit_index, outcome.failure.kind) == (2, "ApplyConflict")
+        assert re.match(rf"hunk {k}\b", outcome.failure.message)
 
 
 def test_apply_inverts_diff_random_pairs():
