@@ -33,7 +33,6 @@ from .editcodec import (
     resolve_prefixes,
     resolve_stream,
     serialize,
-    split_serialized,
 )
 from .lint import (
     LintError,
@@ -105,7 +104,6 @@ __all__ = [
     "resolve_stream",
     "sample_corpus",
     "serialize",
-    "split_serialized",
     "total_flops",
     "write_records",
     "__version__",

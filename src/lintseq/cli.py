@@ -106,19 +106,27 @@ def _linter_spec(ns: argparse.Namespace) -> LinterSpec:
     )
 
 
-def _read_examples(path: str, skipped: list[int]) -> Iterator[SourceExample]:
-    """The corpus's examples, lazily.
+class _Examples:
+    """A corpus's examples, read lazily on each iteration.
 
-    Each malformed line is reported as it is read, and its number appended
-    to ``skipped``.
+    Each malformed line is reported as it is read.  Only counts are kept:
+    ``loaded`` examples and ``bad_lines``, so memory stays flat in corpus
+    size.
     """
-    for item in load_corpus(path):
-        if isinstance(item, SourceExample):
-            yield item
-        else:
-            lineno, reason = item
-            skipped.append(lineno)
-            _progress(f"input line {lineno} skipped: {reason}")
+
+    def __init__(self, path: str):
+        self.path = path
+        self.loaded = self.bad_lines = 0
+
+    def __iter__(self) -> Iterator[SourceExample]:
+        for item in load_corpus(self.path):
+            if isinstance(item, SourceExample):
+                self.loaded += 1
+                yield item
+            else:
+                lineno, reason = item
+                self.bad_lines += 1
+                _progress(f"input line {lineno} skipped: {reason}")
 
 
 def cmd_generate(ns: argparse.Namespace) -> int:
@@ -126,20 +134,12 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     seed, separator = ns.seed, ns.separator
     check_separator(separator)
     started = time.monotonic()
-
-    loaded = 0
-    bad_lines: list[int] = []
-
-    def counted() -> Iterator[SourceExample]:
-        nonlocal loaded
-        for example in _read_examples(input_path, bad_lines):
-            loaded += 1
-            yield example
+    examples = _Examples(input_path)
 
     # lazy: the sampler checks its options on the first step, which emit()
     # takes even for an empty corpus
     results = sample_corpus(
-        deduplicate(counted()) if ns.dedup else counted(),
+        deduplicate(examples) if ns.dedup else examples,
         _linter_spec(ns),
         mode=ns.mode,
         samples_per_example=ns.samples,
@@ -174,7 +174,6 @@ def cmd_generate(ns: argparse.Namespace) -> int:
                     program=example.program,
                     edits=rendered,
                     training_text=training_text,
-                    num_edits=len(rendered),
                     seed_path=(seed, result.example_index, sample_index),
                 ))
             if reason is not None:
@@ -194,8 +193,8 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     else:
         dump_records(emit(), sys.stdout)
 
-    if ns.dedup and loaded > total:
-        _progress(f"dropped {loaded - total} duplicate examples")
+    if ns.dedup and examples.loaded > total:
+        _progress(f"dropped {examples.loaded - total} duplicate examples")
     elapsed = time.monotonic() - started
     mean_edits = edit_total / seq_count if seq_count else 0.0
     _progress(
@@ -203,7 +202,7 @@ def cmd_generate(ns: argparse.Namespace) -> int:
         f"{seq_count} sequences, {skipped} skipped, "
         f"mean edits {mean_edits:.2f}, {elapsed:.1f}s"
     )
-    return 2 if skipped or bad_lines else 0
+    return 2 if skipped or examples.bad_lines else 0
 
 
 def cmd_resolve(ns: argparse.Namespace) -> int:
@@ -239,10 +238,11 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
             if not outcome.ok:
                 conflicts += 1
                 row["applied"] = outcome.applied
+                failure = outcome.failure
                 row["error"] = {
-                    "kind": outcome.failure.kind,
-                    "edit_index": outcome.failure.edit_index,
-                    "message": outcome.failure.message,
+                    "kind": type(failure.cause).__name__,
+                    "edit_index": failure.edit_index,
+                    "message": str(failure.cause),
                 }
             else:
                 row["matches_source"] = restored == record.program
@@ -330,11 +330,9 @@ def cmd_flops(ns: argparse.Namespace) -> int:
 
 def cmd_lintcheck(ns: argparse.Namespace) -> int:
     input_path = _require(ns.input, "--input")
-    bad_lines: list[int] = []
-    report = lint_error_rate(
-        (ex.program for ex in _read_examples(input_path, bad_lines)), _linter_spec(ns)
-    )
-    status = 2 if bad_lines else 0
+    examples = _Examples(input_path)
+    report = lint_error_rate((ex.program for ex in examples), _linter_spec(ns))
+    status = 2 if examples.bad_lines else 0
     if ns.json:
         print(json.dumps(report.to_dict(), ensure_ascii=False, separators=(",", ":")))
         return status

@@ -74,12 +74,11 @@ class EditSequenceRecord:
     program: str
     edits: tuple[str, ...]
     training_text: str
-    num_edits: int
     seed_path: tuple[int, int, int]
 
-    def __post_init__(self) -> None:
-        if self.num_edits != len(self.edits):
-            raise ValueError("num_edits disagrees with the edits list")
+    @property
+    def num_edits(self) -> int:
+        return len(self.edits)
 
     def to_json(self) -> str:
         # tuples encode as JSON arrays
@@ -108,6 +107,8 @@ class EditSequenceRecord:
         if not (isinstance(seed_path, list) and len(seed_path) == 3
                 and all(type(v) is int for v in seed_path)):
             raise CorpusError("seed_path must be a list of three integers")
+        if obj["num_edits"] != len(edits):
+            raise ValueError("num_edits disagrees with the edits list")
         return EditSequenceRecord(
             source_id=obj["source_id"],
             sample_index=obj["sample_index"],
@@ -115,7 +116,6 @@ class EditSequenceRecord:
             program=obj["program"],
             edits=tuple(edits),
             training_text=obj["training_text"],
-            num_edits=obj["num_edits"],
             seed_path=tuple(seed_path),
         )
 

@@ -20,10 +20,10 @@ newlines once, each edit is the slice between separator lines, and
 ``parse_diff`` reads that slice.  Generated records and raw model output
 take this same path.  Resolution folds ``apply`` over the edits, editing
 one line list in place from the empty program on; text is joined only
-where it is returned.  ``resolve`` is strict and raises on the first bad
-edit; ``resolve_stream`` applies the longest well-formed prefix and
-reports where the stream went wrong, which is the right behavior for raw
-model output.
+where it is returned.  ``resolve_stream`` applies the longest
+well-formed prefix and reports, as a ``ResolveError``, where the stream
+went wrong, which is the right behavior for raw model output; ``resolve``
+is strict and raises that error.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ def _parts(text: str, separator: str) -> Iterator[list[str]]:
     """Each edit of a training string, as its list of lines.
 
     The text is split into lines once.  A part is a run of lines between
-    separator lines (or the start or end of the text) without blank lines
-    at either end; a run of blank lines is no part.
+    separator lines (or the start or end of the text, so a bare diff
+    stream is one part) without blank lines at either end; a run of blank
+    lines is no part.
     """
     check_separator(separator)
     lines = text.split("\n")
@@ -89,17 +90,6 @@ def _parts(text: str, separator: str) -> Iterator[list[str]]:
         if start < end:
             yield lines[start:end]
         start = stop + 1
-
-
-def split_serialized(text: str, separator: str = DEFAULT_SEPARATOR) -> list[str]:
-    """Split a training string into per-edit diff texts.
-
-    Text before the first separator (including text with no separator at
-    all) is kept as a leading raw diff, so bare diff streams resolve too.
-    These are the parts the resolvers read, joined back into text: blank
-    lines at either end of a part, and blank parts, are dropped.
-    """
-    return ["\n".join(part) for part in _parts(text, separator)]
 
 
 def apply(lines: list[str], edit: EditDiff) -> list[str]:
@@ -144,31 +134,16 @@ def _iter_states(edit_text: str, separator: str) -> Iterator[list[str]]:
         yield lines
 
 
-def resolve(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> str:
-    """Resolve a full edit stream to its final program (strict)."""
-    lines: list[str] = []
-    for lines in _iter_states(edit_text, separator):
-        pass
-    return join_lines(lines)
-
-
 def resolve_prefixes(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> list[str]:
     """Program text after each edit; length equals the number of edits."""
     return [join_lines(lines) for lines in _iter_states(edit_text, separator)]
 
 
 @dataclass(frozen=True)
-class ResolveFailure:
-    edit_index: int
-    kind: str
-    message: str
-
-
-@dataclass(frozen=True)
 class ResolveOutcome:
     program: str
     applied: int
-    failure: ResolveFailure | None
+    failure: ResolveError | None
 
     @property
     def ok(self) -> bool:
@@ -185,8 +160,17 @@ def resolve_stream(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> Resolv
         for lines in _iter_states(edit_text, separator):
             applied += 1
     except ResolveError as exc:
-        failure = ResolveFailure(exc.edit_index, type(exc.cause).__name__, str(exc.cause))
+        # without its traceback, the kept error holds no frame of this call
+        failure = exc.with_traceback(None)
     return ResolveOutcome(program=join_lines(lines), applied=applied, failure=failure)
+
+
+def resolve(edit_text: str, separator: str = DEFAULT_SEPARATOR) -> str:
+    """Resolve a full edit stream to its final program (strict)."""
+    outcome = resolve_stream(edit_text, separator)
+    if outcome.failure is not None:
+        raise outcome.failure
+    return outcome.program
 
 
 def restore_final_newline(text: str, program: str) -> str:

@@ -257,7 +257,7 @@ def assert_resolvers_match_reference(edit_text: str) -> None:
     f = outcome.failure
     assert outcome.program == (texts[-1] if texts else "")
     assert outcome.applied == len(texts)
-    assert (f and (f.edit_index, f.kind, f.message)) == failure
+    assert (f and (f.edit_index, type(f.cause).__name__, str(f.cause))) == failure
     try:
         prefixes = resolve_prefixes(edit_text)
     except ResolveError as exc:

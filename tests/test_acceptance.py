@@ -316,7 +316,7 @@ def test_criterion_10_resolver_never_crashes(records):
             continue
         if not outcome.ok:
             f = outcome.failure
-            if not (f.kind and f.message and f.edit_index >= 0):
+            if not (type(f.cause).__name__ and str(f.cause) and f.edit_index >= 0):
                 unstructured += 1
     ok = crashes == 0 and unstructured == 0
     report(

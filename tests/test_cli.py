@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,8 @@ import pytest
 
 from lintseq import sampler
 from lintseq.cli import main
-from lintseq.corpus import read_records
+from lintseq.corpus import SourceExample, read_records
+from lintseq.diffkit import diff_states
 from lintseq.metrics import dataset_stats
 from tests.progen import write_corpus as write_progen_corpus
 
@@ -111,6 +113,56 @@ def test_generate_memory_flat_in_corpus_size(tmp_path, capsys):
     assert peaks[2] - peaks[1] < 4 * 9000, peaks
 
 
+@pytest.mark.parametrize("command", ["generate", "lintcheck"])
+def test_malformed_lines_memory_flat_in_corpus_size(tmp_path, monkeypatch, command):
+    # each malformed line is reported and counted, not kept; stderr goes to
+    # a file so that captured output does not grow the traced peak
+    peaks = []
+    for count in (1000, 1000, 10000):
+        corpus = tmp_path / f"bad{count}.jsonl"
+        # one good program, as lintcheck needs one to report a rate
+        bad = "".join(f"[{i}]\n" for i in range(count))
+        corpus.write_text(json.dumps({"program": "x = 1\n"}) + "\n" + bad, encoding="utf-8")
+        argv = [command, "--input", str(corpus)]
+        if command == "generate":
+            argv += ["--output", str(tmp_path / "out.jsonl"), "--mode", "randseq"]
+        log = tmp_path / f"err-{len(peaks)}.txt"
+        with open(log, "w", encoding="utf-8") as err:
+            monkeypatch.setattr(sys, "stderr", err)
+            gc.collect()
+            filler = [tuple(range(size)) for size in range(1, 21) for _ in range(2000)]
+            del filler
+            tracemalloc.start()
+            try:
+                assert main(argv) == 2
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        lines = log.read_text(encoding="utf-8").splitlines()
+        assert lines[count - 1] == f"input line {count + 1} skipped: record is not a JSON object"
+    # 9,000 more malformed lines, about the same peak: under 4 bytes held per line
+    assert peaks[2] - peaks[1] < 4 * 9000, peaks
+
+
+def test_seed_path_under_unique_sequences_replays_with_earlier_samples(tmp_path):
+    # a third sample of a 2-line program can only repeat an order, so it is
+    # retried to the last attempt; its seed_path still names attempt 0
+    program = "a = 1\nb = 2\n"
+    corpus, out = write_corpus(tmp_path, [{"program": program}]), tmp_path / "out.jsonl"
+    assert main(["generate", "--input", str(corpus), "--output", str(out), "--seed", "1",
+                 "--samples", "3", "--unique-sequences"]) == 0
+    record = list(read_records(out))[2]
+    assert record.seed_path == (1, 0, 2)
+    rng = random.Random(sampler.derive_seed(*record.seed_path))
+    alone = sampler.backward_sample(program, rng=rng)
+    assert tuple(d.rendered for d in diff_states(alone)) != record.edits
+    (again,) = sampler.sample_corpus(
+        [SourceExample.build("x", "", program)], samples_per_example=3, seed=1,
+        unique_sequences=True,
+    )
+    assert tuple(d.rendered for d in diff_states(again.sequences[2])) == record.edits
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_generate_isolates_internal_errors(tmp_path, capsys, monkeypatch, workers):
     _, clean = run_generate(tmp_path, CLEAN, "--samples", "2", name="clean.jsonl")
@@ -166,6 +218,25 @@ def test_generate_missing_linter_tmpdir_exit_1(tmp_path, capsys, monkeypatch, wo
     assert json.loads(err.strip().splitlines()[-1])["kind"] == "LintError"
     assert "internal error" not in err
     assert out.read_text() == "keep me\n"
+
+
+def test_generate_skips_an_example_whose_linter_times_out(tmp_path, capsys):
+    # the tool sleeps only on states holding the marker line, so only p3 times
+    # out; exec makes the killed process the sleeper, whose pipes then close
+    rows = CLEAN + [{"id": "p3", "instruction": "", "program": "SLOW = 1\nx = SLOW\n"}]
+    tool = """sh -c 'grep -q SLOW "$1" && exec sleep 5; :' sh {path}"""
+    code, out = run_generate(
+        tmp_path, rows, "--samples", "2", "--linter", "external", "--linter-cmd", tool,
+        "--linter-timeout", "0.2",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "skip p3: linter timeout: linter exceeded 0.2s\n" in err
+    assert "generate: 3/4 examples, 6 sequences, 1 skipped" in err
+    records = list(read_records(out))
+    assert [(r.source_id, r.sample_index) for r in records] == [
+        (p, i) for p in ("p0", "p1", "p2") for i in (0, 1)
+    ]
 
 
 def test_generate_broken_pool_is_fatal(tmp_path, monkeypatch):
@@ -388,6 +459,23 @@ def test_config_has_no_other_key(tmp_path, capsys):
         assert err == {"error": f"unknown config key {key!r}", "kind": "ValueError"}
 
 
+def test_config_file_empty_or_not_an_object(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    assert main(["flops", *FLOPS_SHAPE]) == 0
+    plain = capsys.readouterr().out
+    for text in ("", " \n\n"):  # an empty file sets no default
+        cfg.write_text(text)
+        assert main(["flops", *FLOPS_SHAPE, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == plain
+    for text in ("[]", '"samples"', "3", "null"):
+        cfg.write_text(text)
+        assert main(["flops", *FLOPS_SHAPE, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err == {"error": "config file must hold a single JSON object", "kind": "ValueError"}
+
+
 def test_linter_timeout_flag_beats_config(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"linter_timeout": -1}))
@@ -475,6 +563,52 @@ def test_resolve_flags_damage(tmp_path, capsys):
     assert by_line[1]["error"]["kind"] == "MalformedDecorator"
     assert by_line[1]["error"]["edit_index"] == 0
     assert by_line[4]["error"]["kind"] == "MalformedRecord"
+
+
+def test_resolve_flags_a_program_mismatch(tmp_path, capsys):
+    # the edits apply cleanly but rebuild another program than the record's
+    _, out = run_generate(tmp_path, CLEAN, "--samples", "1")
+    lines = out.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["program"] = "a = 2\nb = 2\nc = 3\n"
+    lines[0] = json.dumps(rec)
+    damaged = tmp_path / "damaged.jsonl"
+    damaged.write_text("".join(l + "\n" for l in lines))
+    assert main(["resolve", "--input", str(damaged)]) == 2
+    captured = capsys.readouterr()
+    rows = [json.loads(l) for l in captured.out.splitlines()]
+    assert captured.out.splitlines()[0] == (
+        '{"line":1,"source_id":"p0","sample_index":0,"ok":true,'
+        '"program":"a = 1\\nb = 2\\nc = 3\\n","matches_source":false}'
+    )
+    assert all(r["ok"] and r["matches_source"] for r in rows[1:])
+    assert "resolve: 3 records, 0 malformed, 0 conflicts, 1 mismatches\n" in captured.err
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"text"', "7", "null"])
+def test_record_line_that_is_not_an_object(tmp_path, capsys, line):
+    _, out = run_generate(tmp_path, CLEAN, "--samples", "1")
+    lines = out.read_text().splitlines()
+    lines.insert(1, line)
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(l + "\n" for l in lines))
+    capsys.readouterr()
+    assert main(["resolve", "--input", str(mixed)]) == 2
+    captured = capsys.readouterr()
+    rows = [json.loads(l) for l in captured.out.splitlines()]
+    assert rows[1] == {
+        "line": 2,
+        "ok": False,
+        "error": {"kind": "MalformedRecord", "message": "record line is not a JSON object"},
+    }
+    assert all(r["ok"] and r["matches_source"] for r in rows[:1] + rows[2:])
+    assert "resolve: 4 records, 1 malformed, 0 conflicts, 0 mismatches\n" in captured.err
+    assert main(["stats", "--input", str(mixed)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {
+        "error": f"{mixed}:2: bad record: record line is not a JSON object",
+        "kind": "CorpusError",
+    }
 
 
 @pytest.mark.parametrize("number", ["1" * 5000, "\u0661"], ids=["too-long", "non-ascii"])

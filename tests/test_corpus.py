@@ -134,7 +134,6 @@ def sample_record(**overrides):
         program="x = 1\n",
         edits=("@@ -0,0 +1 @@\n+x = 1",),
         training_text="<|diff|>\n@@ -0,0 +1 @@\n+x = 1",
-        num_edits=1,
         seed_path=(0, 4, 2),
     )
     fields.update(overrides)
@@ -153,8 +152,15 @@ def test_record_round_trip_and_key_order():
 
 
 def test_record_validates_num_edits():
-    with pytest.raises(ValueError):
-        sample_record(num_edits=3)
+    assert sample_record().num_edits == 1
+    obj = json.loads(sample_record().to_json())
+    obj["num_edits"] = 3
+    with pytest.raises(ValueError, match="num_edits disagrees with the edits list"):
+        EditSequenceRecord.from_json(json.dumps(obj))
+    # the count is checked last, so a line with another fault names that one
+    obj["seed_path"] = [1, 2]
+    with pytest.raises(CorpusError, match="seed_path"):
+        EditSequenceRecord.from_json(json.dumps(obj))
 
 
 def test_record_from_json_rejects_missing_keys():

@@ -16,7 +16,6 @@ from lintseq.editcodec import (
     resolve_stream,
     restore_final_newline,
     serialize,
-    split_serialized,
 )
 from lintseq.sampler import backward_sample
 from tests.oracles import (
@@ -55,6 +54,11 @@ def test_serialize_validation():
     # a raw edit carrying the separator as a full line would corrupt the split
     with pytest.raises(ValueError):
         serialize([f"@@ -0,0 +1 @@\n+x\n{SEP}"])
+
+
+def split_serialized(text, separator=SEP):
+    """Each part the resolvers read, joined back into text."""
+    return ["\n".join(part) for part in editcodec._parts(text, separator)]
 
 
 def test_split_round_trips_serialize():
@@ -229,8 +233,9 @@ def test_resolvers_on_in_place_states():
         outcome = resolve_stream(serialize([create, first, bad, second]))
         assert outcome.program == state1
         assert outcome.applied == 2
-        assert (outcome.failure.edit_index, outcome.failure.kind) == (2, "ApplyConflict")
-        assert re.match(rf"hunk {k}\b", outcome.failure.message)
+        assert outcome.failure.edit_index == 2
+        assert type(outcome.failure.cause) is ApplyConflict
+        assert re.match(rf"hunk {k}\b", str(outcome.failure.cause))
 
 
 def test_apply_inverts_diff_random_pairs():
@@ -313,7 +318,11 @@ def test_resolve_stream_recovers_longest_prefix():
     assert out.applied == 2
     assert out.program == "a\nb\n"
     assert out.failure.edit_index == 2
-    assert out.failure.kind == "MalformedDecorator"
+    assert type(out.failure.cause).__name__ == "MalformedDecorator"
+    # the kept error holds no frame of the call; its cause keeps its own
+    assert out.failure.__traceback__ is None
+    assert out.failure.__cause__ is out.failure.cause
+    assert out.failure.cause.__traceback__ is not None
 
 
 def test_resolve_stream_clean():
@@ -349,7 +358,6 @@ def record_for(program, seed=2):
         program=program,
         edits=tuple(e.rendered for e in diff_states(seq)),
         training_text=serialize(diff_states(seq)),
-        num_edits=len(seq.states) - 1,
         seed_path=(0, 0, 0),
     )
 

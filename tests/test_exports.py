@@ -46,6 +46,21 @@ def test_every_export_has_a_non_test_caller():
     assert unreached == []
 
 
+def test_readme_library_snippet_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (snippet,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    programs = ["a = 1\nb = a + 1\n", "def f(x):\n    return x\nprint(f(2))", "x = 1\n"]
+    (tmp_path / "corpus.jsonl").write_text("".join(
+        json.dumps({"instruction": "", "program": p}) + "\n" for p in programs
+    ))
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    # the loop ran to the last example's last sequence
+    assert namespace["program"] == programs[-1]
+    assert namespace["seq"] is namespace["result"].sequences[-1]
+
+
 def test_bench_trace_targets_resolve():
     # perfbench/tracing.py patches each target by name and only warns when
     # one is gone, so a refactor could silently drop a layer from traced runs

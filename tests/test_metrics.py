@@ -36,7 +36,6 @@ def test_dataset_stats_counts_sources_once():
             program="x = 1\ny = 2\n",
             edits=("@@ -0,0 +1 @@\n+x = 1", "@@ -1,0 +2 @@\n+y = 2"),
             training_text="<|diff|>\n@@ -0,0 +1 @@\n+x = 1\n<|diff|>\n@@ -1,0 +2 @@\n+y = 2",
-            num_edits=2,
         ),
     ]
     stats = dataset_stats(records)
@@ -60,7 +59,7 @@ def test_dataset_stats_single_line_corpus_mean_edits():
 def test_dataset_stats_memory_flat_in_record_count():
     # many sequences of one source fill a few histogram buckets and hold
     # nothing per record
-    records = [sample_record(sample_index=i, num_edits=1 + i % 2,
+    records = [sample_record(sample_index=i,
                              edits=("@@ -0,0 +1 @@\n+x = 1",) * (1 + i % 2)) for i in range(4)]
     peaks = []
     for count in (1000, 100_000):

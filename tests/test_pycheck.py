@@ -507,3 +507,89 @@ def test_dedent_of_several_levels_at_once():
         (4, "inconsistent-dedent", "dedent does not match any outer indentation level"),
         (4, "undefined-name", "undefined name 'a'"),
     ]
+
+
+# Findings of branches no other test reaches, pinned as they are, quirks
+# included, so that a change to one of these paths shows up here.
+
+
+def test_tab_indentation_rounds_up_to_a_multiple_of_eight():
+    assert findings("if True:\n\tx = 1\n        y = 2\nprint(x, y)\n") == []
+    assert findings("if True:\n  \tx = 1\n\ty = x\nprint(y)\n") == []
+    assert codes("if True:\n\tx = 1\n    y = 2\n") == [(3, "inconsistent-dedent")]
+
+
+def test_fstring_doubled_braces_and_not_equal():
+    # {{b}} and }}{{ are literal braces, not expressions
+    assert findings('a = 1\nprint(f"{{b}} {a} }}{{ {{c}}")\n') == []
+    # != inside an expression is a comparison, not a conversion
+    assert findings('a = 1\nprint(f"{a != b}")\n') == [(2, "undefined-name", "undefined name 'b'")]
+    assert findings('a = 1\nprint(f"{a!r} {a != a}")\n') == []
+
+
+def test_lambda_parameters():
+    assert findings("def f():\n    return lambda a, *b: (a, b, c)\n") == [
+        (2, "undefined-name", "undefined name 'c'")
+    ]
+    assert findings("if (lambda v: v)(1):\n    pass\n") == []
+    # every name up to the lambda's colon is a parameter, the default z
+    # too, and a parameter stays one for the rest of the statement
+    assert findings("print((lambda x, y=z: x + y + w)(1), x)\n") == [
+        (1, "undefined-name", "undefined name 'w'")
+    ]
+
+
+def test_import_of_several_modules():
+    # each module binds its first name, or its alias
+    assert findings("import a, b as c, d.e\nprint(a, b, c, d, e)\n") == [
+        (2, "undefined-name", "undefined name 'b'"),
+        (2, "undefined-name", "undefined name 'e'"),
+    ]
+
+
+def test_def_and_class_without_a_name():
+    for header in ("def (x):", "class :", "class (A):"):
+        assert findings(f"{header}\n    pass\n") == [], header
+        word = header.split()[0]
+        assert findings(header + "\n") == [
+            (1, "missing-block-body", f"expected an indented block after '{word}'")
+        ]
+    # without its colon a bare keyword opens no block
+    assert codes("def\n    pass\n") == [(2, "unexpected-indent")]
+    assert codes("class\n    pass\n") == [(2, "unexpected-indent")]
+
+
+def test_async_def_header():
+    assert findings("async def f():\n") == [
+        (1, "missing-block-body", "expected an indented block after 'async def'")
+    ]
+    assert findings("async def f(x):\n    return x + y\n") == [
+        (2, "undefined-name", "undefined name 'y'")
+    ]
+
+
+def test_match_and_case_headers_are_opaque():
+    # the case pattern binds nothing, and the subject's names are not read
+    assert findings("v = 1\nmatch v + w:\n    case [a, b]:\n        print(a, b, k)\n") == [
+        (4, "undefined-name", "undefined name 'a'"),
+        (4, "undefined-name", "undefined name 'b'"),
+        (4, "undefined-name", "undefined name 'k'"),
+    ]
+    assert codes("v = 1\nmatch v:\n") == [(2, "missing-block-body")]
+
+
+def test_multiline_def_header_return_annotation():
+    # a bracket that reopens past the header's close resumes the parameter
+    # walk, so x binds as a parameter; on one line it is a use
+    assert findings("def f(a,\n      b) -> Dict[str, x]:\n    return x\n") == [
+        (2, "undefined-name", "undefined name 'Dict'")
+    ]
+    assert findings("def f(a, b) -> Dict[str, x]:\n    return x\n") == [
+        (1, "undefined-name", "undefined name 'Dict'"),
+        (1, "undefined-name", "undefined name 'x'"),
+        (2, "undefined-name", "undefined name 'x'"),
+    ]
+    # a closing bracket after the header's close, here of a default's bracket
+    assert findings("def f(a, b=(\n        1)) -> x:\n    return a + b\n") == [
+        (2, "undefined-name", "undefined name 'x'")
+    ]
