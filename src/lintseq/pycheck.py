@@ -29,7 +29,9 @@ only the lines it deletes.  It walks on from each deleted line until a kept
 line is entered in the same state as before, and resolves again only the
 uses that a changed definition can affect (a star import is a definition
 of ``*``), so each check of a deletion cascade costs about the span the
-deletion changed.
+deletion changed.  A call takes the old events of every line it deletes or
+walks out of the run's aggregates, and only then puts the new events in,
+each as it is; the structural findings are a plain set.
 
 The first run is copied as the base, and ``Analysis.restart`` makes a copy
 of it the run again, one C-level copy per list, dict and set.  So when
@@ -648,7 +650,7 @@ def _parse_class(toks: list[tuple[str, int]], start: int, facts: NameFacts) -> N
                 if depth == 0:
                     break
             j += 1
-        _scan_expr(toks, i + 1, min(j, end), facts.uses, facts.defs, kwarg_any_depth=True)
+        _scan_expr(toks, i + 1, j, facts.uses, facts.defs, kwarg_any_depth=True)
         i = j + 1
     # inline body after the colon: treat like any expression, no new scope
     colon = _top_colon(toks, i, end)
@@ -705,13 +707,9 @@ def _classify_fresh(code: str, fstrings: Sequence[tuple[int, str]]) -> NameFacts
     if not toks:
         _add_fstring_uses(fstrings, toks, facts.uses)
         return facts
-    facts.first_word = toks[0][0]
-    first = toks[0][0]
-    start = 0
-    if first == "async" and len(toks) > 1:
-        start = 1
-        first = toks[1][0]
-        facts.first_word = "async " + first
+    start = 1 if toks[0][0] == "async" and len(toks) > 1 else 0
+    first = toks[start][0]
+    facts.first_word = "async " + first if start else first
     if first == "import":
         _parse_import(toks[start:], facts.defs)
     elif first == "from":
@@ -726,9 +724,7 @@ def _classify_fresh(code: str, fstrings: Sequence[tuple[int, str]]) -> NameFacts
         _parse_class(toks, start, facts)
     elif first in ("match", "case") and toks[-1][0] == ":":
         pass  # soft-keyword headers are opaque to the surface checker
-    elif first == "@":
-        _scan_expr(toks, start + 1, len(toks), facts.uses, facts.defs)
-    elif first in _KEYWORDS:
+    elif first == "@" or first in _KEYWORDS:
         _scan_expr(toks, start, len(toks), facts.uses, facts.defs)
     elif not _parse_assignment(toks, facts):
         _scan_expr(toks, start, len(toks), facts.uses, facts.defs)
@@ -767,11 +763,15 @@ class Analysis:
     tuples, so equal states compare equal across Analyses of one source) and
     the events it produced; slot ``len(lines)`` of the states is the state
     after the last kept line.  It also holds the aggregates built from the
-    events: structural finding counts, sorted def positions per (scope,
-    name), uses by name and the unresolved uses.  Positions are source
-    indices, so a line's events do not depend on deletions elsewhere, and
-    ``flow`` edits the run in place: it walks only the lines whose walk
-    state changed and updates the aggregates by their events alone.
+    events: the set of structural findings, sorted def positions per (scope,
+    name), uses by name and the unresolved uses.  A set holds the findings
+    exactly: each names the line that produced it, or a header that exactly
+    one kept line consumes, so only one kept line's events can hold it, and
+    a repeat such as ``))`` comes only within one line's events.  Positions
+    are source indices, so a line's events do not depend on deletions
+    elsewhere, and ``flow`` edits the run in place: it walks only the lines
+    whose walk state changed and updates the aggregates by their events
+    alone, all old events out before any new one goes in.
 
     The first run is copied as the base, and ``restart`` makes a copy of the
     base the run again.
@@ -789,7 +789,7 @@ class Analysis:
         # no line walked yet: a stored state of None matches no walk state
         self._states: list[tuple | None] = [None] * (len(self.lines) + 1)
         self._events: list[tuple] = [_NO_EVENTS] * len(self.lines)
-        self._findings: dict[tuple[int, str, str], int] = {}
+        self._findings: set[tuple[int, str, str]] = set()
         self._defs: dict[tuple[tuple, str], tuple[tuple[int, int], ...]] = {}
         self._uses: defaultdict[str, set[tuple]] = defaultdict(set)
         self._unresolved: set[tuple] = set()
@@ -824,11 +824,12 @@ class Analysis:
         """A copy of the run that shares no container a call mutates.
 
         Def positions are tuples, and states and events are never changed
-        in place, so one C-level copy per list, dict and set of uses suffices.
+        in place, so one C-level copy per list and dict, of the structural
+        findings and unresolved uses, and of each name's uses suffices.
         """
         uses = self._uses
         return (
-            self.kept[:], self._states[:], self._events[:], dict(self._findings),
+            self.kept[:], self._states[:], self._events[:], set(self._findings),
             dict(self._defs), defaultdict(set, zip(uses, map(set.copy, uses.values()))),
             set(self._unresolved),
         )
@@ -845,46 +846,44 @@ class Analysis:
         self._base = self._snapshot()
 
     def _absorb(self, removed: list[tuple], added: list[tuple]) -> None:
-        """Swap the events of ``removed`` positions for ``added`` ones.
+        """Take the ``removed`` events out of the run, then put ``added`` in.
 
-        Only the new uses, and the uses of each name whose earliest def in
-        some scope moved, are resolved again; every use is when the earliest
-        def of ``*`` (a star import) in some scope moved.
+        Every removal comes before every addition: a header's
+        ``missing-block-body`` finding can move from one line's events to
+        another's within one call, and adding it first would let its removal
+        drop it.  Every added use, and the uses of each name whose earliest
+        def in some scope moved, are resolved again; every use is when the
+        earliest def of ``*`` (a star import) in some scope moved.
         """
-        counts = self._findings
-        old_d: set = set()
-        old_u: set = set()
-        for found, defs, uses in removed:
-            for fd in found:
-                c = counts[fd] - 1
-                if c:
-                    counts[fd] = c
-                else:
-                    del counts[fd]
-            old_d.update(defs)
-            old_u.update(uses)
-        new_d: set = set()
-        new_u: set = set()
-        for found, defs, uses in added:
-            for fd in found:
-                counts[fd] = counts.get(fd, 0) + 1
-            new_d.update(defs)
-            new_u.update(uses)
-
+        findings = self._findings
         all_defs = self._defs
+        uses_by_name = self._uses
+        unresolved = self._unresolved
         firsts: dict[tuple[tuple, str], tuple[int, int] | None] = {}
-        for sc, name, idx, sub in old_d - new_d:
-            key = (sc, name)
-            dps = all_defs[key]
-            firsts.setdefault(key, dps[0])
-            k = bisect_left(dps, (idx, sub))
-            all_defs[key] = dps[:k] + dps[k + 1 :]
-        for sc, name, idx, sub in new_d - old_d:
-            key = (sc, name)
-            dps = all_defs.get(key, ())
-            firsts.setdefault(key, dps[0] if dps else None)
-            k = bisect_left(dps, (idx, sub))
-            all_defs[key] = dps[:k] + ((idx, sub),) + dps[k:]
+        for found, defs, uses in removed:
+            findings.difference_update(found)
+            for sc, name, idx, sub in defs:
+                key = (sc, name)
+                dps = all_defs[key]
+                firsts.setdefault(key, dps[0])
+                k = bisect_left(dps, (idx, sub))
+                all_defs[key] = dps[:k] + dps[k + 1 :]
+            for use in uses:
+                uses_by_name[use[1]].discard(use)
+                unresolved.discard(use)
+        recheck: list[tuple] = []
+        for found, defs, uses in added:
+            findings.update(found)
+            for sc, name, idx, sub in defs:
+                key = (sc, name)
+                dps = all_defs.get(key, ())
+                firsts.setdefault(key, dps[0] if dps else None)
+                k = bisect_left(dps, (idx, sub))
+                all_defs[key] = dps[:k] + ((idx, sub),) + dps[k:]
+            for use in uses:
+                uses_by_name[use[1]].add(use)
+            recheck += uses
+
         moved = set()
         for key, first in firsts.items():
             dps = all_defs[key]
@@ -892,19 +891,9 @@ class Analysis:
                 del all_defs[key]
             if (dps[0] if dps else None) != first:
                 moved.add(key[1])
-
-        uses_by_name = self._uses
-        unresolved = self._unresolved
-        for use in old_u - new_u:
-            uses_by_name[use[1]].discard(use)
-            unresolved.discard(use)
-        came = new_u - old_u
-        for use in came:
-            uses_by_name[use[1]].add(use)
         if "*" in moved:
-            recheck: Iterable[tuple] = [u for group in uses_by_name.values() for u in group]
+            recheck = [u for group in uses_by_name.values() for u in group]
         else:
-            recheck = list(came)
             for name in moved:
                 recheck.extend(uses_by_name.get(name, ()))
         for use in recheck:
@@ -960,14 +949,15 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
             entry = sstate
             f = a.scan(idx, entry)
             sstate = f.exit_state
-            found = [(idx, fcode, fmsg) for fcode, fmsg in f.inline_findings]
             if not sstate:
                 string_open = 0
             elif not entry:
                 string_open = idx
             if not f.has_content:
-                ev = (found, (), ()) if found else _NO_EVENTS
+                # a line with inline findings has a quote or a bracket
+                ev = _NO_EVENTS
             else:
+                found = [(idx, fcode, fmsg) for fcode, fmsg in f.inline_findings]
                 defs: list[tuple] = []
                 if logical is None:
                     nf = f.fresh_facts()

@@ -24,7 +24,7 @@ from lintseq.editcodec import (
     restore_final_newline,
 )
 from lintseq.lint import LinterSpec, extra_findings, get_linter
-from lintseq.pycheck import check_lines, flow
+from lintseq.pycheck import Analysis, check_lines, flow
 
 
 def diff(before: str, after: str) -> EditDiff:
@@ -97,6 +97,12 @@ def flow_checked(analysis, kept: list[int], deleted=()) -> list[tuple[int, str, 
     ``analysis.kept``.  The findings must be those of a cold check of the
     lines left, each candidate line ``n`` mapped to source line
     ``kept[n - 1] + 1``.
+
+    The run itself must equal a cold run: a fresh Analysis of the same
+    lines whose first call deletes every line not kept, and so walks
+    exactly the kept ones.  Both hold the same stored states for the kept
+    lines and the end slot, the same events for the kept lines, and the
+    same aggregates built from them.
     """
     deleted = list(deleted)
     got = flow(analysis, deleted)
@@ -105,7 +111,25 @@ def flow_checked(analysis, kept: list[int], deleted=()) -> list[tuple[int, str, 
     assert analysis.kept == kept, (deleted, kept)
     cold = check_lines([analysis.lines[i] for i in kept])
     assert got == [(kept[n - 1] + 1, code, msg) for n, code, msg in cold], (deleted, kept)
+
+    fresh = Analysis(analysis.lines)
+    keep = set(kept)
+    assert flow(fresh, [i for i in range(len(fresh.lines)) if i not in keep]) == got
+    assert _run_view(analysis) == _run_view(fresh), (deleted, kept)
     return got
+
+
+def _run_view(analysis) -> tuple:
+    """What a run holds of its kept lines: states, events and aggregates."""
+    kept = analysis.kept
+    return (
+        [analysis._states[i] for i in kept] + [analysis._states[-1]],
+        [analysis._events[i] for i in kept],
+        analysis._findings,
+        analysis._defs,
+        analysis._unresolved,
+        {name: group for name, group in analysis._uses.items() if group},
+    )
 
 
 def resolve_record(record) -> str:

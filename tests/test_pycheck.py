@@ -355,7 +355,10 @@ def test_first_check_resumes_from_base(monkeypatch):
 
 # headers, a star import, a global, a docstring, brackets across lines and a
 # dedent that lands on no indentation level: deleting any one or two lines
-# changes the walk state that the lines after them are entered with
+# changes the walk state that the lines after them are entered with.  Some
+# lines repeat a def, a use or a finding within the line itself: a name
+# declared global twice, a comprehension that rebinds its target, one name
+# twice in an f-string, and a mismatched or unmatched bracket twice
 _STATEFUL = '''\
 from os.path import *
 import sys
@@ -364,7 +367,7 @@ X = 1
 
 def outer(a,
           b=X):
-    global G
+    global G, G
     G = a
     s = """doc
     still doc
@@ -374,7 +377,8 @@ def outer(a,
     if t:
             u = t
         v = join(u, sys.argv)
-    return s, v
+    w = [a for a in v for a in a]
+    return s, v, f"{w}{w}"
 
 
 class K(object):
@@ -385,6 +389,8 @@ class K(object):
 
 
 print(outer(1), K().m(), sep, G, y)
+(] (]
+))
 '''
 
 
@@ -414,6 +420,31 @@ def test_walk_states_compare_equal_across_analyses_of_one_program():
     assert first._states == second._states
     assert flow(first, [5]) == flow(second, [5])
     assert first._states == second._states
+
+
+def test_flow_on_programs_of_random_source_lines():
+    # lines drawn at random from the package's own sources, so quotes,
+    # brackets and headers arrive orphaned; 1-3 random lines are deleted per
+    # call down to the empty program, then the run restarts from its base
+    pool = [
+        line
+        for path in sorted(Path(lintseq.__file__).parent.glob("*.py"))
+        for line in split_lines(path.read_text(encoding="utf-8"))
+    ]
+    rng = random.Random(7)
+    calls = 0
+    for _ in range(80):
+        analysis = Analysis(rng.choices(pool, k=rng.randint(5, 60)))
+        base = list(range(len(analysis.lines)))
+        kept = base[:]
+        flow_checked(analysis, kept)
+        for _ in range(3):
+            while kept:
+                flow_checked(analysis, kept, rng.sample(kept, min(len(kept), rng.randint(1, 3))))
+                calls += 1
+            analysis.restart()
+            kept = base[:]
+    assert calls > 2000
 
 
 def test_flow_rejects_deleting_a_line_not_kept():
