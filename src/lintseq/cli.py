@@ -28,6 +28,7 @@ from .corpus import (
     CorpusError,
     EditSequenceRecord,
     SourceExample,
+    _compact_json,
     _parse_json,
     atomic_output,
     deduplicate,
@@ -252,7 +253,7 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
 
     with atomic_output(ns.output) if ns.output else nullcontext(sys.stdout) as fh:
         for row in rows():
-            fh.write(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
+            fh.write(_compact_json(row))
             fh.write("\n")
 
     _progress(
@@ -265,7 +266,7 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
 def cmd_stats(ns: argparse.Namespace) -> int:
     stats = dataset_stats(read_records(_require(ns.input, "--input")))
     if ns.json:
-        print(json.dumps(stats.to_dict(), ensure_ascii=False, separators=(",", ":")))
+        print(_compact_json(stats.to_dict()))
         return 0
     print(f"examples                 {stats.example_count}")
     print(f"sequences                {stats.sequence_count}")
@@ -283,7 +284,7 @@ def cmd_passk(ns: argparse.Namespace) -> int:
             "c": ns.c,
             "results": [{"k": k, "pass_at_k": v} for k, v in values],
         }
-        print(json.dumps(payload, separators=(",", ":")))
+        print(_compact_json(payload))
         return 0
     for k, v in values:
         print(f"pass@{k} = {v:.4f}")
@@ -316,12 +317,7 @@ def cmd_flops(ns: argparse.Namespace) -> int:
     per_token = flops_per_token(model)
     total = total_flops(model)
     if ns.json:
-        print(
-            json.dumps(
-                {"flops_per_token": per_token, "total_flops": total},
-                separators=(",", ":"),
-            )
-        )
+        print(_compact_json({"flops_per_token": per_token, "total_flops": total}))
         return 0
     print(f"flops per token  {per_token}")
     print(f"total flops      {total}")
@@ -334,7 +330,7 @@ def cmd_lintcheck(ns: argparse.Namespace) -> int:
     report = lint_error_rate((ex.program for ex in examples), _linter_spec(ns))
     status = 2 if examples.bad_lines else 0
     if ns.json:
-        print(json.dumps(report.to_dict(), ensure_ascii=False, separators=(",", ":")))
+        print(_compact_json(report.to_dict()))
         return status
     print(
         f"checked {report.checked} programs: {report.flagged} with findings "

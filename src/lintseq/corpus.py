@@ -35,6 +35,10 @@ RECORD_KEYS = (
     "seed_path",
 )
 
+# one reused encoder for records, resolve rows and --json output: compact,
+# with non-ASCII text written as it is
+_compact_json = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
 
 class CorpusError(Exception):
     pass
@@ -83,7 +87,7 @@ class EditSequenceRecord:
     def to_json(self) -> str:
         # tuples encode as JSON arrays
         payload = {key: getattr(self, key) for key in RECORD_KEYS}
-        return json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
+        return _compact_json(payload)
 
     @staticmethod
     def from_json(line: str) -> "EditSequenceRecord":

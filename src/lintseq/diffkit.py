@@ -66,12 +66,6 @@ def join_lines(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _format_range(start: int, length: int) -> str:
-    if length == 1:
-        return str(start)
-    return f"{start},{length}"
-
-
 class Hunk(namedtuple("Hunk", "old_start old_len new_start new_len deletions insertions")):
     """One contiguous change.
 
@@ -109,16 +103,21 @@ class Hunk(namedtuple("Hunk", "old_start old_len new_start new_len deletions ins
 
     @property
     def decorator(self) -> str:
-        return (
-            f"@@ -{_format_range(self.old_start, self.old_len)}"
-            f" +{_format_range(self.new_start, self.new_len)} @@"
-        )
+        # a range of length 1 is written as its start alone
+        old, old_len, new, new_len, _, _ = self
+        if old_len != 1:
+            old = f"{old},{old_len}"
+        if new_len != 1:
+            new = f"{new},{new_len}"
+        return f"@@ -{old} +{new} @@"
 
     def render(self) -> str:
-        parts = [self.decorator]
-        parts.extend("-" + line for line in self.deletions)
-        parts.extend("+" + line for line in self.insertions)
-        return "\n".join(parts)
+        text = self.decorator
+        if self.deletions:
+            text += "\n-" + "\n-".join(self.deletions)
+        if self.insertions:
+            text += "\n+" + "\n+".join(self.insertions)
+        return text
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ class EditDiff:
 
     @property
     def rendered(self) -> str:
-        return "\n".join(h.render() for h in self.hunks)
+        return "\n".join([h.render() for h in self.hunks])
 
 
 def diff_states(seq: "StateSequence") -> list[EditDiff]:
@@ -147,25 +146,19 @@ def diff_states(seq: "StateSequence") -> list[EditDiff]:
         for index in inserted:
             insort(kept, index)
         hunks = []
+        n = len(inserted)
         i = 0
-        while i < len(inserted):
-            # a run of consecutive inserted positions; i lines inserted before it
-            start = end = bisect_left(kept, inserted[i])
-            old_start = start - i
-            run = []
-            while i < len(inserted) and kept[end] == inserted[i]:
-                run.append(lines[kept[end]])
-                end += 1
+        while i < n:
+            # a run of inserted indices at adjacent places in kept; the
+            # old text lacks the i lines this edit inserts before it
+            first = i
+            old_start = bisect_left(kept, inserted[i]) - i
+            run = [lines[inserted[i]]]
+            i += 1
+            while i < n and kept[old_start + i] == inserted[i]:
+                run.append(lines[inserted[i]])
                 i += 1
-            hunks.append(
-                Hunk(
-                    old_start=old_start,
-                    old_len=0,
-                    new_start=start + 1,
-                    new_len=end - start,
-                    insertions=tuple(run),
-                )
-            )
+            hunks.append(Hunk(old_start, 0, old_start + first + 1, i - first, (), tuple(run)))
         diffs.append(EditDiff(tuple(hunks)))
     return diffs
 

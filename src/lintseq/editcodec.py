@@ -62,8 +62,10 @@ def serialize(edits: Sequence[EditDiff | str], separator: str = DEFAULT_SEPARATO
     if not edits:
         raise ValueError("serialize requires at least one edit")
     rendered = [e if isinstance(e, str) else e.rendered for e in edits]
+    # the separator holds no newline, so this finds it as a whole line
+    line = f"\n{separator}\n"
     for r in rendered:
-        if separator in r.split("\n"):
+        if line in f"\n{r}\n":
             raise ValueError("separator token collides with an edit body line")
     return "\n".join(f"{separator}\n{r}" for r in rendered)
 

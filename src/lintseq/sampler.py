@@ -29,7 +29,6 @@ import os
 import random
 from bisect import insort
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from traceback import format_exc
@@ -262,6 +261,9 @@ def sample_corpus(
     if workers <= 1:
         yield from map(task, itertools.count(), examples)
         return
+    # imported here: the pool's modules cost a single-process run its start-up
+    from concurrent.futures import Future, ProcessPoolExecutor
+
     workers = min(workers, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers)
     window: deque[Future[list[ExampleResult]]] = deque()

@@ -60,6 +60,24 @@ def reference_render(before: str, after: str) -> str:
     return "\n".join(out[2:]) if out else ""
 
 
+def per_line_render(hunks) -> str:
+    """Render hunks one body line at a time: the formula ``Hunk.render`` keeps.
+
+    Each hunk is its decorator (a range of length 1 written as its start
+    alone), then ``"-" + line`` for each deletion and ``"+" + line`` for each
+    insertion; all of these lines are joined by newlines.
+    """
+    def span(start: int, length: int) -> str:
+        return str(start) if length == 1 else f"{start},{length}"
+
+    out = []
+    for h in hunks:
+        out.append(f"@@ -{span(h.old_start, h.old_len)} +{span(h.new_start, h.new_len)} @@")
+        out.extend("-" + line for line in h.deletions)
+        out.extend("+" + line for line in h.insertions)
+    return "\n".join(out)
+
+
 def state_texts(seq) -> list[str]:
     """Program text of every state of a StateSequence, from empty to full.
 

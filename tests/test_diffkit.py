@@ -14,7 +14,7 @@ from lintseq.diffkit import (
     split_lines,
 )
 from lintseq.sampler import StateSequence
-from tests.oracles import diff, reference_render
+from tests.oracles import diff, per_line_render, reference_render
 
 
 def test_split_lines_cases():
@@ -232,3 +232,40 @@ def test_reference_render_matches_diff():
         a = join_lines(rng.choices(alphabet, k=rng.randrange(0, 10)))
         b = join_lines(rng.choices(alphabet, k=rng.randrange(0, 10)))
         assert diff(a, b).rendered == reference_render(a, b)
+
+
+# blanks, repeats, and lines that look like body prefixes or decorators
+TRICKY_LINES = ("", "", "x = 1", "x = 1", "+", "-", "+y", "-z", "++", "@@", "@@ -1 +1 @@", "  pass")
+
+
+def random_sequence(rng: random.Random) -> StateSequence:
+    n = rng.randrange(1, 14)
+    lines = tuple(rng.choice(TRICKY_LINES) for _ in range(n))
+    order = rng.sample(range(n), n)
+    cuts = sorted(rng.sample(range(1, n), rng.randrange(n)))
+    edits = (tuple(sorted(order[a:b])) for a, b in zip([0, *cuts], [*cuts, n]))
+    return StateSequence(lines, tuple(edits))
+
+
+def test_diff_states_renders_as_the_per_line_formula():
+    rng = random.Random(21)
+    edits = 0
+    for _ in range(400):
+        for d in diff_states(random_sequence(rng)):
+            assert d.rendered == per_line_render(d.hunks)
+            assert parse_diff(d.rendered) == d
+            edits += 1
+    assert edits > 1000
+
+
+def test_render_of_parsed_two_sided_hunks_is_the_per_line_formula():
+    rng = random.Random(22)
+    for _ in range(400):
+        old_len, new_len = rng.randrange(1, 5), rng.randrange(1, 5)
+        hunk = Hunk(
+            rng.randrange(1, 50), old_len, rng.randrange(1, 50), new_len,
+            tuple(rng.choices(TRICKY_LINES, k=old_len)), tuple(rng.choices(TRICKY_LINES, k=new_len)),
+        )
+        (parsed,) = parse_diff(per_line_render([hunk])).hunks
+        assert parsed == hunk
+        assert parsed.render() == per_line_render([parsed])

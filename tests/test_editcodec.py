@@ -56,6 +56,30 @@ def test_serialize_validation():
         serialize([f"@@ -0,0 +1 @@\n+x\n{SEP}"])
 
 
+@pytest.mark.parametrize("separator", [SEP, "### next edit"])
+def test_serialize_rejects_exactly_an_edit_line_equal_to_the_separator(separator):
+    # near misses: padded, behind a body prefix, or inside a longer line
+    pieces = [
+        separator, f" {separator}", f"{separator} ", "+" + separator,
+        f"x = '{separator}'", "", "+x", "@@ -0,0 +1 @@",
+    ]
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(600):
+        edits = [
+            "\n".join(rng.choices(pieces, k=rng.randrange(1, 5)))
+            for _ in range(rng.randrange(1, 4))
+        ]
+        collides = any(separator in e.split("\n") for e in edits)
+        outcomes.add(collides)
+        if collides:
+            with pytest.raises(ValueError, match="collides"):
+                serialize(edits, separator)
+        else:
+            assert serialize(edits, separator) == "\n".join(f"{separator}\n{e}" for e in edits)
+    assert outcomes == {True, False}
+
+
 def split_serialized(text, separator=SEP):
     """Each part the resolvers read, joined back into text."""
     return ["\n".join(part) for part in editcodec._parts(text, separator)]

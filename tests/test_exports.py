@@ -61,6 +61,22 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch):
     assert namespace["seq"] is namespace["result"].sequences[-1]
 
 
+def test_cli_import_loads_no_process_pool():
+    # sample_corpus imports the pool only as one starts, so a single-process
+    # command does not load multiprocessing at start-up
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, lintseq.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_bench_trace_targets_resolve():
     # perfbench/tracing.py patches each target by name and only warns when
     # one is gone, so a refactor could silently drop a layer from traced runs

@@ -4,12 +4,12 @@ import random
 import sys
 import textwrap
 from collections import Counter
+from concurrent import futures
 from concurrent.futures import Future
 
 import pytest
 
 import lintseq
-from lintseq import sampler
 from lintseq.corpus import SourceExample
 from lintseq.diffkit import join_lines
 from lintseq.lint import LinterSpec
@@ -342,7 +342,8 @@ def test_sample_corpus_caps_the_pool_at_the_cores(monkeypatch, cores, size):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(sampler, "ProcessPoolExecutor", InlinePool)
+    # sample_corpus looks the executor up in its module as a pool starts
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     most_ahead = most_pulled_ahead(examples(*[FLAT] * 10 * BATCH_EXAMPLES), 100_000)
     assert sizes == [size]
