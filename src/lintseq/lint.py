@@ -20,8 +20,12 @@ deletes the indices it names from that list and checks the lines left.
 The built-in engine keeps the last program's setup, whose Analysis edits
 one walk in place and restarts each sample from a copy of the
 whole-program walk, so a check re-walks only the lines a deletion changed.
-The external one caches findings by content hash as the tool numbered the
-candidate's lines, and is the one place that maps them to source lines.
+It also owns the line scans, keyed by line text and entry string state,
+that every program's Analysis shares, so a line met in an earlier program
+is not scanned again; between programs it starts a fresh mapping once the
+held one is over a fixed bound.  The external one caches findings by
+content hash as the tool numbered the candidate's lines, and is the one
+place that maps them to source lines.
 """
 
 from __future__ import annotations
@@ -30,8 +34,6 @@ import hashlib
 import math
 import os
 import re
-import shlex
-import subprocess
 import tempfile
 import threading
 from collections import Counter
@@ -82,6 +84,8 @@ class LinterSpec:
         if self.kind not in ("builtin", "external"):
             raise ValueError(f"unknown linter kind: {self.kind!r}")
         if self.kind == "external":
+            import shlex  # only the external linter's modules load it, not a builtin run
+
             if not any("{path}" in part for part in shlex.split(self.command_template)):
                 raise ValueError("external linter requires a command template with {path}")
             try:
@@ -94,9 +98,16 @@ class LinterSpec:
             raise ValueError(f"timeout must be a finite positive number, not {self.timeout!r}")
 
 
+#: entries the built-in engine's line scans may hold before a new program's
+#: setup starts a fresh mapping; a scan with its name facts takes about 0.9 KB
+_SCANS_BOUND = 2048
+
+
 class BuiltinLinter:
     def __init__(self, spec: LinterSpec) -> None:
         self.spec = spec
+        # line scans by (text, entry string state), shared by every program
+        self._scans: dict[tuple[str, str], pycheck.LineScan] = {}
         # the last program set up, its Analysis and its baseline findings
         self._program: str | None = None
         self._analysis: pycheck.Analysis | None = None
@@ -106,15 +117,23 @@ class BuiltinLinter:
         """The program's lines, the Analysis's kept list, and baseline findings.
 
         The last program's setup is kept, so every sample of one example
-        shares one scan cache and one baseline.  The Analysis is restarted
-        from the whole-program walk its first check made here for the
-        baseline, so it keeps every line again and each sample's cascade
-        resumes from that walk.  The baseline is a tuple, so no caller of
-        ``check`` can change what later samples are judged against.
+        shares one baseline.  The Analysis is restarted from the
+        whole-program walk its first check made here for the baseline, so it
+        keeps every line again and each sample's cascade resumes from that
+        walk.  The baseline is a tuple, so no caller of ``check`` can change
+        what later samples are judged against.
+
+        Every program's Analysis shares the engine's line scans, so a line
+        text met again is not scanned again.  A new program starts a fresh
+        mapping once the held one is over ``_SCANS_BOUND`` entries, never
+        while a program is sampled, so the mapping holds at most that many
+        entries plus one program's.
         """
         if program != self._program:
             self._program = None  # a baseline check that raises leaves no setup to restart
-            self._analysis = pycheck.Analysis(split_lines(program))
+            if len(self._scans) > _SCANS_BOUND:
+                self._scans = {}
+            self._analysis = pycheck.Analysis(split_lines(program), self._scans)
             self._baseline = tuple(self.check_subset(()))
             self._program = program
         else:
@@ -130,6 +149,8 @@ class BuiltinLinter:
 
 class ExternalLinter:
     def __init__(self, spec: LinterSpec) -> None:
+        import shlex
+
         self.spec = spec
         # findings by content hash, for texts of the last program set up only
         self._program: str | None = None
@@ -176,6 +197,8 @@ class ExternalLinter:
         return found
 
     def _run(self, text: str) -> tuple[Finding, ...]:
+        import subprocess
+
         path = None
         try:
             # an input file that cannot be written, like a linter that cannot

@@ -17,11 +17,14 @@ approximations (annotation-only statements do not bind, ``match``/``case``
 headers are opaque, one-line ``def`` bodies resolve at the def line,
 semicolon chains use intra-line token order) keep the pass linear.
 
-``Analysis`` caches per-line scans keyed by the string state a line is
-entered in, and each ``LineScan`` caches its name facts, both as a fresh
-statement and per continuation mode.  The ``Analysis`` also owns the kept
-lines and one flow run over them, edited in place: by source index, the
-walk state each kept line was entered in and the events the line produced.
+A ``LineScan`` is a pure function of a line's text and the string state
+it is entered in, and it caches its name facts, both as a fresh statement
+and per continuation mode.  So ``Analysis`` looks scans up by (text, entry
+state) in a mapping that other Analyses may share: the built-in lint
+engine passes one to every program it sets up.  The ``Analysis`` also owns
+the kept lines and one flow run over them, edited in place: by source
+index, the walk state each kept line was entered in and the events the
+line produced.
 A walk state holds each fact once: the scope in effect is that of the
 innermost indentation level, and a header's opened scope travels with its
 logical line and then with the header that waits for a body.  A call names
@@ -754,7 +757,16 @@ _NO_EVENTS: tuple = ((), (), ())
 
 
 class Analysis:
-    """Scan cache, kept lines, one ``flow`` run and its base for one source.
+    """Line scans, kept lines, one ``flow`` run and its base for one source.
+
+    Scans are looked up in ``scans``, by (line text, entry string state), and
+    a miss calls ``scan_line`` and stores its result there.  A scan depends
+    on nothing else, so any number of Analyses may share one mapping, and
+    equal lines of one or many sources are scanned once per entry state.
+    Without ``scans`` the Analysis has a private mapping.  Sharing one is
+    the caller's choice, and so is its bound: the built-in lint engine owns
+    the mapping that every program it sets up shares, and starts a fresh
+    one only between programs.
 
     A fresh Analysis keeps every line and has walked none of them.  ``kept``
     is the sorted list of kept source indices; callers read it, and only
@@ -782,10 +794,12 @@ class Analysis:
         "_findings", "_defs", "_uses", "_unresolved", "_base",
     )
 
-    def __init__(self, lines: Sequence[str]) -> None:
+    def __init__(
+        self, lines: Sequence[str], scans: dict[tuple[str, str], LineScan] | None = None
+    ) -> None:
         self.lines = tuple(lines)
         self.kept: list[int] = list(range(len(self.lines)))
-        self._scans: dict[tuple[int, str], LineScan] = {}
+        self._scans = {} if scans is None else scans
         # no line walked yet: a stored state of None matches no walk state
         self._states: list[tuple | None] = [None] * (len(self.lines) + 1)
         self._events: list[tuple] = [_NO_EVENTS] * len(self.lines)
@@ -796,11 +810,10 @@ class Analysis:
         self._base: tuple | None = None  # a snapshot of the first run
 
     def scan(self, idx: int, entry: str) -> LineScan:
-        key = (idx, entry)
+        key = (self.lines[idx], entry)
         f = self._scans.get(key)
         if f is None:
-            f = scan_line(self.lines[idx], entry)
-            self._scans[key] = f
+            f = self._scans[key] = scan_line(*key)
         return f
 
     def _resolvable(self, scope: tuple, name: str, idx: int, sub: int) -> bool:

@@ -31,7 +31,6 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from traceback import format_exc
 from typing import Callable, Iterable, Iterator
 
 from .corpus import SourceExample
@@ -110,7 +109,8 @@ def backward_sample(
 
     Each step's deleted source indices become one edit, last step first.
     The engine keeps the setup of the last program it saw, so repeated
-    samples of one program share its scan cache and baseline findings.
+    samples of one program share its baseline findings, and it shares its
+    line scans with every program it sets up.
     Steps draw from the engine's own kept list, and each check names only
     the source indices deleted since the last one; findings name source
     lines, so new ones doom their lines as they are.  The built-in engine
@@ -209,6 +209,8 @@ def _sample_example(
         raise  # the linter cannot run at all; that fails every example alike
     except Exception as exc:
         # one bad example must not abort the run or lose the other records
+        from traceback import format_exc
+
         return ExampleResult(
             example_index,
             example,

@@ -61,20 +61,31 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch):
     assert namespace["seq"] is namespace["result"].sequences[-1]
 
 
-def test_cli_import_loads_no_process_pool():
-    # sample_corpus imports the pool only as one starts, so a single-process
-    # command does not load multiprocessing at start-up
+def _loaded_by_cli_import(modules: tuple[str, ...]) -> str:
+    """Which of ``modules`` a fresh ``import lintseq.cli`` loads, as printed."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, lintseq.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])"
-    )
+    code = f"import sys, lintseq.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_loads_no_process_pool():
+    # sample_corpus imports the pool only as one starts, so a single-process
+    # command does not load multiprocessing at start-up
+    assert _loaded_by_cli_import(("multiprocessing", "concurrent.futures.process")) == "[]\n"
+
+
+def test_cli_import_loads_no_subprocess_or_traceback():
+    # only the external linter runs a process and only an example's internal
+    # error formats a traceback, so a builtin run loads neither at start-up;
+    # the modules tracing patches by name are loaded
+    assert _loaded_by_cli_import(("subprocess", "shlex", "traceback")) == "[]\n"
+    loaded = ("lintseq.lint", "lintseq.pycheck", "lintseq.sampler")
+    assert _loaded_by_cli_import(loaded) == f"{list(loaded)!r}\n"
 
 
 def test_bench_trace_targets_resolve():

@@ -17,6 +17,7 @@ from lintseq.lint import (
 )
 from lintseq.sampler import backward_sample
 from tests.oracles import findings, is_error_free_relative
+from tests.progen import make_program
 
 
 def test_check_builtin():
@@ -328,3 +329,82 @@ def test_default_pattern_shape():
 def test_engine_cache_reuse():
     spec = LinterSpec()
     assert get_linter(spec) is get_linter(LinterSpec())
+
+
+def _program_mix(seed: int) -> list[str]:
+    """Progen programs: some quote their own lines, some lost a line.
+
+    A program quoted whole inside a triple-quoted string after its own code
+    has each of its lines scanned both as code and inside a string, and a
+    deletion that opens or closes the string swaps the two.  A program that
+    lost a line may have findings.  The first two come again at the end,
+    after other programs were set up.
+    """
+    rng = random.Random(seed)
+    programs = []
+    for i in range(12):
+        lines = make_program(rng, 5, 25, rng.choice(("coupled", "mixed")))[1].splitlines()
+        if i % 4 == 3:
+            del lines[rng.randrange(len(lines))]
+        if i % 3 == 2:
+            quote = rng.choice(('"""', "'''"))
+            lines += [f"text = {quote}", *lines, quote, "print(text)"]
+        programs.append("".join(line + "\n" for line in lines))
+    return programs + programs[:2]
+
+
+def _samples(program: str, seed: int) -> tuple:
+    """The program's findings and the ``inserted`` of three seeded samples."""
+    samples = [backward_sample(program, rng=random.Random(seed * 10 + k)) for k in range(3)]
+    return check(program), [seq.inserted for seq in samples]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_one_engine_samples_a_program_mix_as_a_fresh_engine_per_program(monkeypatch, seed):
+    # the engine's line scans are keyed by text and entry state and shared by
+    # every program it sets up, so sharing them changes no sample or finding
+    programs = _program_mix(seed)
+    monkeypatch.setattr("lintseq.lint._ENGINES", {})
+    shared = [_samples(program, seed) for program in programs]
+    scans = get_linter(LinterSpec())._scans
+    assert {text for text, entry in scans if entry} & {text for text, entry in scans if not entry}
+    assert any(found for found, _ in shared)
+    for program, result in zip(programs, shared):
+        monkeypatch.setattr("lintseq.lint._ENGINES", {})
+        assert _samples(program, seed) == result
+
+
+def test_engine_scans_stay_bounded_and_a_fresh_start_changes_nothing(monkeypatch):
+    # a new program's setup starts a fresh mapping once the held one is over
+    # the bound, and sampling never does: the mapping holds at most the bound
+    # plus the entries that one program adds
+    rng = random.Random(5)
+    programs = [make_program(rng, 5, 30, "mixed")[1] for _ in range(40)]
+    alone, own = [], []  # each program's results and entries on a fresh engine
+    for program in programs:
+        monkeypatch.setattr("lintseq.lint._ENGINES", {})
+        alone.append(_samples(program, 0))
+        own.append(len(get_linter(LinterSpec())._scans))
+
+    def one_engine(bound: int) -> tuple[list[tuple], int]:
+        monkeypatch.setattr("lintseq.lint._SCANS_BOUND", bound)
+        monkeypatch.setattr("lintseq.lint._ENGINES", {})
+        engine = get_linter(LinterSpec())
+        out, fresh_starts = [], 0
+        for program, entries in zip(programs, own):
+            held = engine._scans
+            engine.setup(program)
+            fresh_starts += engine._scans is not held
+            held, at_setup = engine._scans, dict(engine._scans)
+            out.append(_samples(program, 0))
+            # sampling kept the mapping and every entry in it
+            assert engine._scans is held
+            assert all(held.get(key) is scan for key, scan in at_setup.items())
+            assert len(held) <= bound + entries
+        return out, fresh_starts
+
+    bounded, fresh_starts = one_engine(60)
+    assert fresh_starts >= 5
+    unbounded, none = one_engine(10**9)
+    assert none == 0
+    assert bounded == unbounded == alone

@@ -447,6 +447,38 @@ def test_flow_on_programs_of_random_source_lines():
     assert calls > 2000
 
 
+def test_flow_on_analyses_that_share_their_scans():
+    # Analyses that share one scan mapping, called in turn down to the empty
+    # program, each agree with a cold check: the package's source lines, and
+    # _STATEFUL's as code, then inside a triple-quoted string, then as code
+    # again once the string's opening line is deleted
+    pool = [
+        line
+        for path in sorted(Path(lintseq.__file__).parent.glob("*.py"))
+        for line in split_lines(path.read_text(encoding="utf-8"))
+    ]
+    stateful = split_lines(_STATEFUL)
+    quoted = stateful + ['text = """\n'] + stateful + ['"""\n', "print(text)\n"]
+    rng = random.Random(13)
+    scans = {}
+    analyses = [Analysis(quoted, scans)]
+    analyses += [Analysis(rng.choices(pool, k=rng.randint(5, 60)), scans) for _ in range(12)]
+    kepts = [list(range(len(a.lines))) for a in analyses]
+    for analysis, kept in zip(analyses, kepts):
+        flow_checked(analysis, kept)
+    flow_checked(analyses[0], kepts[0], [len(stateful)])
+    calls = 0
+    while any(kepts):
+        for analysis, kept in zip(analyses, kepts):
+            if kept:
+                flow_checked(analysis, kept, rng.sample(kept, min(len(kept), rng.randint(1, 3))))
+                calls += 1
+    assert calls > 200
+    # the same texts were scanned both as code and inside a string
+    both = {text for text, entry in scans if entry} & {text for text, entry in scans if not entry}
+    assert len(both) >= 10, both
+
+
 def test_flow_rejects_deleting_a_line_not_kept():
     analysis = Analysis(["x = 1\n", "y = x\n", "print(y)\n"])
     kept = [0, 1, 2]
