@@ -86,7 +86,13 @@ class LinterSpec:
         if self.kind == "external":
             import shlex  # only the external linter's modules load it, not a builtin run
 
-            if not any("{path}" in part for part in shlex.split(self.command_template)):
+            try:
+                argv = shlex.split(self.command_template)
+            except ValueError as exc:
+                raise ValueError(
+                    f"bad external linter command template {self.command_template!r}: {exc}"
+                ) from None
+            if not any("{path}" in part for part in argv):
                 raise ValueError("external linter requires a command template with {path}")
             try:
                 groups = re.compile(self.finding_pattern).groupindex
@@ -223,8 +229,12 @@ class ExternalLinter:
                 code = m.group("code")
                 if code[:1] not in ("E", "F"):
                     continue
-                message = _normalize_message(m.group("message"), path)
-                findings.append((int(m.group("line")), code, message))
+                try:
+                    line = int(m.group("line"))
+                except (TypeError, ValueError):  # no line group match, or not a number
+                    shown = out_line.replace(path, "<file>")
+                    raise LintError(f"no line number in linter output line {shown!r}") from None
+                findings.append((line, code, _normalize_message(m.group("message"), path)))
             # the cascade consumes findings in line order, as flow returns them
             return tuple(sorted(findings))
         finally:

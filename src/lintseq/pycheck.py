@@ -18,9 +18,10 @@ headers are opaque, one-line ``def`` bodies resolve at the def line,
 semicolon chains use intra-line token order) keep the pass linear.
 
 A ``LineScan`` is a pure function of a line's text and the string state
-it is entered in, and it caches its name facts, both as a fresh statement
-and per continuation mode.  So ``Analysis`` looks scans up by (text, entry
-state) in a mapping that other Analyses may share: the built-in lint
+it is entered in, and it is the line's one record: ``scan_line`` stores in
+it the line's name facts as a fresh statement, and the scan caches them as
+a continuation line per mode.  So ``Analysis`` looks scans up by (text,
+entry state) in a mapping that other Analyses may share: the built-in lint
 engine passes one to every program it sets up.  The ``Analysis`` also owns
 the kept lines and one flow run over them, edited in place: by source
 index, the walk state each kept line was entered in and the events the
@@ -138,29 +139,12 @@ def _fstring_exprs(content: str, pos: int) -> list[tuple[int, str]]:
     return out
 
 
-class NameFacts:
-    """Classified name events of one scanned line."""
-
-    __slots__ = (
-        "uses",
-        "defs",
-        "pending",
-        "scope_kind",
-        "scope_params",
-        "first_word",
-    )
-
-    def __init__(self) -> None:
-        self.uses: list[tuple[str, int]] = []
-        self.defs: list[tuple[str, int]] = []
-        self.pending: str | None = None
-        self.scope_kind: str | None = None
-        self.scope_params: tuple[str, ...] = ()
-        self.first_word = ""
-
-
 class LineScan:
-    """Context-free facts of one physical line for one entry string state."""
+    """Context-free facts of one physical line for one entry string state.
+
+    ``uses`` through ``first_word`` are its name facts as a fresh
+    statement; ``cont_facts`` gives them as a continuation line.
+    """
 
     __slots__ = (
         "exit_state",
@@ -173,7 +157,12 @@ class LineScan:
         "ends_backslash",
         "inline_findings",
         "fstrings",
-        "_fresh",
+        "uses",
+        "defs",
+        "pending",
+        "scope_kind",
+        "scope_params",
+        "first_word",
         "_cont",
     )
 
@@ -188,13 +177,13 @@ class LineScan:
         self.ends_backslash = False
         self.inline_findings: tuple[tuple[str, str], ...] = ()
         self.fstrings: tuple[tuple[int, str], ...] = ()
-        self._fresh: NameFacts | None = None
+        self.uses: list[tuple[str, int]] = []
+        self.defs: list[tuple[str, int]] = []
+        self.pending: str | None = None
+        self.scope_kind: str | None = None
+        self.scope_params: tuple[str, ...] = ()
+        self.first_word = ""
         self._cont: dict[str | None, tuple[tuple, tuple]] = {}
-
-    def fresh_facts(self) -> NameFacts:
-        if self._fresh is None:
-            self._fresh = _classify_fresh(self.code, self.fstrings)
-        return self._fresh
 
     def cont_facts(self, mode: str | None) -> tuple[tuple, tuple]:
         """(uses, defs) of this line continuing a statement opened in ``mode``.
@@ -309,6 +298,7 @@ def scan_line(raw: str, entry: str) -> LineScan:
     scan.ends_backslash = ends_backslash
     scan.inline_findings = tuple(inline)
     scan.fstrings = tuple(fstrings)
+    _classify_fresh(scan)
     return scan
 
 
@@ -474,7 +464,7 @@ def _parse_import(toks: list[tuple[str, int]], defs: list[tuple[str, int]]) -> N
     emit()
 
 
-def _parse_from_import(toks: list[tuple[str, int]], facts: NameFacts) -> None:
+def _parse_from_import(toks: list[tuple[str, int]], facts: LineScan) -> None:
     # from pkg.mod import x, y as z   |   from mod import *   |   from mod import (
     try:
         imp = next(i for i, (t, _) in enumerate(toks) if t == "import")
@@ -598,7 +588,7 @@ def _top_colon(toks: list[tuple[str, int]], start: int, end: int) -> int | None:
 
 
 def _parse_def(
-    toks: list[tuple[str, int]], start: int, facts: NameFacts
+    toks: list[tuple[str, int]], start: int, facts: LineScan
 ) -> None:
     i = start + 1
     if i >= len(toks) or not _is_name(toks[i][0]):
@@ -633,7 +623,7 @@ def _parse_def(
         facts.scope_params = ()
 
 
-def _parse_class(toks: list[tuple[str, int]], start: int, facts: NameFacts) -> None:
+def _parse_class(toks: list[tuple[str, int]], start: int, facts: LineScan) -> None:
     i = start + 1
     if i >= len(toks) or not _is_name(toks[i][0]):
         return
@@ -663,7 +653,7 @@ def _parse_class(toks: list[tuple[str, int]], start: int, facts: NameFacts) -> N
 
 
 def _parse_assignment(
-    toks: list[tuple[str, int]], facts: NameFacts
+    toks: list[tuple[str, int]], facts: LineScan
 ) -> bool:
     depth = 0
     eq_positions: list[int] = []
@@ -704,12 +694,12 @@ def _parse_assignment(
     return True
 
 
-def _classify_fresh(code: str, fstrings: Sequence[tuple[int, str]]) -> NameFacts:
-    facts = NameFacts()
-    toks = _tokens(code)
+def _classify_fresh(facts: LineScan) -> None:
+    """Fill in the name facts of a scanned line as a fresh statement."""
+    toks = _tokens(facts.code)
     if not toks:
-        _add_fstring_uses(fstrings, toks, facts.uses)
-        return facts
+        _add_fstring_uses(facts.fstrings, toks, facts.uses)
+        return
     start = 1 if toks[0][0] == "async" and len(toks) > 1 else 0
     first = toks[start][0]
     facts.first_word = "async " + first if start else first
@@ -731,8 +721,7 @@ def _classify_fresh(code: str, fstrings: Sequence[tuple[int, str]]) -> NameFacts
         _scan_expr(toks, start, len(toks), facts.uses, facts.defs)
     elif not _parse_assignment(toks, facts):
         _scan_expr(toks, start, len(toks), facts.uses, facts.defs)
-    _add_fstring_uses(fstrings, toks, facts.uses)
-    return facts
+    _add_fstring_uses(facts.fstrings, toks, facts.uses)
 
 
 def _missing_body(opener: tuple) -> tuple[int, str, str]:
@@ -973,7 +962,6 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                 found = [(idx, fcode, fmsg) for fcode, fmsg in f.inline_findings]
                 defs: list[tuple] = []
                 if logical is None:
-                    nf = f.fresh_facts()
                     ind = f.indent
                     if opener is not None:
                         if ind > levels[0]:
@@ -998,12 +986,12 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                             )
                             levels = (ind, levels[1], levels)
                     scope = target = levels[1]
-                    cu, cd = nf.uses, nf.defs
+                    cu, cd = f.uses, f.defs
                     opened = None
-                    if nf.scope_kind is not None:
-                        opened = (nf.scope_kind, idx, scope)
-                        defs = [(opened, name, idx, 0) for name in nf.scope_params]
-                    start, first, last, mode = idx, nf.first_word, "", nf.pending
+                    if f.scope_kind is not None:
+                        opened = (f.scope_kind, idx, scope)
+                        defs = [(opened, name, idx, 0) for name in f.scope_params]
+                    start, first, last, mode = idx, f.first_word, "", f.pending
                 else:
                     start, first, last, opened, mode = logical
                     cu, cd = f.cont_facts(mode)

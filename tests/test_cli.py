@@ -289,6 +289,64 @@ def test_bad_linter_pattern_exit_1(tmp_path, capsys, command, pattern):
     assert out.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("command", ["generate", "lintcheck"])
+def test_unbalanced_linter_cmd_quote_exit_1(tmp_path, capsys, command):
+    out = tmp_path / "out.jsonl"
+    out.write_text("keep me\n")
+    argv = [command, "--input", str(write_corpus(tmp_path, CLEAN)), "--linter", "external",
+            "--linter-cmd", '"abc {path}']
+    if command == "generate":
+        argv += ["--output", str(out), "--samples", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {
+        "error": """bad external linter command template '"abc {path}': No closing quotation""",
+        "kind": "ValueError",
+    }
+    assert captured.out == ""
+    assert out.read_text() == "keep me\n"
+
+
+def _no_line_number_linter(tmp_path) -> list[str]:
+    """Linter flags whose tool prints a finding without a line number for
+    each program that calls ``print``, and nothing for any other."""
+    script = tmp_path / "nolinelint.py"
+    script.write_text(
+        "import sys\n"
+        "if 'print' in open(sys.argv[1]).read():\n"
+        "    print('E bad')\n"
+    )
+    return ["--linter", "external", "--linter-cmd", f"{sys.executable} {script} {{path}}",
+            "--linter-pattern", r"^(?P<code>E) (?P<line>\S+)(?P<message>)"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_generate_linter_output_without_a_line_number_exit_1(tmp_path, capsys, workers):
+    # fails the run once, as a linter that cannot start does, not each example
+    out = tmp_path / "out.jsonl"
+    out.write_text("keep me\n")
+    code = main(["generate", "--input", str(write_corpus(tmp_path, CLEAN)), "--output", str(out),
+                 "--samples", "1", "--workers", workers, *_no_line_number_linter(tmp_path)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "no line number in linter output line 'E bad'", "kind": "LintError",
+    }
+    assert out.read_text() == "keep me\n"
+
+
+def test_lintcheck_counts_linter_output_without_a_line_number_as_a_failure(tmp_path, capsys):
+    argv = ["lintcheck", "--input", str(write_corpus(tmp_path, CLEAN)),
+            *_no_line_number_linter(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "checked 1 programs: 0 with findings (0.0%), 2 linter failures\n"
+    )
+    assert main(argv + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "rate": 0.0, "checked": 1, "flagged": 0, "failures": 2, "per_code": {},
+    }
+
+
 def test_generate_skips_exit_2(tmp_path, capsys):
     rows = CLEAN + [{"id": "empty", "instruction": "", "program": ""}]
     code, out = run_generate(tmp_path, rows, "--samples", "1")

@@ -4,17 +4,20 @@ import stat
 import tempfile
 import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from lintseq.lint import (
     DEFAULT_FINDING_PATTERN,
+    LintError,
     LinterSpec,
     LinterTimeout,
     check,
     extra_findings,
     get_linter,
 )
+from lintseq.pycheck import scan_line
 from lintseq.sampler import backward_sample
 from tests.oracles import findings, is_error_free_relative
 from tests.progen import make_program
@@ -150,6 +153,13 @@ def test_linter_spec_validation():
         LinterSpec(kind="nope")
     with pytest.raises(ValueError):
         LinterSpec(kind="external", command_template="")
+    # a template shlex cannot split is named, not just shlex's complaint
+    for template in ('"abc {path}', "lint {path} 'x"):
+        with pytest.raises(ValueError) as info:
+            LinterSpec(kind="external", command_template=template)
+        assert str(info.value) == (
+            f"bad external linter command template {template!r}: No closing quotation"
+        )
     for timeout in (0, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="finite positive"):
             LinterSpec(timeout=timeout)
@@ -288,6 +298,18 @@ def test_external_linter_includes_warnings_when_asked(tmp_path):
     assert quiet == ()
 
 
+@pytest.mark.parametrize(
+    "pattern",
+    [r"^(?P<code>E) (?P<line>\S+)(?P<message>)", r"^(?P<code>E) (?P<line>\d+)?.*?(?P<message>)$"],
+)
+def test_external_linter_output_line_without_a_line_number_is_a_lint_error(tmp_path, pattern):
+    # the line group matches the temp path, or nothing at all
+    spec = LinterSpec(kind="external", command_template="echo E {path}", finding_pattern=pattern)
+    with pytest.raises(LintError) as info:
+        check("x = 1\n", spec)
+    assert str(info.value) == "no line number in linter output line 'E <file>'"
+
+
 def test_external_linter_timeout(tmp_path):
     script = tmp_path / "slowlint.py"
     _write_script(script, "import time\ntime.sleep(5)\n")
@@ -408,3 +430,29 @@ def test_engine_scans_stay_bounded_and_a_fresh_start_changes_nothing(monkeypatch
     unbounded, none = one_engine(10**9)
     assert none == 0
     assert bounded == unbounded == alone
+
+
+def _scan_slots(scan) -> dict:
+    """Every slot of a scan, its cached continuation facts as a plain dict."""
+    return {slot: dict(getattr(scan, slot)) if slot == "_cont" else getattr(scan, slot)
+            for slot in type(scan).__slots__}
+
+
+def test_sampling_never_changes_a_shared_scan(monkeypatch):
+    # flow reads a scan's lists of name facts straight from the shared record,
+    # so after sampling a program mix every entry still equals a fresh scan
+    root = Path(__file__).parent.parent / "src" / "lintseq"
+    programs = [path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))]
+    programs += _program_mix(7)
+    monkeypatch.setattr("lintseq.lint._SCANS_BOUND", 10**9)
+    monkeypatch.setattr("lintseq.lint._ENGINES", {})
+    for k, program in enumerate(programs):
+        backward_sample(program, rng=random.Random(k))
+    scans = get_linter(LinterSpec())._scans
+    assert any(scan._cont for scan in scans.values())
+    assert any(scan.uses for scan in scans.values())
+    for (text, entry), scan in scans.items():
+        fresh = scan_line(text, entry)
+        for mode in scan._cont:
+            fresh.cont_facts(mode)
+        assert _scan_slots(scan) == _scan_slots(fresh), (text, entry)
