@@ -162,22 +162,27 @@ def lint_error_rate(
     """Fraction of programs with at least one finding, plus finding counts
     by code.  Programs the linter cannot process are excluded from the
     denominator and tallied as failures; if nothing could be checked the
-    rate is undefined and this raises.
+    rate is undefined and this raises, naming the first failure.
     """
     checked = flagged = failures = 0
     per_code: Counter[str] = Counter()
+    first_failure: LintError | None = None
     for program in programs:
         try:
             found = check(program, linter)
-        except LintError:
+        except LintError as exc:
             failures += 1
+            first_failure = first_failure or exc
             continue
         checked += 1
         if found:
             flagged += 1
             per_code.update(code for _, code, _ in found)
     if checked == 0:
-        raise ValueError("no programs could be checked; lint error rate undefined")
+        cause = f"; first failure: {first_failure}" if first_failure else ""
+        raise ValueError(
+            f"no programs could be checked; lint error rate undefined{cause}"
+        ) from first_failure
     return LintErrorRate(
         rate=flagged / checked,
         checked=checked,

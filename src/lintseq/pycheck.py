@@ -33,9 +33,11 @@ only the lines it deletes.  It walks on from each deleted line until a kept
 line is entered in the same state as before, and resolves again only the
 uses that a changed definition can affect (a star import is a definition
 of ``*``), so each check of a deletion cascade costs about the span the
-deletion changed.  A call takes the old events of every line it deletes or
-walks out of the run's aggregates, and only then puts the new events in,
-each as it is; the structural findings are a plain set.
+deletion changed.  A call takes the old events of every line it deletes,
+and of every walked line whose events changed, out of the run's
+aggregates, and only then puts the new events in, each as it is; the
+structural findings are a plain set.  A walked line without content
+(blank, comment or string interior) passes the walk state on as it is.
 
 The first run is copied as the base, and ``Analysis.restart`` makes a copy
 of it the run again, one C-level copy per list, dict and set.  So when
@@ -66,6 +68,7 @@ _AUG_OPS = frozenset(
     ["+=", "-=", "*=", "/=", "//=", "%=", "**=", ">>=", "<<=", "&=", "|=", "^=", "@="]
 )
 _STRING_PREFIX_RE = re.compile(r"[rRbBuUfF]{1,2}")
+_SPECIAL_RE = re.compile(r"[#'\"()\[\]{}]")  # where a line's code stops being copied as is
 _LATE = 10000  # sub-position offset: assignment targets bind after the line's uses
 
 _TOKEN_RE = re.compile(
@@ -100,16 +103,14 @@ def _indent_width(raw: str) -> int:
 
 def _find_close(raw: str, start: int, quotes: str) -> int | None:
     """Index just past the first unescaped ``quotes`` at or after ``start``."""
-    i = start
-    n = len(raw)
-    while i < n:
-        if raw[i] == "\\":
-            i += 2
-            continue
-        if raw.startswith(quotes, i):
-            return i + len(quotes)
-        i += 1
-    return None
+    while True:
+        end = raw.find(quotes, start)
+        if end < 0:
+            return None
+        escape = raw.find("\\", start, end)
+        if escape < 0:
+            return end + len(quotes)
+        start = escape + 2
 
 
 def _fstring_exprs(content: str, pos: int) -> list[tuple[int, str]]:
@@ -143,7 +144,9 @@ class LineScan:
     """Context-free facts of one physical line for one entry string state.
 
     ``uses`` through ``first_word`` are its name facts as a fresh
-    statement; ``cont_facts`` gives them as a continuation line.
+    statement; ``cont_facts`` gives them as a continuation line.  A scan
+    without content (a blank or comment line, or one wholly inside a
+    string) exits in the string state it was entered in.
     """
 
     __slots__ = (
@@ -210,14 +213,18 @@ class LineScan:
 
 
 def scan_line(raw: str, entry: str) -> LineScan:
+    """Scan ``raw`` entered in string state ``entry``.
+
+    ``code`` is ``raw`` with strings, their prefixes and the comment
+    blanked, position for position; the code between two special
+    characters is copied as one slice.
+    """
     scan = LineScan()
-    n = len(raw)
-    buf = [" "] * n
+    parts: list[str] = []
     inline: list[tuple[str, str]] = []
     fstrings: list[tuple[int, str]] = []
     local_stack: list[str] = []
     closes: list[str] = []
-    opens: list[str] = []
     saw_string = False
     state = entry
     i = 0
@@ -229,60 +236,62 @@ def scan_line(raw: str, entry: str) -> LineScan:
             return scan
         saw_string = True
         state = ""
+        parts.append(" " * end)
         i = end
 
     scan.indent = _indent_width(raw)
-    while i < n:
-        c = raw[i]
+    search = _SPECIAL_RE.search
+    while True:
+        m = search(raw, i)
+        if m is None:
+            parts.append(raw[i:])
+            break
+        j = m.start()
+        c = raw[j]
         if c == "#":
+            parts.append(raw[i:j])
             break
         if c == '"' or c == "'":
             saw_string = True
-            qpos = i
-            j = i
-            while j > 0 and j > i - 2 and raw[j - 1].isalpha():
-                j -= 1
-            prefix = raw[j:i]
-            is_prefix = bool(
+            k = j
+            while k > 0 and k > j - 2 and raw[k - 1].isalpha():
+                k -= 1
+            prefix = raw[k:j]
+            if not (
                 prefix
                 and _STRING_PREFIX_RE.fullmatch(prefix)
-                and (j == 0 or not (raw[j - 1].isalnum() or raw[j - 1] == "_"))
-            )
-            if is_prefix:
-                for k in range(j, i):
-                    buf[k] = " "
-            quotes = c * 3 if raw.startswith(c * 3, i) else c
+                and (k == 0 or not (raw[k - 1].isalnum() or raw[k - 1] == "_"))
+            ):
+                k = j  # not a string prefix: the letters stay code
+            parts.append(raw[i:k])
+            quotes = c * 3 if raw.startswith(c * 3, j) else c
             width = len(quotes)
-            end = _find_close(raw, i + width, quotes)
+            end = _find_close(raw, j + width, quotes)
             if end is None:
                 if width == 3:
                     state = quotes
                 else:
                     inline.append(("unterminated-string", "unterminated string literal"))
                 break
-            if is_prefix and "f" in prefix.lower():
-                fstrings.extend(_fstring_exprs(raw[i + width : end - width], qpos))
+            if k < j and "f" in prefix.lower():
+                fstrings.extend(_fstring_exprs(raw[j + width : end - width], j))
+            parts.append(" " * (end - k))
             i = end
             continue
+        parts.append(raw[i : j + 1])
+        i = j + 1
         if c in _OPENERS:
-            buf[i] = c
             local_stack.append(c)
-        elif c in _CLOSERS:
-            buf[i] = c
-            if local_stack:
-                op = local_stack.pop()
-                if _PAIR[op] != c:
-                    inline.append(
-                        ("mismatched-bracket", f"closing '{c}' does not match opening '{op}'")
-                    )
-            else:
-                closes.append(c)
+        elif local_stack:
+            op = local_stack.pop()
+            if _PAIR[op] != c:
+                inline.append(
+                    ("mismatched-bracket", f"closing '{c}' does not match opening '{op}'")
+                )
         else:
-            buf[i] = c
-        i += 1
+            closes.append(c)
 
-    opens.extend(local_stack)
-    code = "".join(buf)
+    code = "".join(parts).ljust(len(raw))
     stripped = code.rstrip()
     ends_backslash = stripped.endswith("\\")
     if ends_backslash:
@@ -293,7 +302,7 @@ def scan_line(raw: str, entry: str) -> LineScan:
     scan.has_content = bool(stripped) or saw_string
     scan.code = code
     scan.closes = tuple(closes)
-    scan.opens = tuple(opens)
+    scan.opens = tuple(local_stack)
     scan.last_char = stripped[-1:] if stripped else ""
     scan.ends_backslash = ends_backslash
     scan.inline_findings = tuple(inline)
@@ -772,7 +781,13 @@ class Analysis:
     are source indices, so a line's events do not depend on deletions
     elsewhere, and ``flow`` edits the run in place: it walks only the lines
     whose walk state changed and updates the aggregates by their events
-    alone, all old events out before any new one goes in.
+    alone, all old events out before any new one goes in.  Two kinds of
+    walked line are left out of that update.  A line without content has
+    no events, so it only gives back old ones.  A line whose events are
+    equal to its stored ones keeps them: by the one-holder rule above no
+    other line takes out or puts in one of its findings, its defs and uses
+    carry its own source index, and its uses are resolved again anyway when
+    the earliest def of their name moves.
 
     The first run is copied as the base, and ``restart`` makes a copy of the
     base the run again.
@@ -920,9 +935,18 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     deleted line, or at the end.  A start at or before the point where the
     previous walk stopped was walked already.  The first call on a fresh
     Analysis walks every line it keeps, and its run is copied as the base.
+
+    Two kinds of walked line skip the bookkeeping.  A line whose scan has no
+    content (blank, comment or string interior) exits in the string state it
+    was entered in and changes no other part of the walk state, so the walk
+    stores its entry state, goes on in the same state, and takes its old
+    events out only if it held any.  A line whose new events equal its
+    stored ones goes into neither the removed nor the added events, which
+    is exact as ``Analysis`` explains.
     """
     a = analysis
     kept, states, events = a.kept, a._states, a._events
+    lines, scans = a.lines, a._scans
     dels = sorted(deleted)
     cuts: list[int] = []  # positions in ``kept`` of the deleted lines
     for idx in dels:
@@ -947,89 +971,92 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                 break
             states[idx] = st
             p += 1
-            sstate, string_open, brackets, levels, opener, logical = st
-            entry = sstate
-            f = a.scan(idx, entry)
+            entry = st[0]
+            f = scans.get((lines[idx], entry)) or a.scan(idx, entry)
+            if not f.has_content:
+                # no events: a line with inline findings has a quote or a bracket
+                if events[idx] is not _NO_EVENTS:
+                    removed.append(events[idx])
+                    events[idx] = _NO_EVENTS
+                continue
+            _, string_open, brackets, levels, opener, logical = st
             sstate = f.exit_state
             if not sstate:
                 string_open = 0
             elif not entry:
                 string_open = idx
-            if not f.has_content:
-                # a line with inline findings has a quote or a bracket
-                ev = _NO_EVENTS
-            else:
-                found = [(idx, fcode, fmsg) for fcode, fmsg in f.inline_findings]
-                defs: list[tuple] = []
-                if logical is None:
-                    ind = f.indent
-                    if opener is not None:
-                        if ind > levels[0]:
-                            # a def or class header's block is its opened scope
-                            levels = (ind, opener[2] or levels[1], levels)
-                        else:
-                            found.append(_missing_body(opener))
-                        opener = None
+            found = [(idx, fcode, fmsg) for fcode, fmsg in f.inline_findings]
+            defs: list[tuple] = []
+            if logical is None:
+                ind = f.indent
+                if opener is not None:
                     if ind > levels[0]:
-                        found.append((idx, "unexpected-indent", "unexpected indent"))
-                        levels = (ind, levels[1], levels)
-                    elif ind < levels[0]:
-                        while ind < levels[0]:
-                            levels = levels[2]
-                        if ind != levels[0]:
-                            found.append(
-                                (
-                                    idx,
-                                    "inconsistent-dedent",
-                                    "dedent does not match any outer indentation level",
-                                )
-                            )
-                            levels = (ind, levels[1], levels)
-                    scope = target = levels[1]
-                    cu, cd = f.uses, f.defs
-                    opened = None
-                    if f.scope_kind is not None:
-                        opened = (f.scope_kind, idx, scope)
-                        defs = [(opened, name, idx, 0) for name in f.scope_params]
-                    start, first, last, mode = idx, f.first_word, "", f.pending
-                else:
-                    start, first, last, opened, mode = logical
-                    cu, cd = f.cont_facts(mode)
-                    scope = levels[1]
-                    # a def header's parameters bind in the function's own scope
-                    target = opened if mode == "def" else scope
-                if cd:
-                    defs += [(target, name, idx, sub) for name, sub in cd]
-                uses = [(scope, name, idx, sub) for name, sub in cu if name not in _BUILTINS]
-
-                for ch in f.closes:
-                    if brackets is None:
-                        found.append((idx, "unmatched-close", f"unmatched '{ch}'"))
+                        # a def or class header's block is its opened scope
+                        levels = (ind, opener[2] or levels[1], levels)
                     else:
-                        op, _, brackets = brackets
-                        if _PAIR[op] != ch:
-                            found.append(
-                                (
-                                    idx,
-                                    "mismatched-bracket",
-                                    f"closing '{ch}' does not match opening '{op}'",
-                                )
+                        found.append(_missing_body(opener))
+                    opener = None
+                if ind > levels[0]:
+                    found.append((idx, "unexpected-indent", "unexpected indent"))
+                    levels = (ind, levels[1], levels)
+                elif ind < levels[0]:
+                    while ind < levels[0]:
+                        levels = levels[2]
+                    if ind != levels[0]:
+                        found.append(
+                            (
+                                idx,
+                                "inconsistent-dedent",
+                                "dedent does not match any outer indentation level",
                             )
-                for ch in f.opens:
-                    brackets = (ch, idx, brackets)
+                        )
+                        levels = (ind, levels[1], levels)
+                scope = target = levels[1]
+                cu, cd = f.uses, f.defs
+                opened = None
+                if f.scope_kind is not None:
+                    opened = (f.scope_kind, idx, scope)
+                    defs = [(opened, name, idx, 0) for name in f.scope_params]
+                start, first, last, mode = idx, f.first_word, "", f.pending
+            else:
+                start, first, last, opened, mode = logical
+                cu, cd = f.cont_facts(mode)
+                scope = levels[1]
+                # a def header's parameters bind in the function's own scope
+                target = opened if mode == "def" else scope
+            if cd:
+                defs += [(target, name, idx, sub) for name, sub in cd]
+            uses = [(scope, name, idx, sub) for name, sub in cu if name not in _BUILTINS]
 
-                if f.last_char:
-                    last = f.last_char
-                if sstate == "" and not f.ends_backslash and brackets is None:
-                    if last == ":":
-                        opener = (start, first or "statement", opened)
-                    logical = None
+            for ch in f.closes:
+                if brackets is None:
+                    found.append((idx, "unmatched-close", f"unmatched '{ch}'"))
                 else:
-                    logical = (start, first, last, opened, mode)
-                ev = (found, defs, uses)
-            removed.append(events[idx])
-            events[idx] = ev
-            added.append(ev)
+                    op, _, brackets = brackets
+                    if _PAIR[op] != ch:
+                        found.append(
+                            (
+                                idx,
+                                "mismatched-bracket",
+                                f"closing '{ch}' does not match opening '{op}'",
+                            )
+                        )
+            for ch in f.opens:
+                brackets = (ch, idx, brackets)
+
+            if f.last_char:
+                last = f.last_char
+            if sstate == "" and not f.ends_backslash and brackets is None:
+                if last == ":":
+                    opener = (start, first or "statement", opened)
+                logical = None
+            else:
+                logical = (start, first, last, opened, mode)
+            ev = (found, defs, uses)
+            if events[idx] != ev:
+                removed.append(events[idx])
+                events[idx] = ev
+                added.append(ev)
             st = (sstate, string_open, brackets, levels, opener, logical)
         else:
             states[-1] = st

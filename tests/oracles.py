@@ -24,7 +24,19 @@ from lintseq.editcodec import (
     restore_final_newline,
 )
 from lintseq.lint import LinterSpec, extra_findings, get_linter
-from lintseq.pycheck import Analysis, check_lines, flow
+from lintseq.pycheck import (
+    _CLOSERS,
+    _OPENERS,
+    _PAIR,
+    _STRING_PREFIX_RE,
+    Analysis,
+    LineScan,
+    _classify_fresh,
+    _fstring_exprs,
+    _indent_width,
+    check_lines,
+    flow,
+)
 
 
 def diff(before: str, after: str) -> EditDiff:
@@ -148,6 +160,118 @@ def _run_view(analysis) -> tuple:
         analysis._unresolved,
         {name: group for name, group in analysis._uses.items() if group},
     )
+
+
+# The per-character line scanner the special-character jumps replaced,
+# frozen here so that ``pycheck.scan_line`` is judged against it.
+
+
+def _reference_find_close(raw: str, start: int, quotes: str) -> int | None:
+    """Index just past the first unescaped ``quotes`` at or after ``start``."""
+    i = start
+    n = len(raw)
+    while i < n:
+        if raw[i] == "\\":
+            i += 2
+            continue
+        if raw.startswith(quotes, i):
+            return i + len(quotes)
+        i += 1
+    return None
+
+
+def reference_scan_line(raw: str, entry: str) -> LineScan:
+    """Scan one line a character at a time into a ``LineScan``."""
+    scan = LineScan()
+    n = len(raw)
+    buf = [" "] * n
+    inline: list[tuple[str, str]] = []
+    fstrings: list[tuple[int, str]] = []
+    local_stack: list[str] = []
+    closes: list[str] = []
+    opens: list[str] = []
+    saw_string = False
+    state = entry
+    i = 0
+
+    if state:
+        end = _reference_find_close(raw, 0, state)
+        if end is None:
+            scan.exit_state = state
+            return scan
+        saw_string = True
+        state = ""
+        i = end
+
+    scan.indent = _indent_width(raw)
+    while i < n:
+        c = raw[i]
+        if c == "#":
+            break
+        if c == '"' or c == "'":
+            saw_string = True
+            qpos = i
+            j = i
+            while j > 0 and j > i - 2 and raw[j - 1].isalpha():
+                j -= 1
+            prefix = raw[j:i]
+            is_prefix = bool(
+                prefix
+                and _STRING_PREFIX_RE.fullmatch(prefix)
+                and (j == 0 or not (raw[j - 1].isalnum() or raw[j - 1] == "_"))
+            )
+            if is_prefix:
+                for k in range(j, i):
+                    buf[k] = " "
+            quotes = c * 3 if raw.startswith(c * 3, i) else c
+            width = len(quotes)
+            end = _reference_find_close(raw, i + width, quotes)
+            if end is None:
+                if width == 3:
+                    state = quotes
+                else:
+                    inline.append(("unterminated-string", "unterminated string literal"))
+                break
+            if is_prefix and "f" in prefix.lower():
+                fstrings.extend(_fstring_exprs(raw[i + width : end - width], qpos))
+            i = end
+            continue
+        if c in _OPENERS:
+            buf[i] = c
+            local_stack.append(c)
+        elif c in _CLOSERS:
+            buf[i] = c
+            if local_stack:
+                op = local_stack.pop()
+                if _PAIR[op] != c:
+                    inline.append(
+                        ("mismatched-bracket", f"closing '{c}' does not match opening '{op}'")
+                    )
+            else:
+                closes.append(c)
+        else:
+            buf[i] = c
+        i += 1
+
+    opens.extend(local_stack)
+    code = "".join(buf)
+    stripped = code.rstrip()
+    ends_backslash = stripped.endswith("\\")
+    if ends_backslash:
+        stripped = stripped[:-1].rstrip()
+        code = code[: len(stripped)] + " " * (len(code) - len(stripped))
+
+    scan.exit_state = state
+    scan.has_content = bool(stripped) or saw_string
+    scan.code = code
+    scan.closes = tuple(closes)
+    scan.opens = tuple(opens)
+    scan.last_char = stripped[-1:] if stripped else ""
+    scan.ends_backslash = ends_backslash
+    scan.inline_findings = tuple(inline)
+    scan.fstrings = tuple(fstrings)
+    _classify_fresh(scan)
+    return scan
 
 
 def resolve_record(record) -> str:

@@ -347,6 +347,29 @@ def test_lintcheck_counts_linter_output_without_a_line_number_as_a_failure(tmp_p
     }
 
 
+@pytest.mark.parametrize(
+    "linter_cmd, cause",
+    [
+        ("echo E {path}", "no line number in linter output line 'E <file>'"),
+        ("lintseq-no-such-linter {path}", "failed to run linter: "),
+    ],
+)
+def test_lintcheck_names_the_first_failure_when_no_program_can_be_checked(
+    tmp_path, capsys, linter_cmd, cause
+):
+    argv = ["lintcheck", "--input", str(write_corpus(tmp_path, CLEAN)), "--linter", "external",
+            "--linter-cmd", linter_cmd,
+            "--linter-pattern", r"^(?P<code>E) (?P<line>\S+)(?P<message>)"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["kind"] == "ValueError"
+    assert err["error"].startswith(
+        "no programs could be checked; lint error rate undefined; first failure: " + cause
+    ), err
+    assert captured.out == ""
+
+
 def test_generate_skips_exit_2(tmp_path, capsys):
     rows = CLEAN + [{"id": "empty", "instruction": "", "program": ""}]
     code, out = run_generate(tmp_path, rows, "--samples", "1")

@@ -220,5 +220,6 @@ def test_lint_error_rate_excludes_failures(tmp_path):
 
 
 def test_lint_error_rate_empty_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         lint_error_rate([])
+    assert str(info.value) == "no programs could be checked; lint error rate undefined"

@@ -1,14 +1,15 @@
+import os
 import random
 from pathlib import Path
 
 import pytest
 
 import lintseq
-from lintseq.pycheck import Analysis, check_lines, flow
+from lintseq.pycheck import Analysis, LineScan, check_lines, flow, scan_line
 from lintseq.diffkit import split_lines
 from lintseq.lint import BuiltinLinter
 from lintseq.sampler import backward_sample
-from tests.oracles import flow_checked
+from tests.oracles import flow_checked, reference_scan_line
 from tests.progen import make_program
 
 
@@ -217,6 +218,33 @@ def test_escaped_quotes_close_strings():
     ]
 
 
+def _scan_view(scan: LineScan) -> dict:
+    view = {slot: getattr(scan, slot) for slot in LineScan.__slots__ if slot != "_cont"}
+    view["cont"] = [scan.cont_facts(mode) for mode in (None, "def", "import")]
+    return view
+
+
+def test_scan_line_matches_the_per_character_reference():
+    # the first 600 lines of a few stdlib modules, then seeded random lines
+    # over the characters the scanner jumps between and the ones around
+    # them, triple quotes and f-string openers drawn as one piece; each line
+    # is scanned in code and inside either triple quote
+    texts = []
+    for name in ("tokenize.py", "textwrap.py", "dataclasses.py", "typing.py", "enum.py"):
+        path = Path(os.__file__).parent / name
+        texts += split_lines(path.read_text(encoding="utf-8"))[:600]
+    rng = random.Random(17)
+    pieces = [*"ab f\"'#()[]{}\\ rbx=:,.\t", '"""', "'''", 'f"', "f'"]
+    for _ in range(3000):
+        line = "".join(rng.choices(pieces, k=rng.randint(0, 20)))
+        texts.append(line + "\n" if rng.random() < 0.8 else line)
+    for text in texts:
+        for entry in ("", '"""', "'''"):
+            assert _scan_view(scan_line(text, entry)) == _scan_view(
+                reference_scan_line(text, entry)
+            ), (text, entry)
+
+
 def test_walrus_in_if_header_binds():
     assert findings('if (n := len("ab")) > 1:\n    print(n)\n') == []
 
@@ -324,7 +352,7 @@ def test_incremental_flow_adversarial_call_orders():
             flow_checked(analysis, kept, [] if step == "restart" else steps[step](kept))
 
 
-def test_first_check_resumes_from_base(monkeypatch):
+def test_first_check_resumes_from_base():
     # a sample's first check follows the restart after the last sample
     # deleted every line; the restart goes back to the whole-program run,
     # which is one line away from it
@@ -337,16 +365,16 @@ def test_first_check_resumes_from_base(monkeypatch):
     assert flow_checked(a, kept, kept[:]) == []
     a.restart()
     scans = []
-    real_scan = Analysis.scan
 
-    def counted(self, idx, entry):
-        scans.append(idx)
-        return real_scan(self, idx, entry)
+    class Counted(dict):
+        # flow looks every walked line's scan up here, found or not
+        def get(self, key, default=None):
+            scans.append(key)
+            return super().get(key, default)
 
-    monkeypatch.setattr(Analysis, "scan", counted)
+    a._scans = Counted(a._scans)
     got = flow(a, [n - 1])
     assert len(scans) <= 1
-    monkeypatch.undo()
     assert got == check_lines(lines[:-1])
     # the base is left as it was: after a restart, nothing changed
     a.restart()
@@ -477,6 +505,44 @@ def test_flow_on_analyses_that_share_their_scans():
     # the same texts were scanned both as code and inside a string
     both = {text for text, entry in scans if entry} & {text for text, entry in scans if not entry}
     assert len(both) >= 10, both
+
+
+def test_flow_inverts_blank_comment_and_code_lines_to_the_end_and_back():
+    # deleting the module docstring's opener turns the rest into strings
+    # and code the other way round, blank and comment lines included, up
+    # to the end; deleting the new opener turns them back
+    lines = split_lines(
+        '"""\nModule doc.\n"""\nimport os\n\n# a comment\n\n\n'
+        'def f(a):\n    """Doc of f."""\n    # inside\n    return os.sep + a\n\n\nx = f("b")\n'
+    )
+    analysis = Analysis(lines)
+    kept = list(range(len(lines)))
+    assert flow_checked(analysis, kept) == []
+    assert analysis._states[-1][0] == ""
+    flow_checked(analysis, kept, [0])
+    assert [analysis._states[i][0] for i in (3, 5, 10, 14)] == ['"""', '"""', '"""', '"""']
+    flow_checked(analysis, kept, [2])
+    assert [analysis._states[i][0] for i in (3, 5, 10, 14)] == ["", "", "", ""]
+
+
+def test_flow_keeps_equal_events_while_a_missing_body_moves():
+    # deleting line 2 moves the 'if' header's missing-block-body from its
+    # events to line 3's; deleting line 5 changes the state line 6 is
+    # entered in (the last character of its logical line), but not its events
+    lines = split_lines(
+        "import os\nif os.sep:\nx = 1\ny = x\nz = [\n    os.sep,\n] + [os.name]\nprint(y, z)\n"
+    )
+    analysis = Analysis(lines)
+    kept = list(range(len(lines)))
+    flow_checked(analysis, kept)
+    missing = (1, "missing-block-body", "expected an indented block after 'if'")
+    assert missing in analysis._events[2][0]
+    state, events = analysis._states[6], analysis._events[6]
+    assert events[2]
+    flow_checked(analysis, kept, [2, 5])
+    assert missing in analysis._events[3][0]
+    assert analysis._states[6] != state
+    assert analysis._events[6] is events
 
 
 def test_flow_rejects_deleting_a_line_not_kept():
