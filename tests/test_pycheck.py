@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 from pathlib import Path
@@ -243,6 +244,87 @@ def test_scan_line_matches_the_per_character_reference():
             assert _scan_view(scan_line(text, entry)) == _scan_view(
                 reference_scan_line(text, entry)
             ), (text, entry)
+
+
+# ASCII pieces that steer the name-fact parsers: headers, binding words,
+# the operators they split on, brackets, strings and f-string fields
+_FACT_PIECES = (
+    "def", "class", "lambda", "import", "from", "as", "async", "global", "match", "case",
+    "for", "in", "a", "b", "x", "key", "self", "1",
+    ".", ",", "=", ":", "->", "*", "**", "+=", ":=", "(", ")", "[", "]", "{", "}",
+    "'s'", '"t"', 'f"{a}"', "f'{b!r:{w}}'", "f\"{a['k']:>{w}}\"", 'f"{x.y(z)}"',
+    "#", "\\", '"""', "'''", "\t",
+)
+
+
+def test_name_facts_of_every_line_are_pinned():
+    # every LineScan slot and every continuation mode, at each entry state,
+    # of seeded progen lines and seeded random lines; the corpus is ASCII
+    # and drawn with the seeded generator only, so the digest is the same on
+    # every supported interpreter, and a refactor of the parsers must keep it
+    rng = random.Random(25)
+    texts = []
+    for style in ("coupled", "mixed"):
+        for _ in range(20):
+            texts += split_lines(make_program(rng, style=style)[1])
+    for _ in range(4000):
+        line = " " * rng.choice((0, 0, 4, 6))
+        for piece in rng.choices(_FACT_PIECES, k=rng.randint(0, 14)):
+            line += piece + rng.choice(("", " ", " "))
+        texts.append(line + "\n" if rng.random() < 0.8 else line)
+    digest = hashlib.sha256()
+    for text in texts:
+        for entry in ("", '"""', "'''"):
+            digest.update(repr(_scan_view(scan_line(text, entry))).encode())
+    assert digest.hexdigest() == (
+        "d25ad023e6d040e2381093611b1fe7852ddf81abf73e49ee1f3fd8b87d7fd0de"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, fresh, conts",
+    [
+        # the base list never closes, so the colon search starts past the end
+        (
+            "class A(B,",
+            ([("B", 3)], [("A", 1)], None, "class", ()),
+            [((("A", 1), ("B", 3)), ()), ((("B", 3),), (("A", 1),)),
+             ((), (("A", 1), ("B", 3)))],
+        ),
+        # a default's bracket stays open, so the header is pending
+        (
+            "def f(a, b=(1,",
+            ([], [("f", 1)], "def", "function", ("a", "b")),
+            [((("f", 1), ("a", 3)), ()), ((("a", 3),), (("f", 1),)),
+             ((), (("f", 1), ("a", 3), ("b", 5)))],
+        ),
+        # as a def continuation, the bracket that reopens past the header's
+        # close resumes the parameter list: str and x are parameters
+        (
+            "      b) -> Dict[str, x]:",
+            ([("b", 0), ("Dict", 3), ("str", 5), ("x", 7)], [], None, None, ()),
+            [((("b", 0), ("Dict", 3), ("str", 5), ("x", 7)), ()),
+             ((("Dict", 3),), (("b", 0), ("str", 5), ("x", 7))),
+             ((), (("b", 0), ("Dict", 3), ("str", 5), ("x", 7)))],
+        ),
+        (
+            "x: int = y = z",
+            ([("z", 6), ("int", 2)], [("x", 10000), ("y", 10004)], None, None, ()),
+            [((("x", 0), ("z", 6)), ()), ((("int", 2), ("y", 4), ("z", 6)), (("x", 0),)),
+             ((), (("x", 0), ("int", 2), ("y", 4), ("z", 6)))],
+        ),
+        (
+            "a[i] += 1",
+            ([("a", 0), ("i", 2)], [], None, None, ()),
+            [((("a", 0), ("i", 2)), ()), ((("i", 2),), (("a", 0),)),
+             ((), (("a", 0), ("i", 2)))],
+        ),
+    ],
+)
+def test_bracket_depth_edge_cases(text, fresh, conts):
+    scan = scan_line(text + "\n", "")
+    assert (scan.uses, scan.defs, scan.pending, scan.scope_kind, scan.scope_params) == fresh
+    assert [scan.cont_facts(mode) for mode in (None, "def", "import")] == conts
 
 
 def test_walrus_in_if_header_binds():
