@@ -53,6 +53,7 @@ import keyword
 import re
 from bisect import bisect_left
 from collections import defaultdict
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 _KEYWORDS = frozenset(keyword.kwlist)
@@ -62,6 +63,7 @@ _MODULE_GLOBALS = (
 )
 _BUILTINS = frozenset(dir(builtins)) | frozenset(_MODULE_GLOBALS)
 _PAIR = {"(": ")", "[": "]", "{": "}"}
+_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
 _AUG_OPS = frozenset(
@@ -85,8 +87,13 @@ def _is_name(tok: str) -> bool:
     return (tok[0].isalpha() or tok[0] == "_") and tok not in _KEYWORDS
 
 
-def _tokens(code: str) -> list[tuple[str, int]]:
-    return [(m.group(), m.start()) for m in _TOKEN_RE.finditer(code)]
+# a token is its text; ``_tokens(code, 0, pos)`` gives those before ``pos``
+_tokens = _TOKEN_RE.findall
+
+
+def _depths(toks: list[str]) -> list[int]:
+    """Bracket depth before each token, and after the last one."""
+    return list(accumulate((_STEP.get(t, 0) for t in toks), initial=0))
 
 
 def _indent_width(raw: str) -> int:
@@ -200,13 +207,14 @@ class LineScan:
             toks = _tokens(self.code)
             if mode == "import":
                 facts = _import_cont(toks)
-            elif mode == "def":
-                facts = _def_cont(toks, self.fstrings)
             else:
                 uses: list = []
                 defs: list = []
-                _scan_expr(toks, 0, len(toks), uses, defs, kwarg_any_depth=True)
-                _add_fstring_uses(self.fstrings, toks, uses)
+                if mode == "def":
+                    _params(toks, _depths(toks), 0, len(toks), 0, uses, defs)
+                else:
+                    _scan_expr(toks, 0, len(toks), uses, defs, kwarg_any_depth=True)
+                _add_fstring_uses(self.fstrings, self.code, uses)
                 facts = (tuple(uses), tuple(defs))
             self._cont[mode] = facts
         return facts
@@ -312,21 +320,14 @@ def scan_line(raw: str, entry: str) -> LineScan:
 
 
 def _add_fstring_uses(
-    fstrings: Sequence[tuple[int, str]],
-    toks: list[tuple[str, int]],
-    uses: list[tuple[str, int]],
+    fstrings: Sequence[tuple[int, str]], code: str, uses: list[tuple[str, int]]
 ) -> None:
-    if not fstrings:
-        return
-    starts = [s for _, s in toks]
+    # the quote at ``pos`` is blanked in ``code``, so no token spans it
     for pos, expr in fstrings:
-        sub = 0
-        while sub < len(starts) and starts[sub] < pos:
-            sub += 1
+        sub = len(_tokens(code, 0, pos))
         names: list[str] = []
         _fstring_names(expr, names)
-        for name in names:
-            uses.append((name, sub))
+        uses += [(name, sub) for name in names]
 
 
 def _fstring_names(expr: str, out: list[str]) -> None:
@@ -343,11 +344,11 @@ def _fstring_names(expr: str, out: list[str]) -> None:
             cut = idx
             break
     toks = _tokens(expr[:cut])
-    for i, (t, _) in enumerate(toks):
+    for i, t in enumerate(toks):
         if not _is_name(t):
             continue
-        prev = toks[i - 1][0] if i else ""
-        nxt = toks[i + 1][0] if i + 1 < len(toks) else ""
+        prev = toks[i - 1] if i else ""
+        nxt = toks[i + 1] if i + 1 < len(toks) else ""
         if prev != "." and nxt != "=":
             out.append(t)
     for m in re.finditer(r"\{([^{}]*)\}", expr[cut:]):
@@ -355,7 +356,7 @@ def _fstring_names(expr: str, out: list[str]) -> None:
 
 
 def _scan_expr(
-    toks: list[tuple[str, int]],
+    toks: list[str],
     start: int,
     end: int,
     uses: list[tuple[str, int]],
@@ -364,13 +365,14 @@ def _scan_expr(
     kwarg_any_depth: bool = False,
 ) -> None:
     """Generic expression/compound-statement scan of a token span."""
+    # its own count: a lambda's parameter span is skipped, brackets and all
     depth = 0
     lambda_params: set[str] = set()
     in_lambda_params = False
     comp_target = False
     i = start
     while i < end:
-        t = toks[i][0]
+        t = toks[i]
         if in_lambda_params:
             if t == ":":
                 in_lambda_params = False
@@ -389,8 +391,8 @@ def _scan_expr(
         elif t == "in":
             comp_target = False
         elif _is_name(t):
-            prev = toks[i - 1][0] if i > start else ""
-            nxt = toks[i + 1][0] if i + 1 < end else ""
+            prev = toks[i - 1] if i > start else ""
+            nxt = toks[i + 1] if i + 1 < end else ""
             if prev == ".":
                 pass
             elif prev == "as":
@@ -411,7 +413,7 @@ def _scan_expr(
 
 
 def _target_names(
-    toks: list[tuple[str, int]],
+    toks: list[str],
     start: int,
     end: int,
     uses: list[tuple[str, int]],
@@ -421,17 +423,17 @@ def _target_names(
     stack: list[bool] = []
     i = start
     while i < end:
-        t = toks[i][0]
+        t = toks[i]
         if t in _OPENERS:
-            prev = toks[i - 1][0] if i > start else ""
+            prev = toks[i - 1] if i > start else ""
             call_like = t == "{" or (prev != "" and (_is_name(prev) or prev in ")]"))
             stack.append(call_like)
         elif t in _CLOSERS:
             if stack:
                 stack.pop()
         elif _is_name(t):
-            prev = toks[i - 1][0] if i > start else ""
-            nxt = toks[i + 1][0] if i + 1 < end else ""
+            prev = toks[i - 1] if i > start else ""
+            nxt = toks[i + 1] if i + 1 < end else ""
             if prev == ".":
                 pass
             elif any(stack):
@@ -444,7 +446,7 @@ def _target_names(
         i += 1
 
 
-def _parse_import(toks: list[tuple[str, int]], defs: list[tuple[str, int]]) -> None:
+def _parse_import(toks: list[str], defs: list[tuple[str, int]]) -> None:
     # import a.b as c, d.e  ->  binds c and d
     head: tuple[str, int] | None = None
     alias: tuple[str, int] | None = None
@@ -457,7 +459,7 @@ def _parse_import(toks: list[tuple[str, int]], defs: list[tuple[str, int]]) -> N
             defs.append(head)
 
     for i in range(1, len(toks)):
-        t = toks[i][0]
+        t = toks[i]
         if t == ",":
             emit()
             head = alias = None
@@ -473,211 +475,152 @@ def _parse_import(toks: list[tuple[str, int]], defs: list[tuple[str, int]]) -> N
     emit()
 
 
-def _parse_from_import(toks: list[tuple[str, int]], facts: LineScan) -> None:
+def _parse_from_import(toks: list[str], facts: LineScan) -> None:
     # from pkg.mod import x, y as z   |   from mod import *   |   from mod import (
-    try:
-        imp = next(i for i, (t, _) in enumerate(toks) if t == "import")
-    except StopIteration:
+    if "import" not in toks:
         return
-    i = imp + 1
+    i = toks.index("import") + 1
     while i < len(toks):
-        t = toks[i][0]
+        t = toks[i]
         if t == "*":
             facts.defs.append(("*", i))  # binds every name of the scope
         elif t == "(":
             facts.pending = "import"
         elif t == "as":
-            if i + 1 < len(toks) and _is_name(toks[i + 1][0]):
+            if i + 1 < len(toks) and _is_name(toks[i + 1]):
                 # the alias replaces the name before it; a star stays
-                if facts.defs and facts.defs[-1][1] == i - 1 and toks[i - 1][0] != "*":
+                if facts.defs and facts.defs[-1][1] == i - 1 and toks[i - 1] != "*":
                     facts.defs.pop()
-                facts.defs.append((toks[i + 1][0], i + 1))
+                facts.defs.append((toks[i + 1], i + 1))
                 i += 1
         elif _is_name(t):
             facts.defs.append((t, i))
         i += 1
 
 
-def _import_cont(toks: list[tuple[str, int]]) -> tuple[tuple, tuple]:
+def _import_cont(toks: list[str]) -> tuple[tuple, tuple]:
     defs: list[tuple[str, int]] = []
-    for i, (t, _) in enumerate(toks):
+    for i, t in enumerate(toks):
         if not _is_name(t):
             continue
-        nxt = toks[i + 1][0] if i + 1 < len(toks) else ""
+        nxt = toks[i + 1] if i + 1 < len(toks) else ""
         if nxt == "as":
             continue
         defs.append((t, i))
     return ((), tuple(defs))
 
 
-def _walk_params(
-    toks: list[tuple[str, int]],
-    i: int,
-    mode: str,
+def _params(
+    toks: list[str],
+    depth: list[int],
+    start: int,
+    stop: int,
+    base: int,
     uses: list[tuple[str, int]],
     params: list[tuple[str, int]],
-) -> tuple[int, str]:
-    """Walk def parameter-list tokens from ``toks[i]``, at the list's own level.
+) -> None:
+    """Walk the def parameter-list tokens ``toks[start:stop]``, whose level is ``base``.
 
     At that level a name is a parameter until ``=`` or ``:`` switches to a
     default or annotation, whose names are uses, and ``,`` switches back.
-    Nested names are uses unless they name a keyword argument.  Stops at
-    the bracket that closes the list; returns its index (``len(toks)``
-    when the list stays open) and the mode reached.
+    Deeper names are uses unless they name a keyword argument.  Below
+    ``base``, past the close of a header continued on this line, every
+    name is a use, and a bracket that reopens to ``base`` resumes the list.
     """
-    depth = 0
-    while i < len(toks):
-        t = toks[i][0]
-        if t in _OPENERS:
-            depth += 1
-        elif t in _CLOSERS:
-            depth -= 1
-            if depth < 0:
-                break
-        elif depth == 0:
-            if t == ",":
-                mode = "param"
-            elif t == "=":
-                mode = "default"
-            elif t == ":":
-                mode = "annotation"
-            elif _is_name(t):
-                if mode == "param":
-                    params.append((t, i))
-                elif i == 0 or toks[i - 1][0] != ".":
-                    uses.append((t, i))
+    is_param = True
+    for k in range(start, stop):
+        t = toks[k]
+        d = depth[k]
+        if d == base and t in (",", "=", ":"):
+            is_param = t == ","
         elif _is_name(t):
-            nxt = toks[i + 1][0] if i + 1 < len(toks) else ""
-            if toks[i - 1][0] != "." and nxt != "=":
-                uses.append((t, i))
-        i += 1
-    return i, mode
+            if d == base and is_param:
+                params.append((t, k))
+            elif k and toks[k - 1] == ".":
+                pass  # an attribute
+            elif d <= base or k + 1 == len(toks) or toks[k + 1] != "=":
+                uses.append((t, k))  # deeper, a name before ``=`` is a keyword
 
 
-def _def_cont(
-    toks: list[tuple[str, int]], fstrings: Sequence[tuple[int, str]]
-) -> tuple[tuple, tuple]:
-    """Continuation of a multi-line def header: params vs default/annotation uses."""
-    uses: list[tuple[str, int]] = []
-    params: list[tuple[str, int]] = []
-    mode = "param"
-    depth = 0
-    i = 0
-    while i < len(toks):
-        if depth == 0:
-            i, mode = _walk_params(toks, i, mode, uses, params)
-            depth = -1
-        else:
-            # past the header's closing paren: return annotation etc.; a
-            # bracket that reopens to the list's level resumes the walk
-            t = toks[i][0]
-            if t in _OPENERS:
-                depth += 1
-            elif t in _CLOSERS:
-                depth -= 1
-            elif _is_name(t) and toks[i - 1][0] != ".":
-                uses.append((t, i))
-        i += 1
-    _add_fstring_uses(fstrings, toks, uses)
-    return (tuple(uses), tuple(params))
+def _close(depth: list[int], i: int, end: int) -> int:
+    """Index of the token that closes the bracket ``toks[i]``, or ``end``."""
+    for k in range(i + 1, end):
+        if depth[k + 1] == depth[i]:
+            return k
+    return end
 
 
-def _top_colon(toks: list[tuple[str, int]], start: int, end: int) -> int | None:
-    """Index of the first ``:`` outside brackets in ``toks[start:end]``."""
-    depth = 0
+def _top_colon(toks: list[str], depth: list[int], start: int, end: int) -> int | None:
+    """Index of the first ``:`` in ``toks[start:end]`` at the bracket depth of its start."""
     for k in range(start, end):
-        t = toks[k][0]
-        if t in _OPENERS:
-            depth += 1
-        elif t in _CLOSERS:
-            depth -= 1
-        elif t == ":" and depth == 0:
+        if toks[k] == ":" and depth[k] == depth[start]:
             return k
     return None
 
 
-def _parse_def(
-    toks: list[tuple[str, int]], start: int, facts: LineScan
-) -> None:
+def _parse_def(toks: list[str], start: int, facts: LineScan) -> None:
     i = start + 1
-    if i >= len(toks) or not _is_name(toks[i][0]):
+    end = len(toks)
+    if i >= end or not _is_name(toks[i]):
         return
-    facts.defs.append((toks[i][0], i))
+    facts.defs.append((toks[i], i))
     facts.scope_kind = "function"
+    depth = _depths(toks)
     params: list[tuple[str, int]] = []
     i += 1
-    closed = True
-    if i < len(toks) and toks[i][0] == "(":
-        close, _ = _walk_params(toks, i + 1, "param", facts.uses, params)
-        closed = close < len(toks)
+    if i < end and toks[i] == "(":
+        close = _close(depth, i, end)
+        _params(toks, depth, i + 1, close, depth[i + 1], facts.uses, params)
         i = close + 1
     facts.scope_params = tuple(name for name, _ in params)
-    if not closed:
+    if i > end:  # the parameter list stays open
         facts.pending = "def"
         return
     # return annotation up to the block colon, then a possible inline body
-    colon = _top_colon(toks, i, len(toks))
-    ann_end = colon if colon is not None else len(toks)
+    colon = _top_colon(toks, depth, i, end)
+    ann_end = colon if colon is not None else end
     for k in range(i, ann_end):
-        t = toks[k][0]
-        if _is_name(t) and toks[k - 1][0] != ".":
+        t = toks[k]
+        if _is_name(t) and toks[k - 1] != ".":
             facts.uses.append((t, k))
-    if colon is not None and colon + 1 < len(toks):
+    if colon is not None and colon + 1 < end:
         body_uses: list[tuple[str, int]] = []
         body_defs: list[tuple[str, int]] = []
-        _scan_expr(toks, colon + 1, len(toks), body_uses, body_defs)
+        _scan_expr(toks, colon + 1, end, body_uses, body_defs)
         pset = set(facts.scope_params)
         facts.uses.extend((n, s) for n, s in body_uses if n not in pset)
         facts.scope_kind = None
         facts.scope_params = ()
 
 
-def _parse_class(toks: list[tuple[str, int]], start: int, facts: LineScan) -> None:
+def _parse_class(toks: list[str], start: int, facts: LineScan) -> None:
     i = start + 1
-    if i >= len(toks) or not _is_name(toks[i][0]):
-        return
-    facts.defs.append((toks[i][0], i))
-    facts.scope_kind = "class"
-    i += 1
     end = len(toks)
-    if i < end and toks[i][0] == "(":
-        depth = 0
-        j = i
-        while j < end:
-            t = toks[j][0]
-            if t in _OPENERS:
-                depth += 1
-            elif t in _CLOSERS:
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        _scan_expr(toks, i + 1, j, facts.uses, facts.defs, kwarg_any_depth=True)
-        i = j + 1
+    if i >= end or not _is_name(toks[i]):
+        return
+    facts.defs.append((toks[i], i))
+    facts.scope_kind = "class"
+    depth = _depths(toks)
+    i += 1
+    if i < end and toks[i] == "(":
+        close = _close(depth, i, end)
+        _scan_expr(toks, i + 1, close, facts.uses, facts.defs, kwarg_any_depth=True)
+        i = close + 1
     # inline body after the colon: treat like any expression, no new scope
-    colon = _top_colon(toks, i, end)
+    colon = _top_colon(toks, depth, i, end)
     if colon is not None and colon + 1 < end:
         _scan_expr(toks, colon + 1, end, facts.uses, facts.defs)
         facts.scope_kind = None
 
 
-def _parse_assignment(
-    toks: list[tuple[str, int]], facts: LineScan
-) -> bool:
-    depth = 0
-    eq_positions: list[int] = []
-    aug_pos = None
-    for i, (t, _) in enumerate(toks):
-        if t in _OPENERS:
-            depth += 1
-        elif t in _CLOSERS:
-            depth -= 1
-        elif depth == 0:
-            if t == "=":
-                eq_positions.append(i)
-            elif t in _AUG_OPS and aug_pos is None:
-                aug_pos = i
-    if aug_pos is not None and (not eq_positions or aug_pos < eq_positions[0]):
+def _parse_assignment(toks: list[str], facts: LineScan) -> bool:
+    depth = _depths(toks)
+    top = [i for i, t in enumerate(toks) if depth[i] == 0 and (t == "=" or t in _AUG_OPS)]
+    if not top:
+        return False
+    if toks[top[0]] != "=":
+        # an augmented assignment: its operator comes before any plain ``=``
+        aug_pos = top[0]
         tgt_uses: list[tuple[str, int]] = []
         tgt_defs: list[tuple[str, int]] = []
         _target_names(toks, 0, aug_pos, tgt_uses, tgt_defs)
@@ -688,13 +631,12 @@ def _parse_assignment(
             facts.defs.append((name, sub))
         _scan_expr(toks, aug_pos + 1, len(toks), facts.uses, facts.defs)
         return True
-    if not eq_positions:
-        return False
+    eq_positions = [i for i in top if toks[i] == "="]
     _scan_expr(toks, eq_positions[-1] + 1, len(toks), facts.uses, facts.defs)
     seg_start = 0
     for eq in eq_positions:
         # optional annotation: target [: annotation] = value
-        colon = _top_colon(toks, seg_start, eq)
+        colon = _top_colon(toks, depth, seg_start, eq)
         tgt_end = colon if colon is not None else eq
         _target_names(toks, seg_start, tgt_end, facts.uses, facts.defs)
         if colon is not None:
@@ -707,30 +649,30 @@ def _classify_fresh(facts: LineScan) -> None:
     """Fill in the name facts of a scanned line as a fresh statement."""
     toks = _tokens(facts.code)
     if not toks:
-        _add_fstring_uses(facts.fstrings, toks, facts.uses)
+        _add_fstring_uses(facts.fstrings, facts.code, facts.uses)
         return
-    start = 1 if toks[0][0] == "async" and len(toks) > 1 else 0
-    first = toks[start][0]
+    start = 1 if toks[0] == "async" and len(toks) > 1 else 0
+    first = toks[start]
     facts.first_word = "async " + first if start else first
     if first == "import":
         _parse_import(toks[start:], facts.defs)
     elif first == "from":
         _parse_from_import(toks[start:], facts)
     elif first in ("global", "nonlocal"):
-        for t, _ in toks[start + 1 :]:
+        for t in toks[start + 1 :]:
             if _is_name(t):
                 facts.defs.append((t, -1))
     elif first == "def":
         _parse_def(toks, start, facts)
     elif first == "class":
         _parse_class(toks, start, facts)
-    elif first in ("match", "case") and toks[-1][0] == ":":
+    elif first in ("match", "case") and toks[-1] == ":":
         pass  # soft-keyword headers are opaque to the surface checker
     elif first == "@" or first in _KEYWORDS:
         _scan_expr(toks, start, len(toks), facts.uses, facts.defs)
     elif not _parse_assignment(toks, facts):
         _scan_expr(toks, start, len(toks), facts.uses, facts.defs)
-    _add_fstring_uses(facts.fstrings, toks, facts.uses)
+    _add_fstring_uses(facts.fstrings, facts.code, facts.uses)
 
 
 def _missing_body(opener: tuple) -> tuple[int, str, str]:
@@ -812,13 +754,6 @@ class Analysis:
         self._uses: defaultdict[str, set[tuple]] = defaultdict(set)
         self._unresolved: set[tuple] = set()
         self._base: tuple | None = None  # a snapshot of the first run
-
-    def scan(self, idx: int, entry: str) -> LineScan:
-        key = (self.lines[idx], entry)
-        f = self._scans.get(key)
-        if f is None:
-            f = self._scans[key] = scan_line(*key)
-        return f
 
     def _resolvable(self, scope: tuple, name: str, idx: int, sub: int) -> bool:
         s: tuple | None = scope
@@ -972,7 +907,10 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
             states[idx] = st
             p += 1
             entry = st[0]
-            f = scans.get((lines[idx], entry)) or a.scan(idx, entry)
+            key = (lines[idx], entry)
+            f = scans.get(key)
+            if f is None:
+                f = scans[key] = scan_line(*key)
             if not f.has_content:
                 # no events: a line with inline findings has a quote or a bracket
                 if events[idx] is not _NO_EVENTS:
