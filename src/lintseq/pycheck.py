@@ -539,7 +539,7 @@ def _params(
             elif k and toks[k - 1] == ".":
                 pass  # an attribute
             elif d <= base or k + 1 == len(toks) or toks[k + 1] != "=":
-                uses.append((t, k))  # deeper, a name before ``=`` is a keyword
+                uses.append((t, k))
 
 
 def _close(depth: list[int], i: int, end: int) -> int:
