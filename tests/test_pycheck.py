@@ -89,6 +89,24 @@ def test_unterminated_string():
     # deleting a docstring closer flags the opener line
     prog = '"""top\nstill text\n'
     assert codes(prog) == [(1, "unterminated-string")]
+    # a line entered in the string that closes it and opens another keeps
+    # the first opener
+    assert codes('x = """a\nb""" + """c\nd\n') == [(1, "unterminated-string")]
+    # blank and comment lines inside the string do not move the opener
+    assert codes('y = 1\ns = """\n\n# c\n') == [(2, "unterminated-string")]
+    assert codes('a = (\nb = """\n') == [(1, "unclosed-bracket"), (2, "unterminated-string")]
+    # a cascade: the full check, then without line 3, then without line 1
+    lines = split_lines('s = """x\ny\n"""\nt = 1\nu = """\n')
+    a = Analysis(lines)
+    kept = list(range(len(lines)))
+    assert flow_checked(a, kept) == [(5, "unterminated-string", "unterminated triple-quoted string")]
+    # without the closer, line 5's quotes close the string line 1 opened
+    assert flow_checked(a, kept, [2]) == []
+    # without the first opener, line 2 is code and line 5 opens a string again
+    assert flow_checked(a, kept, [0]) == [
+        (2, "undefined-name", "undefined name 'y'"),
+        (5, "unterminated-string", "unterminated triple-quoted string"),
+    ]
 
 
 def test_docstring_interior_is_opaque():
