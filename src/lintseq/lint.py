@@ -20,12 +20,8 @@ deletes the indices it names from that list and checks the lines left.
 The built-in engine keeps the last program's setup, whose Analysis edits
 one walk in place and restarts each sample from a copy of the
 whole-program walk, so a check re-walks only the lines a deletion changed.
-It also owns the line scans, keyed by line text and entry string state,
-that every program's Analysis shares, so a line met in an earlier program
-is not scanned again; between programs it starts a fresh mapping once the
-held one is over a fixed bound.  The external one caches findings by
-content hash as the tool numbered the candidate's lines, and is the one
-place that maps them to source lines.
+The external one caches findings by content hash as the tool numbered the
+candidate's lines, and is the one place that maps them to source lines.
 """
 
 from __future__ import annotations
@@ -104,16 +100,9 @@ class LinterSpec:
             raise ValueError(f"timeout must be a finite positive number, not {self.timeout!r}")
 
 
-#: entries the built-in engine's line scans may hold before a new program's
-#: setup starts a fresh mapping; a scan with its name facts takes about 0.9 KB
-_SCANS_BOUND = 2048
-
-
 class BuiltinLinter:
     def __init__(self, spec: LinterSpec) -> None:
         self.spec = spec
-        # line scans by (text, entry string state), shared by every program
-        self._scans: dict[tuple[str, str], pycheck.LineScan] = {}
         # the last program set up, its Analysis and its baseline findings
         self._program: str | None = None
         self._analysis: pycheck.Analysis | None = None
@@ -128,18 +117,10 @@ class BuiltinLinter:
         keeps every line again and each sample's cascade resumes from that
         walk.  The baseline is a tuple, so no caller of ``check`` can change
         what later samples are judged against.
-
-        Every program's Analysis shares the engine's line scans, so a line
-        text met again is not scanned again.  A new program starts a fresh
-        mapping once the held one is over ``_SCANS_BOUND`` entries, never
-        while a program is sampled, so the mapping holds at most that many
-        entries plus one program's.
         """
         if program != self._program:
             self._program = None  # a baseline check that raises leaves no setup to restart
-            if len(self._scans) > _SCANS_BOUND:
-                self._scans = {}
-            self._analysis = pycheck.Analysis(split_lines(program), self._scans)
+            self._analysis = pycheck.Analysis(split_lines(program))
             self._baseline = tuple(self.check_subset(()))
             self._program = program
         else:

@@ -20,12 +20,11 @@ semicolon chains use intra-line token order) keep the pass linear.
 A ``LineScan`` is a pure function of a line's text and the string state
 it is entered in, and it is the line's one record: ``scan_line`` stores in
 it the line's name facts as a fresh statement, and the scan caches them as
-a continuation line per mode.  So ``Analysis`` looks scans up by (text,
-entry state) in a mapping that other Analyses may share: the built-in lint
-engine passes one to every program it sets up.  The ``Analysis`` also owns
-the kept lines and one flow run over them, edited in place: by source
-index, the walk state each kept line was entered in and the events the
-line produced.
+a continuation line per mode.  So every ``Analysis`` looks scans up in one
+module-level mapping by (text, entry state), and a line met in any earlier
+source is not scanned again.  An ``Analysis`` owns the kept lines and one
+flow run over them, edited in place: by source index, the walk state each
+kept line was entered in and the events the line produced.
 A walk state holds each fact once: the scope in effect is that of the
 innermost indentation level, and a header's opened scope travels with its
 logical line and then with the header that waits for a body.  A call names
@@ -681,32 +680,29 @@ def _missing_body(opener: tuple) -> tuple[int, str, str]:
 
 
 # The walk state a line is entered in:
-#   (sstate, string_open, brackets, levels, opener, logical)
+#   (sstate, brackets, levels, opener, logical)
 # A scope is (kind, header index, parent scope), the module ("module", -1,
 # None).  ``levels`` links one (indent, scope inside the block, outer
 # levels) per open block, so ``levels[1]`` is the current scope.  ``opener``
 # is the (line, word, opened scope or None) of a header still waiting for
 # its body, ``logical`` the (start, first word, last char, opened scope or
 # None, continuation mode) of a statement that continues on the next line.
-_START = ("", 0, None, (0, ("module", -1, None), None), None, None)
+_START = ("", None, (0, ("module", -1, None), None), None, None)
 
 # A source line's events: (structural findings, defs, uses).  Defs and uses
 # are (scope, name, source index, sub-position) records; (index, sub) orders
 # them as in the source.  A star import is a def of ``*``.
 _NO_EVENTS: tuple = ((), (), ())
 
+#: line scans by (text, entry string state), shared by every Analysis; a new
+#: Analysis clears them once they are over ``_SCANS_BOUND`` entries, so they
+#: hold at most that many plus one source's (a scan takes about 0.9 KB)
+_scans: dict[tuple[str, str], LineScan] = {}
+_SCANS_BOUND = 2048
+
 
 class Analysis:
-    """Line scans, kept lines, one ``flow`` run and its base for one source.
-
-    Scans are looked up in ``scans``, by (line text, entry string state), and
-    a miss calls ``scan_line`` and stores its result there.  A scan depends
-    on nothing else, so any number of Analyses may share one mapping, and
-    equal lines of one or many sources are scanned once per entry state.
-    Without ``scans`` the Analysis has a private mapping.  Sharing one is
-    the caller's choice, and so is its bound: the built-in lint engine owns
-    the mapping that every program it sets up shares, and starts a fresh
-    one only between programs.
+    """Kept lines, one ``flow`` run and its base for one source.
 
     A fresh Analysis keeps every line and has walked none of them.  ``kept``
     is the sorted list of kept source indices; callers read it, and only
@@ -736,16 +732,15 @@ class Analysis:
     """
 
     __slots__ = (
-        "lines", "kept", "_scans", "_states", "_events",
+        "lines", "kept", "_states", "_events",
         "_findings", "_defs", "_uses", "_unresolved", "_base",
     )
 
-    def __init__(
-        self, lines: Sequence[str], scans: dict[tuple[str, str], LineScan] | None = None
-    ) -> None:
+    def __init__(self, lines: Sequence[str]) -> None:
+        if len(_scans) > _SCANS_BOUND:
+            _scans.clear()
         self.lines = tuple(lines)
         self.kept: list[int] = list(range(len(self.lines)))
-        self._scans = {} if scans is None else scans
         # no line walked yet: a stored state of None matches no walk state
         self._states: list[tuple | None] = [None] * (len(self.lines) + 1)
         self._events: list[tuple] = [_NO_EVENTS] * len(self.lines)
@@ -881,7 +876,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     """
     a = analysis
     kept, states, events = a.kept, a._states, a._events
-    lines, scans = a.lines, a._scans
+    lines, scans = a.lines, _scans
     dels = sorted(deleted)
     cuts: list[int] = []  # positions in ``kept`` of the deleted lines
     for idx in dels:
@@ -917,12 +912,8 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                     removed.append(events[idx])
                     events[idx] = _NO_EVENTS
                 continue
-            _, string_open, brackets, levels, opener, logical = st
+            _, brackets, levels, opener, logical = st
             sstate = f.exit_state
-            if not sstate:
-                string_open = 0
-            elif not entry:
-                string_open = idx
             found = [(idx, fcode, fmsg) for fcode, fmsg in f.inline_findings]
             defs: list[tuple] = []
             if logical is None:
@@ -995,7 +986,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                 removed.append(events[idx])
                 events[idx] = ev
                 added.append(ev)
-            st = (sstate, string_open, brackets, levels, opener, logical)
+            st = (sstate, brackets, levels, opener, logical)
         else:
             states[-1] = st
         stop = p
@@ -1004,12 +995,17 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     if a._base is None:
         a._base = a._snapshot()
 
-    sstate, string_open, brackets, _, opener, _ = states[-1]
+    sstate, brackets, _, opener, _ = states[-1]
     out = set(a._findings)
     if opener is not None:
         out.add(_missing_body(opener))
     if sstate:
-        out.add((string_open, "unterminated-string", "unterminated triple-quoted string"))
+        # the first kept line is entered in code and every kept line after
+        # the string's opener inside it, so the opener is the last in code
+        p = n - 1
+        while states[kept[p]][0]:
+            p -= 1
+        out.add((kept[p], "unterminated-string", "unterminated triple-quoted string"))
     while brackets is not None:
         ch, line, brackets = brackets
         out.add((line, "unclosed-bracket", f"unclosed '{ch}'"))

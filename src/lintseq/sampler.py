@@ -109,8 +109,7 @@ def backward_sample(
 
     Each step's deleted source indices become one edit, last step first.
     The engine keeps the setup of the last program it saw, so repeated
-    samples of one program share its baseline findings, and it shares its
-    line scans with every program it sets up.
+    samples of one program share its baseline findings.
     Steps draw from the engine's own kept list, and each check names only
     the source indices deleted since the last one; findings name source
     lines, so new ones doom their lines as they are.  The built-in engine

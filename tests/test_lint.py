@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from lintseq import pycheck
 from lintseq.lint import (
     DEFAULT_FINDING_PATTERN,
     LintError,
@@ -383,46 +384,51 @@ def _samples(program: str, seed: int) -> tuple:
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_one_engine_samples_a_program_mix_as_a_fresh_engine_per_program(monkeypatch, seed):
-    # the engine's line scans are keyed by text and entry state and shared by
-    # every program it sets up, so sharing them changes no sample or finding
+    # the checker's line scans are keyed by text and entry state and shared by
+    # every program's Analysis, so sharing them changes no sample or finding
     programs = _program_mix(seed)
+    scans = {}
+    monkeypatch.setattr(pycheck, "_scans", scans)
     monkeypatch.setattr("lintseq.lint._ENGINES", {})
     shared = [_samples(program, seed) for program in programs]
-    scans = get_linter(LinterSpec())._scans
     assert {text for text, entry in scans if entry} & {text for text, entry in scans if not entry}
     assert any(found for found, _ in shared)
     for program, result in zip(programs, shared):
+        monkeypatch.setattr(pycheck, "_scans", {})
         monkeypatch.setattr("lintseq.lint._ENGINES", {})
         assert _samples(program, seed) == result
 
 
 def test_engine_scans_stay_bounded_and_a_fresh_start_changes_nothing(monkeypatch):
-    # a new program's setup starts a fresh mapping once the held one is over
-    # the bound, and sampling never does: the mapping holds at most the bound
+    # a new program's setup clears the scan mapping once it is over the
+    # bound, and sampling never does: the mapping holds at most the bound
     # plus the entries that one program adds
     rng = random.Random(5)
     programs = [make_program(rng, 5, 30, "mixed")[1] for _ in range(40)]
     alone, own = [], []  # each program's results and entries on a fresh engine
     for program in programs:
+        monkeypatch.setattr(pycheck, "_scans", {})
         monkeypatch.setattr("lintseq.lint._ENGINES", {})
         alone.append(_samples(program, 0))
-        own.append(len(get_linter(LinterSpec())._scans))
+        own.append(len(pycheck._scans))
 
     def one_engine(bound: int) -> tuple[list[tuple], int]:
-        monkeypatch.setattr("lintseq.lint._SCANS_BOUND", bound)
+        scans = {}
+        monkeypatch.setattr(pycheck, "_scans", scans)
+        monkeypatch.setattr(pycheck, "_SCANS_BOUND", bound)
         monkeypatch.setattr("lintseq.lint._ENGINES", {})
         engine = get_linter(LinterSpec())
         out, fresh_starts = [], 0
         for program, entries in zip(programs, own):
-            held = engine._scans
+            held = set(scans)
             engine.setup(program)
-            fresh_starts += engine._scans is not held
-            held, at_setup = engine._scans, dict(engine._scans)
+            fresh_starts += not held <= scans.keys()
+            at_setup = dict(scans)
             out.append(_samples(program, 0))
-            # sampling kept the mapping and every entry in it
-            assert engine._scans is held
-            assert all(held.get(key) is scan for key, scan in at_setup.items())
-            assert len(held) <= bound + entries
+            # sampling kept every entry of the mapping
+            assert pycheck._scans is scans
+            assert all(scans.get(key) is scan for key, scan in at_setup.items())
+            assert len(scans) <= bound + entries
         return out, fresh_starts
 
     bounded, fresh_starts = one_engine(60)
@@ -444,11 +450,12 @@ def test_sampling_never_changes_a_shared_scan(monkeypatch):
     root = Path(__file__).parent.parent / "src" / "lintseq"
     programs = [path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))]
     programs += _program_mix(7)
-    monkeypatch.setattr("lintseq.lint._SCANS_BOUND", 10**9)
+    scans = {}
+    monkeypatch.setattr(pycheck, "_scans", scans)
+    monkeypatch.setattr(pycheck, "_SCANS_BOUND", 10**9)
     monkeypatch.setattr("lintseq.lint._ENGINES", {})
     for k, program in enumerate(programs):
         backward_sample(program, rng=random.Random(k))
-    scans = get_linter(LinterSpec())._scans
     assert any(scan._cont for scan in scans.values())
     assert any(scan.uses for scan in scans.values())
     for (text, entry), scan in scans.items():

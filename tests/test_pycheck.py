@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import lintseq
+from lintseq import pycheck
 from lintseq.pycheck import Analysis, LineScan, check_lines, flow, scan_line
 from lintseq.diffkit import split_lines
 from lintseq.lint import BuiltinLinter
@@ -452,7 +453,7 @@ def test_incremental_flow_adversarial_call_orders():
             flow_checked(analysis, kept, [] if step == "restart" else steps[step](kept))
 
 
-def test_first_check_resumes_from_base():
+def test_first_check_resumes_from_base(monkeypatch):
     # a sample's first check follows the restart after the last sample
     # deleted every line; the restart goes back to the whole-program run,
     # which is one line away from it
@@ -472,7 +473,7 @@ def test_first_check_resumes_from_base():
             scans.append(key)
             return super().get(key, default)
 
-    a._scans = Counted(a._scans)
+    monkeypatch.setattr(pycheck, "_scans", Counted(pycheck._scans))
     got = flow(a, [n - 1])
     assert len(scans) <= 1
     assert got == check_lines(lines[:-1])
@@ -575,11 +576,12 @@ def test_flow_on_programs_of_random_source_lines():
     assert calls > 2000
 
 
-def test_flow_on_analyses_that_share_their_scans():
-    # Analyses that share one scan mapping, called in turn down to the empty
+def test_flow_on_analyses_that_share_their_scans(monkeypatch):
+    # Analyses that share the scan mapping, called in turn down to the empty
     # program, each agree with a cold check: the package's source lines, and
     # _STATEFUL's as code, then inside a triple-quoted string, then as code
-    # again once the string's opening line is deleted
+    # again once the string's opening line is deleted.  The mapping starts
+    # empty and is never cleared, so it holds every scan the calls made
     pool = [
         line
         for path in sorted(Path(lintseq.__file__).parent.glob("*.py"))
@@ -589,8 +591,10 @@ def test_flow_on_analyses_that_share_their_scans():
     quoted = stateful + ['text = """\n'] + stateful + ['"""\n', "print(text)\n"]
     rng = random.Random(13)
     scans = {}
-    analyses = [Analysis(quoted, scans)]
-    analyses += [Analysis(rng.choices(pool, k=rng.randint(5, 60)), scans) for _ in range(12)]
+    monkeypatch.setattr(pycheck, "_scans", scans)
+    monkeypatch.setattr(pycheck, "_SCANS_BOUND", 10**9)
+    analyses = [Analysis(quoted)]
+    analyses += [Analysis(rng.choices(pool, k=rng.randint(5, 60))) for _ in range(12)]
     kepts = [list(range(len(a.lines))) for a in analyses]
     for analysis, kept in zip(analyses, kepts):
         flow_checked(analysis, kept)
