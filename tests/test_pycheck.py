@@ -403,7 +403,7 @@ def test_incremental_flow_matches_cold_on_backward_sample_cascades(monkeypatch):
     sources = sorted(Path(lintseq.__file__).parent.glob("*.py"))
     programs = [path.read_text(encoding="utf-8") for path in sources]
     gen = random.Random(5)
-    for style in ("mixed", "coupled"):
+    for style in ("mixed", "coupled", "rich"):
         programs += [make_program(gen, 20, 60, style)[1] for _ in range(3)]
     for seed, program in enumerate(programs):
         backward_sample(program, rng=random.Random(seed))
