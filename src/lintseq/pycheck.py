@@ -1002,10 +1002,8 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     if sstate:
         # the first kept line is entered in code and every kept line after
         # the string's opener inside it, so the opener is the last in code
-        p = n - 1
-        while states[kept[p]][0]:
-            p -= 1
-        out.add((kept[p], "unterminated-string", "unterminated triple-quoted string"))
+        line = next(idx for idx in reversed(kept) if not states[idx][0])
+        out.add((line, "unterminated-string", "unterminated triple-quoted string"))
     while brackets is not None:
         ch, line, brackets = brackets
         out.add((line, "unclosed-bracket", f"unclosed '{ch}'"))
