@@ -10,18 +10,23 @@ place still be decomposed, down to the empty program.
 Two checker kinds exist behind one interface: the built-in line-oriented
 surface checker (fast, no subprocess, understands partially deleted
 programs) and an adapter that shells out to an external tool and parses
-its stdout with a configurable pattern.  A finding is one sorted
-``(line, code, message)`` triple, as ``pycheck.flow`` returns it, in the
-sampling cascade (``setup``, ``check_subset``, ``extra_findings``) and in
-``check_text`` alike.
-In the cascade a line number is a source line.  ``setup`` returns the
-engine's own list of kept source indices, and each ``check_subset``
-deletes the indices it names from that list and checks the lines left.
-The built-in engine keeps the last program's setup, whose Analysis edits
-one walk in place and restarts each sample from a copy of the
-whole-program walk, so a check re-walks only the lines a deletion changed.
-The external one caches findings by content hash as the tool numbered the
-candidate's lines, and is the one place that maps them to source lines.
+its stdout with a configurable pattern.  A finding is one
+``(line, code, message)`` triple, and ``check_text`` and ``check_subset``
+both return them sorted, as ``pycheck.flow`` does.
+
+Both engines answer the sampler's cascade step with one shared ``step``.
+``setup`` returns a program's lines and the engine's own list of kept
+source indices, and holds the program's findings as the baseline.
+``step(first)`` deletes ``first``, then the lines of every finding that
+``extra_findings`` calls new, until there is none, and returns the source
+indices it deleted.  Each ``check_subset`` in it deletes the indices it
+names from the kept list and checks the lines left; its findings name
+source lines.  The built-in engine keeps the last program's setup, whose
+Analysis edits one walk in place and restarts each sample from a copy of
+the whole-program walk, so a check re-walks only the lines a deletion
+changed.  The external one caches findings by content hash as the tool
+numbered the candidate's lines, and is the one place that maps them to
+source lines.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ class LintError(Exception):
 
 class LinterTimeout(LintError):
     """The external linter exceeded its configured timeout."""
+
+
+class SamplerError(Exception):
+    """A cascade step's new findings lie outside the candidate, so it cannot end."""
 
 
 #: one finding as ``pycheck.flow`` returns it: (line, code, message)
@@ -100,16 +109,39 @@ class LinterSpec:
             raise ValueError(f"timeout must be a finite positive number, not {self.timeout!r}")
 
 
-class BuiltinLinter:
+class _Engine:
+    """The cascade step of both engines, on the last program set up.
+
+    ``setup`` sets the source ``_lines`` and their ``_baseline`` findings;
+    ``check_subset`` deletes source indices from the kept list and returns
+    the findings of the lines left, numbered as source lines.
+    """
+
+    def step(self, first: int) -> tuple[int, ...]:
+        """Delete ``first``, then the lines of new findings until none is left.
+
+        A finding is new as ``extra_findings`` judges it against the
+        baseline.  Returns the sorted source indices the step deleted.  New
+        findings that all name lines outside the candidate delete nothing,
+        so they raise SamplerError instead of looping.
+        """
+        step, deleted = [first], [first]
+        while extras := extra_findings(self.check_subset(deleted), self._baseline):
+            deleted = {line - 1 for line, _, _ in extras if 0 < line <= len(self._lines)}
+            if not deleted:
+                raise SamplerError("finding lines fall outside the candidate; cannot stabilize")
+            step += deleted
+        return tuple(sorted(step))
+
+
+class BuiltinLinter(_Engine):
     def __init__(self, spec: LinterSpec) -> None:
         self.spec = spec
-        # the last program set up, its Analysis and its baseline findings
+        # the last program set up; setup makes its Analysis
         self._program: str | None = None
-        self._analysis: pycheck.Analysis | None = None
-        self._baseline: tuple[Finding, ...] = ()
 
-    def setup(self, program: str) -> tuple[tuple[str, ...], list[int], tuple[Finding, ...]]:
-        """The program's lines, the Analysis's kept list, and baseline findings.
+    def setup(self, program: str) -> tuple[tuple[str, ...], list[int]]:
+        """The program's lines and the Analysis's kept list.
 
         The last program's setup is kept, so every sample of one example
         shares one baseline.  The Analysis is restarted from the
@@ -121,20 +153,22 @@ class BuiltinLinter:
         if program != self._program:
             self._program = None  # a baseline check that raises leaves no setup to restart
             self._analysis = pycheck.Analysis(split_lines(program))
+            self._lines = self._analysis.lines
             self._baseline = tuple(self.check_subset(()))
             self._program = program
         else:
             self._analysis.restart()
-        return self._analysis.lines, self._analysis.kept, self._baseline
+        return self._lines, self._analysis.kept
 
     def check_text(self, text: str) -> tuple[Finding, ...]:
-        return self.setup(text)[2]
+        self.setup(text)
+        return self._baseline
 
     def check_subset(self, deleted: Iterable[int]) -> list[Finding]:
         return pycheck.flow(self._analysis, deleted)
 
 
-class ExternalLinter:
+class ExternalLinter(_Engine):
     def __init__(self, spec: LinterSpec) -> None:
         import shlex
 
@@ -142,12 +176,10 @@ class ExternalLinter:
         # findings by content hash, for texts of the last program set up only
         self._program: str | None = None
         self._cache: dict[bytes, tuple[Finding, ...]] = {}
-        self._lines: tuple[str, ...] = ()
-        self._kept: list[int] = []
         self._pattern = re.compile(spec.finding_pattern)
         self._argv = shlex.split(spec.command_template)
 
-    def setup(self, program: str) -> tuple[tuple[str, ...], list[int], tuple[Finding, ...]]:
+    def setup(self, program: str) -> tuple[tuple[str, ...], list[int]]:
         """As BuiltinLinter.setup; each setup starts a fresh kept list.
 
         A program other than the last one set up starts a fresh cache.
@@ -156,15 +188,16 @@ class ExternalLinter:
             self._program, self._cache = program, {}
         self._lines = tuple(split_lines(program))
         self._kept = list(range(len(self._lines)))
-        return self._lines, self._kept, self._findings(program)
+        self._baseline = self._findings(program)
+        return self._lines, self._kept
 
     def check_text(self, text: str) -> tuple[Finding, ...]:
-        return self.setup(text)[2]
+        self.setup(text)
+        return self._baseline
 
     def check_subset(self, deleted: Iterable[int]) -> tuple[Finding, ...]:
         kept, lines = self._kept, self._lines
-        for idx in deleted:
-            kept.remove(idx)
+        pycheck.cut_kept(kept, deleted)  # as flow does: a bad index leaves kept as it was
         if not kept:
             return ()  # the empty program: no findings, and the tool does not run
         # candidate line L is source line kept[L - 1] + 1, mapped after the cache
@@ -254,8 +287,8 @@ def check(program: str, linter: LinterSpec | None = None) -> tuple[Finding, ...]
 def extra_findings(candidate: Sequence[Finding], baseline: Sequence[Finding]) -> list[Finding]:
     """Candidate findings in excess of the baseline (code, message) multiset.
 
-    Both are sorted ``(line, code, message)`` triples, as ``setup`` and
-    ``check_subset`` return them.  Line numbers are erased for the
+    Both are sorted ``(line, code, message)`` triples, as ``check_text``
+    and ``check_subset`` return them.  Line numbers are erased for the
     comparison, and findings are consumed in line order, so when
     multiplicities collide the later occurrences are the ones reported
     as new.  This is the one definition of relative error-freeness.

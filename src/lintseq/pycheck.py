@@ -850,6 +850,25 @@ class Analysis:
                 unresolved.add(use)
 
 
+def cut_kept(kept: list[int], deleted: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Take ``deleted`` out of the sorted list ``kept``, in place.
+
+    Returns the sorted deleted indices and the positions in ``kept`` they
+    held.  Each one must be kept and named once; otherwise ``ValueError``
+    names it and ``kept`` is left as it was.
+    """
+    dels = sorted(deleted)
+    cuts: list[int] = []
+    for idx in dels:
+        p = bisect_left(kept, idx)
+        if p == len(kept) or kept[p] != idx or (cuts and cuts[-1] == p):
+            raise ValueError(f"source line {idx} is not kept")
+        cuts.append(p)
+    for p in reversed(cuts):
+        del kept[p]
+    return dels, cuts
+
+
 def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str, str]]:
     """Delete the given source indices from the kept lines and check the rest.
 
@@ -877,15 +896,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     a = analysis
     kept, states, events = a.kept, a._states, a._events
     lines, scans = a.lines, _scans
-    dels = sorted(deleted)
-    cuts: list[int] = []  # positions in ``kept`` of the deleted lines
-    for idx in dels:
-        p = bisect_left(kept, idx)
-        if p == len(kept) or kept[p] != idx or (cuts and cuts[-1] == p):
-            raise ValueError(f"source line {idx} is not kept")
-        cuts.append(p)
-    for p in reversed(cuts):
-        del kept[p]
+    dels, cuts = cut_kept(kept, deleted)
     starts = [(0, _START)]
     starts += [(p - k, states[idx]) for k, (p, idx) in enumerate(zip(cuts, dels))]
     removed = [events[idx] for idx in dels]

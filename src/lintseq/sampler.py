@@ -3,11 +3,13 @@
 One trajectory is built by repeatedly deleting lines from the full
 program until nothing is left, recording the source lines each step
 deleted.  A step deletes one line chosen uniformly at random over the
-current lines (blank and comment lines included), then repeatedly checks
-the result and removes every line carrying a finding not present in the
-original program's report, until no new findings remain.  A step can
-therefore erase many lines at once; cascading all the way to the empty
-program just means the trajectory start was reached.  Read in reverse,
+current lines (blank and comment lines included); the linter engine's
+``step`` then repeatedly checks the result and removes every line
+carrying a finding not present in the original program's report, until
+no new findings remain.  The sampler draws that first line and never
+sees a finding.  A step can therefore erase many lines at once;
+cascading all the way to the empty program just means the trajectory
+start was reached.  Read in reverse,
 each step's lines are the insertions of one edit, growing the program
 from empty to full, and every state lints clean relative to the source.
 
@@ -35,7 +37,7 @@ from typing import Callable, Iterable, Iterator
 
 from .corpus import SourceExample
 from .diffkit import split_lines
-from .lint import LintError, LinterSpec, LinterTimeout, extra_findings, get_linter
+from .lint import LintError, LinterSpec, LinterTimeout, SamplerError, get_linter
 
 DEFAULT_MAX_LINES = 2048
 #: retries per sample for a sequence not yet seen, with unique_sequences
@@ -46,10 +48,6 @@ MAX_UNIQUE_ATTEMPTS = 8
 # program is a task of its own, so a few long ones still spread over workers.
 BATCH_EXAMPLES = 8
 BATCH_LINES = 256
-
-
-class SamplerError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -107,33 +105,20 @@ def backward_sample(
 ) -> StateSequence:
     """Sample one linter-guided deletion trajectory, returned forward.
 
-    Each step's deleted source indices become one edit, last step first.
-    The engine keeps the setup of the last program it saw, so repeated
-    samples of one program share its baseline findings.
-    Steps draw from the engine's own kept list, and each check names only
-    the source indices deleted since the last one; findings name source
-    lines, so new ones doom their lines as they are.  The built-in engine
-    re-walks only the lines whose walk state those deletions changed; a
-    sample's first check resumes from the whole-program walk.
+    Each step draws one line uniformly from the engine's own kept list, and
+    the engine's ``step`` runs the cascade from it and names the source
+    indices it deleted; they become one edit, last step first.  The engine
+    keeps the setup of the last program it saw, so repeated samples of one
+    program share its baseline findings.  The built-in engine re-walks
+    only the lines whose walk state a deletion changed; a sample's first
+    check resumes from the whole-program walk.
     """
     rng = rng or random.Random()
     engine = get_linter(linter or LinterSpec())
-    lines, kept, baseline = engine.setup(program)
+    lines, kept = engine.setup(program)
     steps = []
     while kept:
-        deleted = [kept[rng.randrange(len(kept))]]
-        step = list(deleted)
-        while True:
-            extras = extra_findings(engine.check_subset(deleted), baseline)
-            if not extras:
-                break
-            deleted = sorted({line - 1 for line, _, _ in extras if 0 < line <= len(lines)})
-            if not deleted:
-                # only reachable with a checker that reports lines outside
-                # the candidate; without a removal the loop cannot stabilize
-                raise SamplerError("finding lines fall outside the candidate; cannot stabilize")
-            step += deleted
-        steps.append(tuple(sorted(step)))
+        steps.append(engine.step(kept[rng.randrange(len(kept))]))
     return StateSequence(lines, tuple(reversed(steps)))
 
 

@@ -104,8 +104,8 @@ def state_texts(seq) -> list[str]:
 
 
 def findings(program: str, linter=None) -> tuple[tuple[int, str, str], ...]:
-    """The program's sorted (line, code, message) triples, as the sampler sees them."""
-    return get_linter(linter or LinterSpec()).setup(program)[2]
+    """The program's sorted (line, code, message) triples, the cascade's baseline."""
+    return get_linter(linter or LinterSpec()).check_text(program)
 
 
 def is_error_free_relative(candidate: str, baseline, linter=None) -> bool:
@@ -117,6 +117,25 @@ def is_error_free_relative(candidate: str, baseline, linter=None) -> bool:
     ``findings``.
     """
     return not extra_findings(findings(candidate, linter), baseline)
+
+
+def cold_step(lines, kept: list[int], baseline, first: int) -> tuple[int, ...]:
+    """One cascade step judged by cold checks: the sorted source indices it deletes.
+
+    ``kept`` is the caller's own list of the kept source indices, and the
+    step's are taken out of it in place.  It deletes ``first``, then checks
+    the lines left with ``check_lines``, maps each candidate line ``n`` to
+    source line ``kept[n - 1] + 1``, and deletes the lines of the findings
+    ``extra_findings`` finds beyond ``baseline``, until there are none.
+    """
+    step = {first}
+    while True:
+        kept[:] = [i for i in kept if i not in step]
+        cold = check_lines([lines[i] for i in kept])
+        extras = extra_findings([(kept[n - 1] + 1, code, msg) for n, code, msg in cold], baseline)
+        if not extras:
+            return tuple(sorted(step))
+        step.update(line - 1 for line, _, _ in extras)
 
 
 def flow_checked(analysis, kept: list[int], deleted=()) -> list[tuple[int, str, str]]:

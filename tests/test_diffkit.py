@@ -67,6 +67,12 @@ def test_hunk_validation():
     with pytest.raises(ValueError):
         # a non-empty old range cannot start at 0
         Hunk(old_start=0, old_len=1, new_start=1, new_len=0, deletions=("x",))
+    with pytest.raises(ValueError, match="non-negative"):
+        Hunk(old_start=-1, old_len=0, new_start=1, new_len=1, insertions=("x",))
+    with pytest.raises(ValueError, match="non-negative"):
+        Hunk(old_start=1, old_len=1, new_start=-1, new_len=0, deletions=("x",))
+    with pytest.raises(ValueError, match="non-empty new range"):
+        Hunk(old_start=0, old_len=0, new_start=0, new_len=1, insertions=("x",))
 
 
 def test_render_omits_len_when_one():

@@ -8,19 +8,23 @@ from pathlib import Path
 
 import pytest
 
+import lintseq
 from lintseq import pycheck
+from lintseq.diffkit import split_lines
 from lintseq.lint import (
     DEFAULT_FINDING_PATTERN,
+    BuiltinLinter,
     LintError,
     LinterSpec,
     LinterTimeout,
+    SamplerError,
     check,
     extra_findings,
     get_linter,
 )
-from lintseq.pycheck import scan_line
+from lintseq.pycheck import check_lines, scan_line
 from lintseq.sampler import backward_sample
-from tests.oracles import findings, is_error_free_relative
+from tests.oracles import cold_step, findings, is_error_free_relative
 from tests.progen import make_program
 
 
@@ -117,6 +121,42 @@ def test_check_is_the_baseline_and_leaves_sampling_unchanged(monkeypatch):
     assert signatures() == after_check
 
 
+def _step_programs() -> list[str]:
+    """The package's own sources, seeded programs of every style, one dirty program."""
+    root = Path(lintseq.__file__).parent
+    programs = [path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))]
+    gen = random.Random(27)
+    for style in ("coupled", "mixed", "rich"):
+        programs += [make_program(gen, 5, 60, style)[1] for _ in range(4)]
+    # the same undefined name used three times: the baseline allows it thrice
+    dirty = split_lines(make_program(gen, 20, 40, "mixed")[1])
+    for at in sorted(gen.sample(range(len(dirty)), 3), reverse=True):
+        dirty.insert(at, "print(ghost)")
+    return programs + ["".join(line + "\n" for line in dirty)]
+
+
+def test_step_matches_a_cold_cascade():
+    # every step the engine answers equals one judged by cold checks of its
+    # candidates under the same relative law, down to the empty program
+    dirty = 0
+    for seed, program in enumerate(_step_programs()):
+        engine = BuiltinLinter(LinterSpec())
+        baseline = check_lines(split_lines(program))
+        assert engine.check_text(program) == tuple(baseline)
+        lines, kept = engine.setup(program)
+        dirty += bool(baseline)
+        mirror, rng = list(kept), random.Random(seed)
+        while kept:
+            first = kept[rng.randrange(len(kept))]
+            assert engine.step(first) == cold_step(lines, mirror, baseline, first)
+            assert kept == mirror
+    assert dirty
+
+
+def test_sampler_error_is_one_class():
+    assert lintseq.SamplerError is lintseq.sampler.SamplerError is SamplerError
+
+
 def test_relative_cleanliness_with_dirty_source():
     # the source itself has a finding; subsets keeping it are still "clean"
     src = "print(ghost)\nx = 1\nprint(x)\n"
@@ -187,6 +227,7 @@ def test_external_linter_parses_findings(tmp_path):
         """
         import sys
         path = sys.argv[1]
+        print("************* Module x")
         print(f"{path}:3:1: E101 bad thing in {path} on line 3")
         print(f"{path}:1:5: W201 just a warning")
         sys.exit(1)
@@ -194,9 +235,31 @@ def test_external_linter_parses_findings(tmp_path):
     )
     spec = LinterSpec(kind="external", command_template=f"python3 {script} {{path}}")
     r = check("a = 1\nb = 2\nc = 3\n", spec)
-    # warnings are dropped by default; messages hide the temp path and line
+    # a line the pattern does not match is skipped and warnings are dropped
+    # by default; messages hide the temp path and line
     assert [(code, line) for line, code, _ in r] == [("E101", 3)]
     assert r[0][2] == "bad thing in <file> on line ?"
+
+
+@pytest.mark.parametrize("kind", ["builtin", "external"])
+def test_check_subset_rejects_a_bad_deletion_and_keeps_its_lines(tmp_path, kind):
+    spec = LinterSpec()
+    if kind == "external":
+        script = tmp_path / "quietlint.py"
+        _write_script(script, "")
+        spec = LinterSpec(kind="external", command_template=f"python3 {script} {{path}}")
+    engine = get_linter(spec)
+    _, kept = engine.setup("a = 1\nb = 2\nc = 3\n")
+    # a duplicate index, and an index never kept, in either order
+    for deleted, bad in (([0, 0], 0), ([5, 1], 5), ([2, 1, 2], 2)):
+        with pytest.raises(ValueError, match=f"^source line {bad} is not kept$"):
+            engine.check_subset(deleted)
+        assert kept == [0, 1, 2]
+    assert not engine.check_subset([1])
+    # an index deleted before is no longer kept
+    with pytest.raises(ValueError, match="^source line 1 is not kept$"):
+        engine.check_subset([1])
+    assert kept == [0, 2]
 
 
 def test_external_linter_sorts_findings(tmp_path):
@@ -221,7 +284,7 @@ def test_external_linter_sorts_findings(tmp_path):
     # candidate's line 1 is source line 2, and lines past the candidate's
     # end stay as far past the source's end
     engine = get_linter(spec)
-    _, kept, _ = engine.setup("a = 1\nb = 2\n")
+    _, kept = engine.setup("a = 1\nb = 2\n")
     found = engine.check_subset([0])
     assert kept == [1]
     assert [line for line, _, _ in found] == [2, 3, 6, 6]
