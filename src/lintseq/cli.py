@@ -291,19 +291,24 @@ def cmd_passk(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_flops(ns: argparse.Namespace) -> int:
-    tokens, ratio = ns.tokens, ns.chars_per_token
-    if not (math.isfinite(ratio) and ratio > 0):
-        raise ValueError(f"--chars-per-token must be a finite positive number, not {ratio!r}")
-    if tokens is None and ns.input:
-        stats = dataset_stats(read_records(ns.input))
-        tokens = stats.mean_chars_per_training_text / ratio
-    if tokens is None:
-        tokens = 1.0
+def _finite_positive(value: float, flag: str) -> float:
     try:
-        tokens = float(tokens)
-    except OverflowError:  # an int too large to convert to float
-        raise ValueError("--tokens must be a finite positive number") from None
+        value = float(value)
+    except OverflowError:  # a config int too large to convert to float
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise ValueError(f"{flag} must be a finite positive number, not {value!r}")
+    return value
+
+
+def cmd_flops(ns: argparse.Namespace) -> int:
+    ratio = _finite_positive(ns.chars_per_token, "--chars-per-token")
+    if ns.tokens is not None:
+        tokens = _finite_positive(ns.tokens, "--tokens")
+    elif ns.input:
+        tokens = dataset_stats(read_records(ns.input)).mean_chars_per_training_text / ratio
+    else:
+        tokens = 1.0
     if tokens.is_integer():
         tokens = int(tokens)
     model = FlopsModel(

@@ -21,10 +21,10 @@ A ``LineScan`` is a pure function of a line's text and the string state
 it is entered in, and it is the line's one record: ``scan_line`` stores in
 it the line's name facts as a fresh statement, and the scan caches them as
 a continuation line per mode.  So every ``Analysis`` looks scans up in one
-module-level mapping by (text, entry state), and a line met in any earlier
-source is not scanned again.  An ``Analysis`` owns the kept lines and one
-flow run over them, edited in place: by source index, the walk state each
-kept line was entered in and the events the line produced.
+bounded least-recently-used cache keyed by (text, entry state), and a line
+met in a recent source is not scanned again.  An ``Analysis`` owns the kept
+lines and one flow run over them, edited in place: by source index, the
+walk state each kept line was entered in and the events the line produced.
 A walk state holds each fact once: the scope in effect is that of the
 innermost indentation level, and a header's opened scope travels with its
 logical line and then with the header that waits for a body.  A call names
@@ -52,6 +52,8 @@ import keyword
 import re
 from bisect import bisect_left
 from collections import defaultdict
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -146,6 +148,7 @@ def _fstring_exprs(content: str, pos: int) -> list[tuple[int, str]]:
     return out
 
 
+@dataclass(slots=True, eq=False)
 class LineScan:
     """Context-free facts of one physical line for one entry string state.
 
@@ -155,44 +158,23 @@ class LineScan:
     string) exits in the string state it was entered in.
     """
 
-    __slots__ = (
-        "exit_state",
-        "indent",
-        "has_content",
-        "code",
-        "closes",
-        "opens",
-        "last_char",
-        "ends_backslash",
-        "inline_findings",
-        "fstrings",
-        "uses",
-        "defs",
-        "pending",
-        "scope_kind",
-        "scope_params",
-        "first_word",
-        "_cont",
-    )
-
-    def __init__(self) -> None:
-        self.exit_state = ""
-        self.indent = 0
-        self.has_content = False
-        self.code = ""
-        self.closes: tuple[str, ...] = ()
-        self.opens: tuple[str, ...] = ()
-        self.last_char = ""
-        self.ends_backslash = False
-        self.inline_findings: tuple[tuple[str, str], ...] = ()
-        self.fstrings: tuple[tuple[int, str], ...] = ()
-        self.uses: list[tuple[str, int]] = []
-        self.defs: list[tuple[str, int]] = []
-        self.pending: str | None = None
-        self.scope_kind: str | None = None
-        self.scope_params: tuple[str, ...] = ()
-        self.first_word = ""
-        self._cont: dict[str | None, tuple[tuple, tuple]] = {}
+    exit_state: str = ""
+    indent: int = 0
+    has_content: bool = False
+    code: str = ""
+    closes: tuple[str, ...] = ()
+    opens: tuple[str, ...] = ()
+    last_char: str = ""
+    ends_backslash: bool = False
+    inline_findings: tuple[tuple[str, str], ...] = ()
+    fstrings: tuple[tuple[int, str], ...] = ()
+    uses: list[tuple[str, int]] = field(default_factory=list)
+    defs: list[tuple[str, int]] = field(default_factory=list)
+    pending: str | None = None
+    scope_kind: str | None = None
+    scope_params: tuple[str, ...] = ()
+    first_word: str = ""
+    _cont: dict[str | None, tuple[tuple, tuple]] = field(default_factory=dict, init=False, repr=False)
 
     def cont_facts(self, mode: str | None) -> tuple[tuple, tuple]:
         """(uses, defs) of this line continuing a statement opened in ``mode``.
@@ -694,11 +676,19 @@ _START = ("", None, (0, ("module", -1, None), None), None, None)
 # them as in the source.  A star import is a def of ``*``.
 _NO_EVENTS: tuple = ((), (), ())
 
-#: line scans by (text, entry string state), shared by every Analysis; a new
-#: Analysis clears them once they are over ``_SCANS_BOUND`` entries, so they
-#: hold at most that many plus one source's (a scan takes about 0.9 KB)
-_scans: dict[tuple[str, str], LineScan] = {}
-_SCANS_BOUND = 2048
+
+@lru_cache(maxsize=4096)
+def _scan(raw: str, entry: str) -> LineScan:
+    """The scan of ``raw`` entered in ``entry``, shared by every Analysis.
+
+    The size is about twice the distinct scans of the bench's whole corpus
+    of 400 short programs, and twice the most that one of its long stdlib
+    modules adds, so no bench program evicts its own scans.  At about 0.9 KB
+    a scan, the cache holds at most about 3.7 MB.  A program whose scans
+    outgrow it rescans some lines while it is sampled: slower, never
+    different, as a scan is a pure function of its key.
+    """
+    return scan_line(raw, entry)
 
 
 class Analysis:
@@ -737,8 +727,6 @@ class Analysis:
     )
 
     def __init__(self, lines: Sequence[str]) -> None:
-        if len(_scans) > _SCANS_BOUND:
-            _scans.clear()
         self.lines = tuple(lines)
         self.kept: list[int] = list(range(len(self.lines)))
         # no line walked yet: a stored state of None matches no walk state
@@ -894,8 +882,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     is exact as ``Analysis`` explains.
     """
     a = analysis
-    kept, states, events = a.kept, a._states, a._events
-    lines, scans = a.lines, _scans
+    lines, kept, states, events = a.lines, a.kept, a._states, a._events
     dels, cuts = cut_kept(kept, deleted)
     starts = [(0, _START)]
     starts += [(p - k, states[idx]) for k, (p, idx) in enumerate(zip(cuts, dels))]
@@ -912,11 +899,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                 break
             states[idx] = st
             p += 1
-            entry = st[0]
-            key = (lines[idx], entry)
-            f = scans.get(key)
-            if f is None:
-                f = scans[key] = scan_line(*key)
+            f = _scan(lines[idx], st[0])
             if not f.has_content:
                 # no events: a line with inline findings has a quote or a bracket
                 if events[idx] is not _NO_EVENTS:

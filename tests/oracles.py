@@ -1,6 +1,7 @@
 """Independent oracles the tests judge the package against."""
 
 import re
+from functools import lru_cache
 from difflib import SequenceMatcher, unified_diff
 
 from lintseq.diffkit import (
@@ -36,6 +37,7 @@ from lintseq.pycheck import (
     _indent_width,
     check_lines,
     flow,
+    scan_line,
 )
 
 
@@ -166,6 +168,21 @@ def flow_checked(analysis, kept: list[int], deleted=()) -> list[tuple[int, str, 
     assert flow(fresh, [i for i in range(len(fresh.lines)) if i not in keep]) == got
     assert _run_view(analysis) == _run_view(fresh), (deleted, kept)
     return got
+
+
+def recording_scan(keys: list):
+    """An unbounded scan cache of its own, to patch in as ``pycheck._scan``.
+
+    It appends to ``keys`` each (text, entry state) that is looked up in it,
+    found or not, and gives the same scan object for a key every time.
+    """
+    cache = lru_cache(None)(scan_line)
+
+    def scan(raw: str, entry: str):
+        keys.append((raw, entry))
+        return cache(raw, entry)
+
+    return scan
 
 
 def _run_view(analysis) -> tuple:

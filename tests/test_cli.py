@@ -974,18 +974,36 @@ def test_flops_rejects_chars_per_token_not_finite_positive(tmp_path, capsys, fla
     assert captured.out == ""
 
 
+BAD_COUNT = "must be a finite positive number, not"
+
+
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, message",
     [
-        (["--n-params", "10", "--tokens", "inf"], None),
-        (["--n-params", "10"], '{"tokens": Infinity}'),
-        (["--n-params", "1" + "0" * 400, "--tokens", "1.5"], None),
-        (["--n-params", "10"], '{"tokens": %s}' % ("1" * 400)),
+        (["--n-params", "10", "--tokens", "inf"], None, f"--tokens {BAD_COUNT} inf"),
+        (["--n-params", "10"], '{"tokens": Infinity}', f"--tokens {BAD_COUNT} inf"),
+        (
+            ["--n-params", "1" + "0" * 400, "--tokens", "1.5"], None,
+            "total FLOPs do not fit in a float",
+        ),
+        (["--n-params", "10"], '{"tokens": %s}' % ("1" * 400), f"--tokens {BAD_COUNT} inf"),
+        (["--n-params", "10", "--tokens", "0"], None, f"--tokens {BAD_COUNT} 0.0"),
+        (["--n-params", "10", "--tokens", "-1"], None, f"--tokens {BAD_COUNT} -1.0"),
+        (["--n-params", "10", "--tokens", "nan"], None, f"--tokens {BAD_COUNT} nan"),
+        (
+            ["--n-params", "10"], '{"chars_per_token": %s}' % ("1" * 400),
+            f"--chars-per-token {BAD_COUNT} inf",
+        ),
     ],
-    ids=["tokens-inf", "config-Infinity", "overflow", "config-tokens-overflow"],
+    ids=[
+        "tokens-inf", "config-Infinity", "overflow", "config-tokens-overflow",
+        "tokens-0", "tokens-negative", "tokens-nan", "config-chars-per-token-overflow",
+    ],
 )
-def test_flops_rejects_non_finite_totals(tmp_path, capsys, argv, config):
-    # a total that is not a finite number has no JSON form
+def test_flops_rejects_non_finite_totals(tmp_path, capsys, argv, config, message):
+    # a total that is not a finite number has no JSON form; a given count that
+    # is not a finite positive number, flag or config, is rejected by its flag's
+    # name, and a config int too large for a float is not finite either
     argv = ["flops", *argv, "--n-layers", "2", "--context", "8", "--json"]
     if config is not None:
         cfg = tmp_path / "run.json"
@@ -994,7 +1012,7 @@ def test_flops_rejects_non_finite_totals(tmp_path, capsys, argv, config):
     assert main(argv) == 1
     captured = capsys.readouterr()
     err = json.loads(captured.err.strip().splitlines()[-1])
-    assert err["kind"] == "ValueError"
+    assert err == {"error": message, "kind": "ValueError"}
     assert captured.out == ""
 
 

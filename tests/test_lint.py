@@ -4,6 +4,7 @@ import stat
 import tempfile
 import textwrap
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from lintseq.lint import (
 )
 from lintseq.pycheck import check_lines, scan_line
 from lintseq.sampler import backward_sample
-from tests.oracles import cold_step, findings, is_error_free_relative
+from tests.oracles import cold_step, findings, is_error_free_relative, recording_scan
 from tests.progen import make_program
 
 
@@ -450,55 +451,58 @@ def test_one_engine_samples_a_program_mix_as_a_fresh_engine_per_program(monkeypa
     # the checker's line scans are keyed by text and entry state and shared by
     # every program's Analysis, so sharing them changes no sample or finding
     programs = _program_mix(seed)
-    scans = {}
-    monkeypatch.setattr(pycheck, "_scans", scans)
+    scans = []
+    monkeypatch.setattr(pycheck, "_scan", recording_scan(scans))
     monkeypatch.setattr("lintseq.lint._ENGINES", {})
     shared = [_samples(program, seed) for program in programs]
     assert {text for text, entry in scans if entry} & {text for text, entry in scans if not entry}
     assert any(found for found, _ in shared)
     for program, result in zip(programs, shared):
-        monkeypatch.setattr(pycheck, "_scans", {})
+        monkeypatch.setattr(pycheck, "_scan", lru_cache(None)(scan_line))
         monkeypatch.setattr("lintseq.lint._ENGINES", {})
         assert _samples(program, seed) == result
 
 
 def test_engine_scans_stay_bounded_and_a_fresh_start_changes_nothing(monkeypatch):
-    # a new program's setup clears the scan mapping once it is over the
-    # bound, and sampling never does: the mapping holds at most the bound
-    # plus the entries that one program adds
+    # the scan cache holds at most its size, and a scan evicted and made again,
+    # between programs or while one is sampled, changes no sample or finding:
+    # a scan is a pure function of its key.  Building an Analysis leaves the
+    # cache as it was, and an unbounded cache never makes a scan twice
     rng = random.Random(5)
-    programs = [make_program(rng, 5, 30, "mixed")[1] for _ in range(40)]
-    alone, own = [], []  # each program's results and entries on a fresh engine
-    for program in programs:
-        monkeypatch.setattr(pycheck, "_scans", {})
-        monkeypatch.setattr("lintseq.lint._ENGINES", {})
-        alone.append(_samples(program, 0))
-        own.append(len(pycheck._scans))
+    mixes = [[make_program(rng, 5, 30, "mixed")[1] for _ in range(40)], _program_mix(11)]
+    for programs in mixes:
+        alone, own = [], []  # each program's results and scans on a fresh engine
+        for program in programs:
+            scan = lru_cache(None)(scan_line)
+            monkeypatch.setattr(pycheck, "_scan", scan)
+            monkeypatch.setattr("lintseq.lint._ENGINES", {})
+            alone.append(_samples(program, 0))
+            own.append(scan.cache_info().currsize)
 
-    def one_engine(bound: int) -> tuple[list[tuple], int]:
-        scans = {}
-        monkeypatch.setattr(pycheck, "_scans", scans)
-        monkeypatch.setattr(pycheck, "_SCANS_BOUND", bound)
-        monkeypatch.setattr("lintseq.lint._ENGINES", {})
-        engine = get_linter(LinterSpec())
-        out, fresh_starts = [], 0
-        for program, entries in zip(programs, own):
-            held = set(scans)
-            engine.setup(program)
-            fresh_starts += not held <= scans.keys()
-            at_setup = dict(scans)
-            out.append(_samples(program, 0))
-            # sampling kept every entry of the mapping
-            assert pycheck._scans is scans
-            assert all(scans.get(key) is scan for key, scan in at_setup.items())
-            assert len(scans) <= bound + entries
-        return out, fresh_starts
+        def one_engine(size: int | None):
+            scan = lru_cache(size)(scan_line)
+            monkeypatch.setattr(pycheck, "_scan", scan)
+            monkeypatch.setattr("lintseq.lint._ENGINES", {})
+            out = []
+            for program in programs:
+                at_setup = scan.cache_info()
+                pycheck.Analysis(split_lines(program))
+                assert scan.cache_info() == at_setup
+                out.append(_samples(program, 0))
+                assert pycheck._scan is scan
+                assert scan.cache_info().currsize <= (size or sum(own))
+            return out, scan.cache_info()
 
-    bounded, fresh_starts = one_engine(60)
-    assert fresh_starts >= 5
-    unbounded, none = one_engine(10**9)
-    assert none == 0
-    assert bounded == unbounded == alone
+        # 6 is much smaller than the largest program's scans, so it evicts
+        # while that program is sampled; 60 evicts between programs
+        assert max(own) >= 4 * 6 and sum(own) > 2 * 60
+        for size in (6, 60):
+            bounded, info = one_engine(size)
+            assert info.misses > info.currsize == size
+            assert bounded == alone
+        unbounded, info = one_engine(None)
+        assert info.misses == info.currsize
+        assert unbounded == alone
 
 
 def _scan_slots(scan) -> dict:
@@ -513,12 +517,13 @@ def test_sampling_never_changes_a_shared_scan(monkeypatch):
     root = Path(__file__).parent.parent / "src" / "lintseq"
     programs = [path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))]
     programs += _program_mix(7)
-    scans = {}
-    monkeypatch.setattr(pycheck, "_scans", scans)
-    monkeypatch.setattr(pycheck, "_SCANS_BOUND", 10**9)
+    keys = []
+    monkeypatch.setattr(pycheck, "_scan", recording_scan(keys))
     monkeypatch.setattr("lintseq.lint._ENGINES", {})
     for k, program in enumerate(programs):
         backward_sample(program, rng=random.Random(k))
+    # the scans the samples were given, each the cache's one object for its key
+    scans = {key: pycheck._scan(*key) for key in set(keys)}
     assert any(scan._cont for scan in scans.values())
     assert any(scan.uses for scan in scans.values())
     for (text, entry), scan in scans.items():

@@ -11,7 +11,7 @@ from lintseq.pycheck import Analysis, LineScan, check_lines, flow, scan_line
 from lintseq.diffkit import split_lines
 from lintseq.lint import BuiltinLinter
 from lintseq.sampler import backward_sample
-from tests.oracles import flow_checked, reference_scan_line
+from tests.oracles import flow_checked, recording_scan, reference_scan_line
 from tests.progen import make_program
 
 
@@ -465,15 +465,8 @@ def test_first_check_resumes_from_base(monkeypatch):
     whole = flow_checked(a, kept)
     assert flow_checked(a, kept, kept[:]) == []
     a.restart()
-    scans = []
-
-    class Counted(dict):
-        # flow looks every walked line's scan up here, found or not
-        def get(self, key, default=None):
-            scans.append(key)
-            return super().get(key, default)
-
-    monkeypatch.setattr(pycheck, "_scans", Counted(pycheck._scans))
+    scans = []  # flow looks every walked line's scan up, found or not
+    monkeypatch.setattr(pycheck, "_scan", recording_scan(scans))
     got = flow(a, [n - 1])
     assert len(scans) <= 1
     assert got == check_lines(lines[:-1])
@@ -577,11 +570,11 @@ def test_flow_on_programs_of_random_source_lines():
 
 
 def test_flow_on_analyses_that_share_their_scans(monkeypatch):
-    # Analyses that share the scan mapping, called in turn down to the empty
+    # Analyses that share the scan cache, called in turn down to the empty
     # program, each agree with a cold check: the package's source lines, and
     # _STATEFUL's as code, then inside a triple-quoted string, then as code
-    # again once the string's opening line is deleted.  The mapping starts
-    # empty and is never cleared, so it holds every scan the calls made
+    # again once the string's opening line is deleted.  The cache starts
+    # empty and is unbounded, and every key looked up in it is recorded
     pool = [
         line
         for path in sorted(Path(lintseq.__file__).parent.glob("*.py"))
@@ -590,9 +583,8 @@ def test_flow_on_analyses_that_share_their_scans(monkeypatch):
     stateful = split_lines(_STATEFUL)
     quoted = stateful + ['text = """\n'] + stateful + ['"""\n', "print(text)\n"]
     rng = random.Random(13)
-    scans = {}
-    monkeypatch.setattr(pycheck, "_scans", scans)
-    monkeypatch.setattr(pycheck, "_SCANS_BOUND", 10**9)
+    scans = []
+    monkeypatch.setattr(pycheck, "_scan", recording_scan(scans))
     analyses = [Analysis(quoted)]
     analyses += [Analysis(rng.choices(pool, k=rng.randint(5, 60))) for _ in range(12)]
     kepts = [list(range(len(a.lines))) for a in analyses]
