@@ -103,7 +103,7 @@ def _linter_spec(ns: argparse.Namespace) -> LinterSpec:
         kind=ns.linter,
         command_template=ns.linter_cmd,
         finding_pattern=ns.linter_pattern,
-        timeout=ns.linter_timeout,
+        timeout=_finite_positive(ns.linter_timeout, "--linter-timeout"),
     )
 
 

@@ -32,9 +32,9 @@ source lines.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import re
+import sys
 import tempfile
 import threading
 from collections import Counter
@@ -105,7 +105,8 @@ class LinterSpec:
                 raise ValueError(f"bad finding pattern: {exc}") from None
             if not {"line", "code", "message"} <= groups.keys():
                 raise ValueError("finding pattern needs named groups line, code and message")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
+        # NaN fails both comparisons, and an int past the largest float fails the second
+        if not 0 < self.timeout <= sys.float_info.max:
             raise ValueError(f"timeout must be a finite positive number, not {self.timeout!r}")
 
 

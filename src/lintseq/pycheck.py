@@ -7,7 +7,9 @@ depended on.  Instead every line is scanned once into context-free facts
 (cleaned code, bracket events, indent, string state transitions, name
 uses and bindings) and a cheap flow pass walks any subset of lines,
 threading cross-line state: open strings, open brackets, indentation
-blocks, scopes, and definition order.
+blocks, scopes, and definition order.  A scan reads its line in two
+passes: the first blanks its strings and its comment, the second reads
+the brackets off the blanked code.
 
 Checks covered: bracket balance and pairing, indentation-block
 consistency, header/body pairing for block openers, unterminated string
@@ -64,14 +66,16 @@ _MODULE_GLOBALS = (
 )
 _BUILTINS = frozenset(dir(builtins)) | frozenset(_MODULE_GLOBALS)
 _PAIR = {"(": ")", "[": "]", "{": "}"}
-_STEP = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
-_OPENERS = frozenset("([{")
-_CLOSERS = frozenset(")]}")
+_OPENERS = frozenset(_PAIR)
+_CLOSERS = frozenset(_PAIR.values())
+_STEP = {**dict.fromkeys(_PAIR, 1), **dict.fromkeys(_PAIR.values(), -1)}
+_BRACKET_RE = re.compile("[" + re.escape("".join(_STEP)) + "]")
 _AUG_OPS = frozenset(
     ["+=", "-=", "*=", "/=", "//=", "%=", "**=", ">>=", "<<=", "&=", "|=", "^=", "@="]
 )
-_STRING_PREFIX_RE = re.compile(r"[rRbBuUfF]{1,2}")
-_SPECIAL_RE = re.compile(r"[#'\"()\[\]{}]")  # where a line's code stops being copied as is
+_QUOTE_OR_HASH_RE = re.compile(r"[#'\"]")  # where a line's code stops being copied as is
+# searched over the two characters before a quote: ``\w`` is ``isalnum`` or ``_``
+_STRING_PREFIX_RE = re.compile(r"(?<!\w)[rRbBuUfF]{1,2}$")
 _LATE = 10000  # sub-position offset: assignment targets bind after the line's uses
 
 _TOKEN_RE = re.compile(
@@ -98,15 +102,7 @@ def _depths(toks: list[str]) -> list[int]:
 
 
 def _indent_width(raw: str) -> int:
-    width = 0
-    for ch in raw:
-        if ch == " ":
-            width += 1
-        elif ch == "\t":
-            width += 8 - width % 8
-        else:
-            break
-    return width
+    return len(raw[: len(raw) - len(raw.lstrip(" \t"))].expandtabs(8))
 
 
 def _find_close(raw: str, start: int, quotes: str) -> int | None:
@@ -202,19 +198,17 @@ class LineScan:
 
 
 def scan_line(raw: str, entry: str) -> LineScan:
-    """Scan ``raw`` entered in string state ``entry``.
+    """Scan ``raw`` entered in string state ``entry``, in two passes.
 
-    ``code`` is ``raw`` with strings, their prefixes and the comment
-    blanked, position for position; the code between two special
-    characters is copied as one slice.
+    The first pass makes ``code``: ``raw`` with strings, their prefixes and
+    the comment blanked, position for position.  It jumps from one ``#`` or
+    quote to the next and copies the code between as one slice; an
+    unclosed string ends it.  The second reads the brackets off ``code``.
     """
     scan = LineScan()
     parts: list[str] = []
-    inline: list[tuple[str, str]] = []
     fstrings: list[tuple[int, str]] = []
-    local_stack: list[str] = []
-    closes: list[str] = []
-    saw_string = False
+    saw_string = unterminated = False
     state = entry
     i = 0
 
@@ -229,58 +223,48 @@ def scan_line(raw: str, entry: str) -> LineScan:
         i = end
 
     scan.indent = _indent_width(raw)
-    search = _SPECIAL_RE.search
-    while True:
-        m = search(raw, i)
-        if m is None:
-            parts.append(raw[i:])
-            break
+    stop = len(raw)
+    while (m := _QUOTE_OR_HASH_RE.search(raw, i)) is not None:
         j = m.start()
         c = raw[j]
         if c == "#":
-            parts.append(raw[i:j])
+            stop = j
             break
-        if c == '"' or c == "'":
-            saw_string = True
-            k = j
-            while k > 0 and k > j - 2 and raw[k - 1].isalpha():
-                k -= 1
-            prefix = raw[k:j]
-            if not (
-                prefix
-                and _STRING_PREFIX_RE.fullmatch(prefix)
-                and (k == 0 or not (raw[k - 1].isalnum() or raw[k - 1] == "_"))
-            ):
-                k = j  # not a string prefix: the letters stay code
-            parts.append(raw[i:k])
-            quotes = c * 3 if raw.startswith(c * 3, j) else c
-            width = len(quotes)
-            end = _find_close(raw, j + width, quotes)
-            if end is None:
-                if width == 3:
-                    state = quotes
-                else:
-                    inline.append(("unterminated-string", "unterminated string literal"))
-                break
-            if k < j and "f" in prefix.lower():
-                fstrings.extend(_fstring_exprs(raw[j + width : end - width], j))
-            parts.append(" " * (end - k))
-            i = end
-            continue
-        parts.append(raw[i : j + 1])
-        i = j + 1
+        saw_string = True
+        prefix = _STRING_PREFIX_RE.search(raw, max(j - 2, 0), j)
+        k = prefix.start() if prefix else j
+        quotes = c * 3 if raw.startswith(c * 3, j) else c
+        width = len(quotes)
+        end = _find_close(raw, j + width, quotes)
+        if end is None:
+            stop = k
+            if width == 3:
+                state = quotes
+            else:
+                unterminated = True
+            break
+        if prefix and "f" in prefix.group().lower():
+            fstrings.extend(_fstring_exprs(raw[j + width : end - width], j))
+        parts += (raw[i:k], " " * (end - k))
+        i = end
+    parts.append(raw[i:stop])
+    code = "".join(parts).ljust(len(raw))
+
+    stack: list[str] = []
+    closes: list[str] = []
+    inline: list[tuple[str, str]] = []
+    for c in _BRACKET_RE.findall(code):
         if c in _OPENERS:
-            local_stack.append(c)
-        elif local_stack:
-            op = local_stack.pop()
+            stack.append(c)
+        elif stack:
+            op = stack.pop()
             if _PAIR[op] != c:
-                inline.append(
-                    ("mismatched-bracket", f"closing '{c}' does not match opening '{op}'")
-                )
+                inline.append(_mismatch(op, c))
         else:
             closes.append(c)
+    if unterminated:
+        inline.append(("unterminated-string", "unterminated string literal"))
 
-    code = "".join(parts).ljust(len(raw))
     stripped = code.rstrip()
     ends_backslash = stripped.endswith("\\")
     if ends_backslash:
@@ -291,7 +275,7 @@ def scan_line(raw: str, entry: str) -> LineScan:
     scan.has_content = bool(stripped) or saw_string
     scan.code = code
     scan.closes = tuple(closes)
-    scan.opens = tuple(local_stack)
+    scan.opens = tuple(stack)
     scan.last_char = stripped[-1:] if stripped else ""
     scan.ends_backslash = ends_backslash
     scan.inline_findings = tuple(inline)
@@ -661,6 +645,10 @@ def _missing_body(opener: tuple) -> tuple[int, str, str]:
     return (line, "missing-block-body", f"expected an indented block after '{word}'")
 
 
+def _mismatch(op: str, ch: str) -> tuple[str, str]:
+    return ("mismatched-bracket", f"closing '{ch}' does not match opening '{op}'")
+
+
 # The walk state a line is entered in:
 #   (sstate, brackets, levels, opener, logical)
 # A scope is (kind, header index, parent scope), the module ("module", -1,
@@ -957,13 +945,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                 else:
                     op, _, brackets = brackets
                     if _PAIR[op] != ch:
-                        found.append(
-                            (
-                                idx,
-                                "mismatched-bracket",
-                                f"closing '{ch}' does not match opening '{op}'",
-                            )
-                        )
+                        found.append((idx, *_mismatch(op, ch)))
             for ch in f.opens:
                 brackets = (ch, idx, brackets)
 

@@ -26,15 +26,10 @@ from lintseq.editcodec import (
 )
 from lintseq.lint import LinterSpec, extra_findings, get_linter
 from lintseq.pycheck import (
-    _CLOSERS,
-    _OPENERS,
-    _PAIR,
-    _STRING_PREFIX_RE,
     Analysis,
     LineScan,
     _classify_fresh,
     _fstring_exprs,
-    _indent_width,
     check_lines,
     flow,
     scan_line,
@@ -198,8 +193,24 @@ def _run_view(analysis) -> tuple:
     )
 
 
-# The per-character line scanner the special-character jumps replaced,
-# frozen here so that ``pycheck.scan_line`` is judged against it.
+# The per-character line scanner that ``pycheck.scan_line`` replaced,
+# frozen here with its own prefix, indentation and bracket rules so that
+# the scanner is judged against it and not against itself.
+
+_REFERENCE_PAIR = {"(": ")", "[": "]", "{": "}"}
+_REFERENCE_PREFIX_RE = re.compile(r"[rRbBuUfF]{1,2}")
+
+
+def _reference_indent_width(raw: str) -> int:
+    width = 0
+    for ch in raw:
+        if ch == " ":
+            width += 1
+        elif ch == "\t":
+            width += 8 - width % 8
+        else:
+            break
+    return width
 
 
 def _reference_find_close(raw: str, start: int, quotes: str) -> int | None:
@@ -239,7 +250,7 @@ def reference_scan_line(raw: str, entry: str) -> LineScan:
         state = ""
         i = end
 
-    scan.indent = _indent_width(raw)
+    scan.indent = _reference_indent_width(raw)
     while i < n:
         c = raw[i]
         if c == "#":
@@ -253,7 +264,7 @@ def reference_scan_line(raw: str, entry: str) -> LineScan:
             prefix = raw[j:i]
             is_prefix = bool(
                 prefix
-                and _STRING_PREFIX_RE.fullmatch(prefix)
+                and _REFERENCE_PREFIX_RE.fullmatch(prefix)
                 and (j == 0 or not (raw[j - 1].isalnum() or raw[j - 1] == "_"))
             )
             if is_prefix:
@@ -272,14 +283,14 @@ def reference_scan_line(raw: str, entry: str) -> LineScan:
                 fstrings.extend(_fstring_exprs(raw[i + width : end - width], qpos))
             i = end
             continue
-        if c in _OPENERS:
+        if c in _REFERENCE_PAIR:
             buf[i] = c
             local_stack.append(c)
-        elif c in _CLOSERS:
+        elif c in _REFERENCE_PAIR.values():
             buf[i] = c
             if local_stack:
                 op = local_stack.pop()
-                if _PAIR[op] != c:
+                if _REFERENCE_PAIR[op] != c:
                     inline.append(
                         ("mismatched-bracket", f"closing '{c}' does not match opening '{op}'")
                     )

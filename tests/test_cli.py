@@ -484,9 +484,12 @@ def test_config_value_of_wrong_type_exit_1(tmp_path, capsys, command, config):
     assert out.read_text() == "keep me\n"
 
 
-@pytest.mark.parametrize("timeout", ["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "timeout", ["NaN", "Infinity", pytest.param("1" + "0" * 400, id="401-digit")]
+)
 def test_generate_rejects_non_finite_linter_timeout(tmp_path, capsys, timeout):
-    # Python's json reads NaN and Infinity as floats, which pass a type check
+    # Python's json reads NaN and Infinity as floats, which pass a type check,
+    # and a 401-digit int, which passes it too but overflows a float
     cfg = tmp_path / "run.json"
     cfg.write_text('{"linter_timeout": %s}' % timeout)
     corpus = write_corpus(tmp_path, CLEAN)
@@ -566,7 +569,7 @@ def test_linter_timeout_flag_beats_config(tmp_path, capsys):
             "--config", str(cfg)]
     assert main(argv) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["error"] == "timeout must be a finite positive number, not -1"
+    assert err["error"] == "--linter-timeout must be a finite positive number, not -1.0"
     assert not out.exists()
     assert main(argv + ["--linter-timeout", "5"]) == 0
     assert len(list(read_records(out))) == 1
@@ -578,7 +581,9 @@ def test_linter_timeout_flag_not_finite_exit_1(tmp_path, capsys, command):
     assert main([command, "--input", str(corpus), "--linter-timeout", "nan"]) == 1
     captured = capsys.readouterr()
     err = json.loads(captured.err.strip().splitlines()[-1])
-    assert err == {"error": "timeout must be a finite positive number, not nan", "kind": "ValueError"}
+    assert err == {
+        "error": "--linter-timeout must be a finite positive number, not nan", "kind": "ValueError"
+    }
     assert captured.out == ""
 
 

@@ -202,7 +202,7 @@ def test_linter_spec_validation():
         assert str(info.value) == (
             f"bad external linter command template {template!r}: No closing quotation"
         )
-    for timeout in (0, float("nan"), float("inf"), -float("inf")):
+    for timeout in (0, float("nan"), float("inf"), -float("inf"), 10**400):
         with pytest.raises(ValueError, match="finite positive"):
             LinterSpec(timeout=timeout)
 

@@ -247,14 +247,17 @@ def _scan_view(scan: LineScan) -> dict:
 def test_scan_line_matches_the_per_character_reference():
     # the first 600 lines of a few stdlib modules, then seeded random lines
     # over the characters the scanner jumps between and the ones around
-    # them, triple quotes and f-string openers drawn as one piece; each line
-    # is scanned in code and inside either triple quote
+    # them, triple quotes and f-string openers drawn as one piece; word
+    # characters past ASCII letters, the form feed and prefixes with or
+    # without a word character before them reach the string-prefix rule's
+    # edges; each line is scanned in code and inside either triple quote
     texts = []
     for name in ("tokenize.py", "textwrap.py", "dataclasses.py", "typing.py", "enum.py"):
         path = Path(os.__file__).parent / name
         texts += split_lines(path.read_text(encoding="utf-8"))[:600]
     rng = random.Random(17)
     pieces = [*"ab f\"'#()[]{}\\ rbx=:,.\t", '"""', "'''", 'f"', "f'"]
+    pieces += [*"é中1_\x0c", "rb'", 'Br"', "_r'", "1f'"]
     for _ in range(3000):
         line = "".join(rng.choices(pieces, k=rng.randint(0, 20)))
         texts.append(line + "\n" if rng.random() < 0.8 else line)
