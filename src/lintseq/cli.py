@@ -1,9 +1,10 @@
 """Command-line surface tying the pipeline together.
 
-Data goes to stdout (or ``--output``); progress, skips, and error
-records go to stderr so outputs stay pipeable.  Exit status: 0 success,
-1 fatal error (with a single-line JSON error record on stderr), 2 for a
-run that finished but skipped examples or hit per-record conflicts.
+Data goes to stdout (or ``--output``), UTF-8 under any locale; progress,
+skips, and error records go to stderr so outputs stay pipeable.  Exit
+status: 0 success, 1 fatal error (with a single-line JSON error record on
+stderr), 2 for a run that finished but skipped examples or hit
+per-record conflicts.
 
 Each option is declared once, in ``build_parser``: its flag, type and
 built-in default.  A ``--config`` file's values become the chosen
@@ -76,7 +77,7 @@ def _load_config(path: str, commands: Iterable[argparse.ArgumentParser]) -> dict
         for a in command._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # as jsonl_lines: a BOM is dropped
         text = fh.read().strip()
     if not text:
         return {}
@@ -451,6 +452,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
+    # stdout data is UTF-8 whatever the locale, as --output files are
+    if sys.stdout is not None:  # None when the process starts with fd 1 closed
+        sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

@@ -13,7 +13,6 @@ identical runs produce identical bytes.
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
 import re
@@ -23,6 +22,17 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .diffkit import split_lines
+
+try:
+    # the interpreter's builtin sha256, as random.py takes its sha512: hashlib
+    # would load OpenSSL's libcrypto into every process to hash a seed tag or a
+    # dedup key; the digests are the same bytes
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 RECORD_KEYS = (
     "source_id",
@@ -147,10 +157,10 @@ def jsonl_lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
     """Each non-blank line of a JSONL file, newline stripped, with its 1-based number.
 
     A file that is not valid UTF-8 is a fatal error, raised when the reader
-    reaches the undecodable bytes.
+    reaches the undecodable bytes.  A leading byte-order mark is dropped.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 if raw.strip():
                     yield lineno, raw.rstrip("\n")
@@ -201,7 +211,7 @@ def deduplicate(examples: Iterable[SourceExample]) -> Iterator[SourceExample]:
     seen: set[bytes] = set()
     for ex in examples:
         instruction = ex.instruction.encode("utf-8", "surrogatepass")
-        digest = hashlib.sha256(b"%d:%b" % (len(instruction), instruction))
+        digest = sha256(b"%d:%b" % (len(instruction), instruction))
         digest.update(ex.program.encode("utf-8", "surrogatepass"))
         key = digest.digest()
         if key not in seen:

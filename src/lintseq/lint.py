@@ -31,7 +31,6 @@ source lines.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import re
 import sys
@@ -211,6 +210,8 @@ class ExternalLinter(_Engine):
         )
 
     def _findings(self, text: str) -> tuple[Finding, ...]:
+        import hashlib  # only an external run loads OpenSSL, as only it runs a process
+
         key = hashlib.sha1(text.encode("utf-8", "surrogatepass")).digest()
         found = self._cache.get(key)
         if found is None:
@@ -229,8 +230,11 @@ class ExternalLinter(_Engine):
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
                     fh.write(text)
                 argv = [part.replace("{path}", path) for part in self._argv]
+                # the tool's output is read as UTF-8, as its input is written,
+                # whatever the locale; a byte that does not decode is replaced
                 proc = subprocess.run(
-                    argv, capture_output=True, text=True, timeout=self.spec.timeout
+                    argv, capture_output=True, encoding="utf-8", errors="replace",
+                    timeout=self.spec.timeout,
                 )
             except subprocess.TimeoutExpired as exc:
                 raise LinterTimeout(f"linter exceeded {self.spec.timeout:g}s") from exc

@@ -24,7 +24,6 @@ count.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import operator
 import os
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from .corpus import SourceExample
+from .corpus import SourceExample, sha256
 from .diffkit import split_lines
 from .lint import LintError, LinterSpec, LinterTimeout, SamplerError, get_linter
 
@@ -95,7 +94,7 @@ def derive_seed(
     tag = f"{global_seed}:{example_index}:{sample_index}"
     if attempt:
         tag += f":{attempt}"
-    return int.from_bytes(hashlib.sha256(tag.encode("ascii")).digest(), "big")
+    return int.from_bytes(sha256(tag.encode("ascii")).digest(), "big")
 
 
 def backward_sample(

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -1086,15 +1087,111 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-def test_console_script_smoke():
-    # the child imports the package this test imported, installed or not
+def run_cli_process(cwd, *args, locale=()):
+    """``python -m lintseq.cli`` in a fresh process, with the ``locale`` variables set.
+
+    The child imports the package this test imported, installed or not.
+    """
     src = os.path.dirname(os.path.dirname(sampler.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lintseq.cli", "passk", "10", "3", "5"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONIOENCODING", None)
+    env.update(locale)
+    return subprocess.run(
+        [sys.executable, "-m", "lintseq.cli", *map(str, args)],
+        capture_output=True, cwd=cwd, env=env, timeout=120,
     )
+
+
+def test_console_script_smoke(tmp_path):
+    proc = run_cli_process(tmp_path, "passk", "10", "3", "5")
     assert proc.returncode == 0
-    assert proc.stdout == "pass@5 = 0.9167\n"
+    assert proc.stdout == b"pass@5 = 0.9167\n"
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "command, marked",
+    [("generate", "input"), ("lintcheck", "input"), ("generate", "config"),
+     ("resolve", "records"), ("stats", "records")],
+)
+def test_a_byte_order_mark_changes_nothing(tmp_path, capsys, command, marked):
+    # corpora, records files and configs saved by editors that prefix a BOM
+    files = {"input": write_corpus(tmp_path, CLEAN), "config": tmp_path / "run.json"}
+    files["config"].write_text('{"samples": 2, "seed": 4}', encoding="utf-8")
+    if marked == "records":
+        _, files["input"] = run_generate(tmp_path, CLEAN, "--samples", "2")
+        marked = "input"
+        capsys.readouterr()
+    seen = []
+    for bom in (b"", BOM):
+        copy = tmp_path / f"marked-{len(bom)}-{files[marked].name}"
+        copy.write_bytes(bom + files[marked].read_bytes())
+        given = {**files, marked: copy}
+        out = tmp_path / f"written-{len(bom)}.jsonl"
+        argv = [command, "--input", str(given["input"])]
+        if command == "generate":
+            argv += ["--config", str(given["config"])]
+        if command in ("generate", "resolve"):
+            argv += ["--output", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        data = out.read_bytes() if out.exists() else captured.out
+        # stderr with generate's elapsed time left out
+        seen.append((code, data, re.sub(r", [0-9.]+s$", "", captured.err, flags=re.M)))
+    assert seen[0][0] == 0
+    assert seen[1] == seen[0]
+
+
+# an ASCII locale, with neither of the interpreter's UTF-8 overrides
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+UTF8_LOCALE = {"PYTHONUTF8": "1"}
+ACCENTED = CLEAN + [
+    {"id": "é1", "instruction": "café", "program": 'été = "ça va"\nprint(été)\nx = 1\n'},
+]
+
+
+@pytest.mark.parametrize("command", ["generate", "resolve"])
+def test_stdout_is_utf8_under_an_ascii_locale(tmp_path, command):
+    corpus = write_corpus(tmp_path, ACCENTED)
+    if command == "resolve":
+        _, corpus = run_generate(tmp_path, ACCENTED, "--samples", "2")
+    args = [command, "--input", corpus]
+    written = run_cli_process(tmp_path, *args, "--output", "written.jsonl", locale=ASCII_LOCALE)
+    printed = run_cli_process(tmp_path, *args, locale=ASCII_LOCALE)
+    assert written.returncode == printed.returncode == 0, printed.stderr
+    assert printed.stdout == (tmp_path / "written.jsonl").read_bytes()
+    assert "été".encode("utf-8") in printed.stdout
+
+
+def test_external_linter_output_is_read_as_utf8_under_any_locale(tmp_path):
+    # the built-in checker run as an external tool, each message ending in
+    # UTF-8 bytes whatever the tool's locale
+    src = os.path.dirname(os.path.dirname(sampler.__file__))
+    script = tmp_path / "accentlint.py"
+    script.write_text(
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from lintseq import pycheck\n"
+        "from lintseq.diffkit import split_lines\n"
+        "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+        "    lines = split_lines(fh.read())\n"
+        "for line, code, message in pycheck.check_lines(lines):\n"
+        "    out = f'{sys.argv[1]}:{line}:1: F1 {code} {message} (été)\\n'\n"
+        "    sys.stdout.buffer.write(out.encode('utf-8'))\n",
+        encoding="utf-8",
+    )
+    # each state is one run of the tool, so one program is enough
+    corpus = write_corpus(tmp_path, ACCENTED[-1:])
+    args = ["generate", "--input", corpus, "--samples", "2", "--seed", "3",
+            "--linter", "external", "--linter-cmd", f"{sys.executable} {script} {{path}}"]
+    records = []
+    for name, locale in (("utf8", UTF8_LOCALE), ("ascii", ASCII_LOCALE)):
+        proc = run_cli_process(tmp_path, *args, "--output", f"{name}.jsonl", locale=locale)
+        assert proc.returncode == 0, proc.stderr
+        records.append((tmp_path / f"{name}.jsonl").read_bytes())
+    assert records[0] == records[1]
+    # the tool steers the cascade as the built-in engine does
+    _, builtin = run_generate(tmp_path, ACCENTED[-1:], "--samples", "2")
+    assert records[0] == builtin.read_bytes()

@@ -1,11 +1,14 @@
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+
+import pytest
 
 import lintseq
 from lintseq import parse_diff
@@ -61,16 +64,20 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch):
     assert namespace["seq"] is namespace["result"].sequences[-1]
 
 
-def _loaded_by_cli_import(modules: tuple[str, ...]) -> str:
-    """Which of ``modules`` a fresh ``import lintseq.cli`` loads, as printed."""
+def _run_python(code: str, cwd: pathlib.Path | None = None) -> str:
+    """``code``'s stdout in a fresh interpreter that imports this checkout's package."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    code = f"import sys, lintseq.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _loaded_by_cli_import(modules: tuple[str, ...]) -> str:
+    """Which of ``modules`` a fresh ``import lintseq.cli`` loads, as printed."""
+    return _run_python(f"import sys, lintseq.cli; print([m for m in {modules!r} if m in sys.modules])")
 
 
 def test_cli_import_loads_no_process_pool():
@@ -86,6 +93,66 @@ def test_cli_import_loads_no_subprocess_or_traceback():
     assert _loaded_by_cli_import(("subprocess", "shlex", "traceback")) == "[]\n"
     loaded = ("lintseq.lint", "lintseq.pycheck", "lintseq.sampler")
     assert _loaded_by_cli_import(loaded) == f"{list(loaded)!r}\n"
+
+
+def _builtin_sha256_imports() -> bool:
+    return any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+
+DUPLICATED = [
+    {"id": "a", "instruction": "sum", "program": "a = 1\nb = a + 1\nprint(b)\n"},
+    {"id": "b", "instruction": "sum", "program": "a = 1\nb = a + 1\nprint(b)\n"},
+    {"id": "c", "instruction": "", "program": "x = 1\ny = 2\n"},
+]
+
+
+def _write_duplicated(tmp_path: pathlib.Path) -> None:
+    (tmp_path / "corpus.jsonl").write_text(
+        "".join(json.dumps(row) + "\n" for row in DUPLICATED), encoding="utf-8"
+    )
+
+
+@pytest.mark.skipif(not _builtin_sha256_imports(), reason="no builtin sha256 module")
+def test_builtin_run_loads_no_openssl(tmp_path):
+    # seeds and dedup keys hash with the interpreter's builtin sha256, so no
+    # command of a builtin run loads hashlib and OpenSSL's libcrypto with it
+    _write_duplicated(tmp_path)
+    code = (
+        "import sys\n"
+        "from lintseq.cli import main\n"
+        "assert main(['generate', '--input', 'corpus.jsonl', '--output', 'records.jsonl',\n"
+        "             '--dedup', '--workers', '2', '--samples', '2']) == 0\n"
+        "assert main(['resolve', '--input', 'records.jsonl', '--output', 'resolved.jsonl']) == 0\n"
+        "assert main(['stats', '--input', 'records.jsonl']) == 0\n"
+        "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])\n"
+    )
+    assert _run_python(code, tmp_path).splitlines()[-1] == "[]"
+
+
+def test_hashlib_sha256_gives_the_same_seeds_and_records(tmp_path, monkeypatch):
+    # with both builtin modules blocked, sha256 comes from hashlib, and every
+    # seed and record is the same
+    from lintseq.cli import main
+    from lintseq.sampler import derive_seed
+
+    _write_duplicated(tmp_path)
+    argv = ["generate", "--input", "corpus.jsonl", "--dedup", "--samples", "2", "--seed", "5"]
+    seeds = [(0, 0, 0), (7, 3, 2), (7, 3, 2, 1)]
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from lintseq.cli import main\n"
+        "from lintseq.sampler import derive_seed\n"
+        f"assert main({argv + ['--output', 'fallback.jsonl']!r}) == 0\n"
+        f"print('hashlib' in sys.modules, [derive_seed(*s) for s in {seeds!r}])\n"
+    )
+    out = _run_python(code, tmp_path).splitlines()[-1]
+    assert out == f"True {[derive_seed(*s) for s in seeds]!r}"
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--output", "builtin.jsonl"]) == 0
+    builtin = (tmp_path / "builtin.jsonl").read_bytes()
+    assert builtin.count(b"\n") == 4  # the duplicate is dropped
+    assert (tmp_path / "fallback.jsonl").read_bytes() == builtin
 
 
 def test_bench_trace_targets_resolve():
