@@ -18,6 +18,7 @@ integer.  A key that names no flag of any command is an error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import sys
@@ -61,6 +62,13 @@ from .sampler import DEFAULT_MAX_LINES, sample_corpus
 
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _stdout():
+    """``sys.stdout``, which is None when the process starts with fd 1 closed."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, "stdout is closed")
+    return sys.stdout
 
 
 def _load_config(path: str, commands: Iterable[argparse.ArgumentParser]) -> dict:
@@ -193,7 +201,7 @@ def cmd_generate(ns: argparse.Namespace) -> int:
     if ns.output:
         write_records(emit(), ns.output)
     else:
-        dump_records(emit(), sys.stdout)
+        dump_records(emit(), _stdout())
 
     if ns.dedup and examples.loaded > total:
         _progress(f"dropped {examples.loaded - total} duplicate examples")
@@ -252,7 +260,7 @@ def cmd_resolve(ns: argparse.Namespace) -> int:
                     mismatches += 1
             yield row
 
-    with atomic_output(ns.output) if ns.output else nullcontext(sys.stdout) as fh:
+    with atomic_output(ns.output) if ns.output else nullcontext(_stdout()) as fh:
         for row in rows():
             fh.write(_compact_json(row))
             fh.write("\n")

@@ -24,21 +24,25 @@ it is entered in, and it is the line's one record: ``scan_line`` stores in
 it the line's name facts as a fresh statement, and the scan caches them as
 a continuation line per mode.  So every ``Analysis`` looks scans up in one
 bounded least-recently-used cache keyed by (text, entry state), and a line
-met in a recent source is not scanned again.  An ``Analysis`` owns the kept
-lines and one flow run over them, edited in place: by source index, the
-walk state each kept line was entered in and the events the line produced.
-A walk state holds each fact once: the scope in effect is that of the
-innermost indentation level, and a header's opened scope travels with its
-logical line and then with the header that waits for a body.  A call names
-only the lines it deletes.  It walks on from each deleted line until a kept
+met in a recent source is not scanned again.  A line entered inside a
+triple-quoted string that does not hold that quote is a string interior by
+that fact alone, so it is never looked up: the only string interiors the
+cache holds are lines that hold the quote escaped.  An ``Analysis`` owns
+the kept lines and one flow run over them, edited in place: by source
+index, the walk state each kept line was entered in and the events the
+line produced.  A walk state holds each fact once: the scope in effect is
+that of the innermost indentation level, and a header's opened scope
+travels with its logical line and then with the header that waits for a
+body.  A call names only the lines it deletes.  It walks on from each deleted line until a kept
 line is entered in the same state as before, and resolves again only the
 uses that a changed definition can affect (a star import is a definition
 of ``*``), so each check of a deletion cascade costs about the span the
 deletion changed.  A call takes the old events of every line it deletes,
 and of every walked line whose events changed, out of the run's
 aggregates, and only then puts the new events in, each as it is; the
-structural findings are a plain set.  A walked line without content
-(blank, comment or string interior) passes the walk state on as it is.
+structural findings are a plain set.  A line's events are tuples, never
+changed once stored.  A walked line without content (blank, comment or
+string interior) passes the walk state on as it is.
 
 The first run is copied as the base, and ``Analysis.restart`` makes a copy
 of it the run again, one C-level copy per list, dict and set.  So when
@@ -669,12 +673,15 @@ _NO_EVENTS: tuple = ((), (), ())
 def _scan(raw: str, entry: str) -> LineScan:
     """The scan of ``raw`` entered in ``entry``, shared by every Analysis.
 
-    The size is about twice the distinct scans of the bench's whole corpus
-    of 400 short programs, and twice the most that one of its long stdlib
-    modules adds, so no bench program evicts its own scans.  At about 0.9 KB
-    a scan, the cache holds at most about 3.7 MB.  A program whose scans
-    outgrow it rescans some lines while it is sampled: slower, never
-    different, as a scan is a pure function of its key.
+    ``flow`` looks up a string interior only if it holds its quote escaped,
+    so the keys without content are nearly all blank and comment lines (279
+    of the 3,175 below).  Over five samples of each program, the bench's 400
+    short programs make 2,103 distinct scans in all, and its six long stdlib
+    modules 3,175 (on 3.11), no one more than 1,068; so neither corpus fills
+    the cache.  A scan with its key takes about 0.8 KB on the short programs
+    and 1.2 KB on the long ones, so the cache holds at most about 5.0 MB.  A program whose scans outgrow it rescans some lines while
+    it is sampled: slower, never different, as a scan is a pure function of
+    its key.
     """
     return scan_line(raw, entry)
 
@@ -865,9 +872,11 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
     content (blank, comment or string interior) exits in the string state it
     was entered in and changes no other part of the walk state, so the walk
     stores its entry state, goes on in the same state, and takes its old
-    events out only if it held any.  A line whose new events equal its
-    stored ones goes into neither the removed nor the added events, which
-    is exact as ``Analysis`` explains.
+    events out only if it held any.  A line entered inside a triple-quoted
+    string that does not hold that quote is not scanned: ``scan_line`` finds
+    no close in it, so its scan has no content.  A line whose new events
+    equal its stored ones goes into neither the removed nor the added
+    events, which is exact as ``Analysis`` explains.
     """
     a = analysis
     lines, kept, states, events = a.lines, a.kept, a._states, a._events
@@ -887,8 +896,9 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                 break
             states[idx] = st
             p += 1
-            f = _scan(lines[idx], st[0])
-            if not f.has_content:
+            entry = st[0]
+            raw = lines[idx]
+            if (entry and entry not in raw) or not (f := _scan(raw, entry)).has_content:
                 # no events: a line with inline findings has a quote or a bracket
                 if events[idx] is not _NO_EVENTS:
                     removed.append(events[idx])
@@ -957,7 +967,7 @@ def flow(analysis: Analysis, deleted: Iterable[int] = ()) -> list[tuple[int, str
                 logical = None
             else:
                 logical = (start, first, last, opened, mode)
-            ev = (found, defs, uses)
+            ev = (tuple(found), tuple(defs), tuple(uses))
             if events[idx] != ev:
                 removed.append(events[idx])
                 events[idx] = ev

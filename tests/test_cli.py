@@ -1087,19 +1087,20 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-def run_cli_process(cwd, *args, locale=()):
+def run_cli_process(cwd, *args, locale=(), close_stdout=False):
     """``python -m lintseq.cli`` in a fresh process, with the ``locale`` variables set.
 
     The child imports the package this test imported, installed or not.
+    With ``close_stdout`` a shell starts it with fd 1 closed.
     """
     src = os.path.dirname(os.path.dirname(sampler.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("PYTHONIOENCODING", None)
     env.update(locale)
-    return subprocess.run(
-        [sys.executable, "-m", "lintseq.cli", *map(str, args)],
-        capture_output=True, cwd=cwd, env=env, timeout=120,
-    )
+    argv = [sys.executable, "-m", "lintseq.cli", *map(str, args)]
+    if close_stdout:
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+    return subprocess.run(argv, capture_output=True, cwd=cwd, env=env, timeout=120)
 
 
 def test_console_script_smoke(tmp_path):
@@ -1163,6 +1164,20 @@ def test_stdout_is_utf8_under_an_ascii_locale(tmp_path, command):
     assert written.returncode == printed.returncode == 0, printed.stderr
     assert printed.stdout == (tmp_path / "written.jsonl").read_bytes()
     assert "été".encode("utf-8") in printed.stdout
+
+
+@pytest.mark.parametrize("command", ["generate", "resolve"])
+def test_a_closed_stdout_exits_1_with_one_error_record(tmp_path, command):
+    # started with fd 1 closed, the process has no sys.stdout: the data it
+    # would write there fails as a full disk does, before any example is read
+    corpus = write_corpus(tmp_path, CLEAN)
+    if command == "resolve":
+        _, corpus = run_generate(tmp_path, CLEAN, "--samples", "2")
+    proc = run_cli_process(tmp_path, command, "--input", corpus, close_stdout=True)
+    assert proc.returncode == 1, proc.stderr
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+        {"error": "[Errno 9] stdout is closed", "kind": "OSError"}
+    ]
 
 
 def test_external_linter_output_is_read_as_utf8_under_any_locale(tmp_path):

@@ -493,10 +493,10 @@ def test_engine_scans_stay_bounded_and_a_fresh_start_changes_nothing(monkeypatch
                 assert scan.cache_info().currsize <= (size or sum(own))
             return out, scan.cache_info()
 
-        # 6 is much smaller than the largest program's scans, so it evicts
+        # 5 is much smaller than the largest program's scans, so it evicts
         # while that program is sampled; 60 evicts between programs
-        assert max(own) >= 4 * 6 and sum(own) > 2 * 60
-        for size in (6, 60):
+        assert max(own) >= 4 * 5 and sum(own) > 2 * 60
+        for size in (5, 60):
             bounded, info = one_engine(size)
             assert info.misses > info.currsize == size
             assert bounded == alone

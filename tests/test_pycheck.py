@@ -577,7 +577,9 @@ def test_flow_on_analyses_that_share_their_scans(monkeypatch):
     # program, each agree with a cold check: the package's source lines, and
     # _STATEFUL's as code, then inside a triple-quoted string, then as code
     # again once the string's opening line is deleted.  The cache starts
-    # empty and is unbounded, and every key looked up in it is recorded
+    # empty and is unbounded, and every key looked up in it is recorded.
+    # A line walked inside a string without its quote is not looked up, so
+    # the texts walked inside a string are read off the runs' stored states
     pool = [
         line
         for path in sorted(Path(lintseq.__file__).parent.glob("*.py"))
@@ -591,19 +593,72 @@ def test_flow_on_analyses_that_share_their_scans(monkeypatch):
     analyses = [Analysis(quoted)]
     analyses += [Analysis(rng.choices(pool, k=rng.randint(5, 60))) for _ in range(12)]
     kepts = [list(range(len(a.lines))) for a in analyses]
+    in_string = set()
+
+    def checked(analysis, kept, deleted=()):
+        flow_checked(analysis, kept, deleted)
+        in_string.update(analysis.lines[i] for i in kept if analysis._states[i][0])
+
     for analysis, kept in zip(analyses, kepts):
-        flow_checked(analysis, kept)
-    flow_checked(analyses[0], kepts[0], [len(stateful)])
+        checked(analysis, kept)
+    checked(analyses[0], kepts[0], [len(stateful)])
     calls = 0
     while any(kepts):
         for analysis, kept in zip(analyses, kepts):
             if kept:
-                flow_checked(analysis, kept, rng.sample(kept, min(len(kept), rng.randint(1, 3))))
+                checked(analysis, kept, rng.sample(kept, min(len(kept), rng.randint(1, 3))))
                 calls += 1
     assert calls > 200
-    # the same texts were scanned both as code and inside a string
-    both = {text for text, entry in scans if entry} & {text for text, entry in scans if not entry}
+    # the same texts were walked inside a string and scanned as code
+    both = in_string & {text for text, entry in scans if not entry}
     assert len(both) >= 10, both
+
+
+def test_a_line_inside_a_string_without_its_quote_is_not_looked_up(monkeypatch):
+    # flow passes a line entered inside a triple-quoted string that does not
+    # hold that quote on as it is, without a scan: sampling docstring-heavy
+    # programs, whose runs walk many such lines, looks up none of them
+    programs = [(Path(lintseq.__file__).parent / "pycheck.py").read_text(encoding="utf-8")]
+    gen = random.Random(7)
+    programs += [make_program(gen, 20, 60, "rich")[1] for _ in range(3)]
+    keys = []
+    monkeypatch.setattr(pycheck, "_scan", recording_scan(keys))
+    interiors = 0
+    for seed, program in enumerate(programs):
+        analysis = Analysis(split_lines(program))
+        flow(analysis)
+        interiors += sum(
+            1 for raw, st in zip(analysis.lines, analysis._states) if st[0] and st[0] not in raw
+        )
+        for sample in range(2):
+            backward_sample(program, rng=random.Random(10 * seed + sample))
+    assert interiors >= 100 and len(keys) > 3000
+    assert [(raw, entry) for raw, entry in keys if entry and entry not in raw] == []
+
+
+def test_scan_line_passes_a_string_interior_on_as_it_is():
+    # the rule that lets flow skip those scans: a line entered inside a
+    # triple-quoted string that does not hold that quote has no content and
+    # exits in the state it was entered in.  The first 600 lines of a few
+    # stdlib modules, then seeded random lines of quotes, backslashes,
+    # escaped quotes and code, each entered inside either triple quote
+    texts = []
+    for name in ("tokenize.py", "textwrap.py", "dataclasses.py", "typing.py", "enum.py"):
+        path = Path(os.__file__).parent / name
+        texts += split_lines(path.read_text(encoding="utf-8"))[:600]
+    rng = random.Random(29)
+    pieces = [*"ab #()\\\t", '"', "'", '""', "''", '\\"', "\\'", '"""', "'''", '\\"""', "\\'''"]
+    for _ in range(3000):
+        line = "".join(rng.choices(pieces, k=rng.randint(0, 12)))
+        texts.append(line + "\n" if rng.random() < 0.8 else line)
+    interiors = 0
+    for text in texts:
+        for entry in ('"""', "'''"):
+            if entry not in text:
+                scan = scan_line(text, entry)
+                assert not scan.has_content and scan.exit_state == entry, (text, entry)
+                interiors += 1
+    assert interiors > 5000
 
 
 def test_flow_inverts_blank_comment_and_code_lines_to_the_end_and_back():
